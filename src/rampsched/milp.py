@@ -1,42 +1,27 @@
-"""Minimal exact MILP kernel.
+"""MILP container, HiGHS solves with an independent check, and MPS I/O.
 
-Dense revised simplex for bounded variables (explicit basis inverse,
-composite phase 1, Dantzig pricing with a Bland-rule fallback after 1000
-degenerate pivots), best-first branch and bound with relative-gap control
-and warm starts from the parent basis, and MPS export/import whose
-export -> import -> export round trip is byte-identical.
-
-Everything is deterministic: pricing and ratio ties break on the lowest
-variable index, and the node queue orders by (bound, insertion sequence).
+`MixedIntegerProgram` holds a minimization problem as sparse rows.
+`branch_and_bound` solves it with HiGHS (`scipy.optimize.milp`) and
+`simplex_solve` solves its LP relaxation; both map the HiGHS result to a
+`Solution` and accept a point only after `check_solution`, which re-checks
+every bound, row and integrality independently of the solver.  MPS export
+and import round-trip byte-identically.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import heapq
 import math
 import re
-import time as _time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize, sparse
 
 INF = float("inf")
 
-AT_LO, AT_UP, BASIC, FREE_NB = 0, 1, 2, 3
-FEAS_TOL = 1e-8
-COST_TOL = 1e-9
 INT_TOL = 1e-6
-
-
-class SimplexNumericalError(RuntimeError):
-    def __init__(self, msg: str, pivot_log: list | None = None):
-        tail = ""
-        if pivot_log:
-            tail = "; last pivots: " + ", ".join(map(str, pivot_log[-5:]))
-        super().__init__(msg + tail)
 
 
 @dataclass
@@ -158,622 +143,79 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# Revised simplex
+# Solving
 # ---------------------------------------------------------------------------
 
-class _Standardized:
-    """Dense standard form A_full @ x = b with per-variable bounds; the last
-    m columns are row slacks.  Rows are equilibrated to unit max coefficient
-    (one-sided slack bounds are scale-invariant)."""
+def _highs_solve(mip: MixedIntegerProgram, integral: bool, gap_tol: float = 0.0,
+                 time_limit: float | None = None) -> Solution:
+    """Solve `mip` with HiGHS (`scipy.optimize.milp`), or its LP relaxation
+    when `integral` is false, and check the returned point independently."""
+    n, m = mip.n_vars, len(mip.rows)
+    c = np.zeros(n)
+    for j, cj in mip.objective:
+        c[j] = cj
+    lb = np.array([v.lb for v in mip.variables])
+    ub = np.array([v.ub for v in mip.variables])
+    integrality = np.array([integral and v.integer for v in mip.variables], dtype=int)
+    constraints = None
+    if m:
+        indptr = np.cumsum([0] + [len(r.coeffs) for r in mip.rows])
+        indices = [j for r in mip.rows for j, _ in r.coeffs]
+        data = [a for r in mip.rows for _, a in r.coeffs]
+        rhs = np.array([r.rhs for r in mip.rows])
+        senses = np.array([r.sense for r in mip.rows])
+        constraints = optimize.LinearConstraint(
+            sparse.csr_array((data, indices, indptr), shape=(m, n)),
+            np.where(senses == "<=", -INF, rhs), np.where(senses == ">=", INF, rhs))
+    options = dict(disp=False, mip_rel_gap=gap_tol)
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+    res = optimize.milp(c, integrality=integrality, bounds=optimize.Bounds(lb, ub),
+                        constraints=constraints, options=options)
+    if res.status not in (0, 1, 2, 3):
+        raise RuntimeError(f"HiGHS failed: {res.message}")
 
-    def __init__(self, mip: MixedIntegerProgram,
-                 override_bounds: dict[int, tuple[float, float]] | None = None):
-        n, m = mip.n_vars, len(mip.rows)
-        self.n, self.m = n, m
-        A = np.zeros((m, n + m))
-        b = np.zeros(m)
-        lb = np.empty(n + m)
-        ub = np.empty(n + m)
-        for j, v in enumerate(mip.variables):
-            lb[j], ub[j] = v.lb, v.ub
-        if override_bounds:
-            for j, (lo, hi) in override_bounds.items():
-                lb[j], ub[j] = lo, hi
-        for i, row in enumerate(mip.rows):
-            scale = max((abs(c) for _, c in row.coeffs), default=1.0)
-            for j, c in row.coeffs:
-                A[i, j] = c / scale
-            b[i] = row.rhs / scale
-            A[i, n + i] = 1.0
-            if row.sense == "<=":
-                lb[n + i], ub[n + i] = 0.0, INF
-            elif row.sense == ">=":
-                lb[n + i], ub[n + i] = -INF, 0.0
-            else:
-                lb[n + i], ub[n + i] = 0.0, 0.0
-        c = np.zeros(n + m)
-        for j, cj in mip.objective:
-            c[j] = cj
-        if np.any(lb > ub):
-            raise ValueError("inconsistent bounds after override")
-        self.A, self.b, self.c, self.lb, self.ub = A, b, c, lb, ub
-        self.feas_threshold = 1e-9 * (1.0 + (float(np.max(np.abs(b))) if m else 0.0))
-
-    def with_bounds(self, override_bounds: dict | None) -> "_Standardized":
-        """Shallow copy sharing A/b/c with fresh bound arrays."""
-        import copy
-        out = object.__new__(_Standardized)
-        out.n, out.m = self.n, self.m
-        out.A, out.b, out.c = self.A, self.b, self.c
-        out.lb = self.lb.copy()
-        out.ub = self.ub.copy()
-        if override_bounds:
-            for j, (lo, hi) in override_bounds.items():
-                out.lb[j], out.ub[j] = lo, hi
-        if np.any(out.lb > out.ub):
-            raise ValueError("inconsistent bounds after override")
-        out.feas_threshold = self.feas_threshold
-        return out
-
-
-class _SimplexState:
-    def __init__(self, basis: np.ndarray, status: np.ndarray,
-                 B_inv: np.ndarray | None = None):
-        self.basis = basis.copy()
-        self.status = status.copy()
-        self.B_inv = B_inv
-
-
-class _Simplex:
-    MAX_ITER_FACTOR = 60
-    REFACTOR_EVERY = 80
-    BLAND_AFTER = 1000
-
-    def __init__(self, std: _Standardized, warm: _SimplexState | None = None):
-        self.std = std
-        self.pivot_log: list[tuple[int, int]] = []
-        n, m = std.n, std.m
-        self._finite_lb = np.isfinite(std.lb)
-        self._finite_ub = np.isfinite(std.ub)
-        if warm is not None and len(warm.basis) == m:
-            self.basis = warm.basis.copy()
-            self.status = warm.status.copy()
-            for j in range(n + m):
-                if self.status[j] != BASIC:
-                    self.status[j] = self._repair_status(j, self.status[j])
-            if warm.B_inv is not None and warm.B_inv.shape == (m, m):
-                self.B_inv = warm.B_inv.copy()
-                self._recompute_xb()
-            else:
-                self._refactor()
-        else:
-            try:
-                self._crash_basis()
-                self._refactor()
-            except SimplexNumericalError:
-                self._slack_basis()
-                self._refactor()
-
-    def _slack_basis(self):
-        n, m = self.std.n, self.std.m
-        self.basis = np.arange(n, n + m)
-        self.status = np.array([self._repair_status(j, AT_LO)
-                                for j in range(n + m)], dtype=np.int8)
-        self.status[self.basis] = BASIC
-
-    def _crash_basis(self):
-        """Greedy triangular-ish start: one structural variable per row where
-        a dominant coefficient exists, slacks elsewhere."""
-        n, m = self.std.n, self.std.m
-        self._slack_basis()
-        taken = np.zeros(n, dtype=bool)
-        for i in range(m):
-            row = self.std.A[i, :n]
-            big = np.max(np.abs(row)) if n else 0.0
-            if big < 1e-9:
-                continue
-            cand = np.flatnonzero((np.abs(row) >= 0.5 * big) & ~taken)
-            free_span = self.std.ub[:n] - self.std.lb[:n]
-            cand = cand[free_span[cand] > 1e-12]
-            if len(cand) == 0:
-                continue
-            j = int(cand[np.lexsort((cand, -np.abs(row[cand])))[0]])
-            old = self.basis[i]
-            self.status[old] = self._repair_status(old, AT_LO)
-            self.basis[i] = j
-            self.status[j] = BASIC
-            taken[j] = True
-
-    def _repair_status(self, j: int, want: int) -> int:
-        if want == AT_LO and self._finite_lb[j]:
-            return AT_LO
-        if want == AT_UP and self._finite_ub[j]:
-            return AT_UP
-        if self._finite_lb[j]:
-            return AT_LO
-        if self._finite_ub[j]:
-            return AT_UP
-        return FREE_NB
-
-    def _nonbasic_values(self) -> np.ndarray:
-        xn = np.where(self.status == AT_LO, self.std.lb,
-                      np.where(self.status == AT_UP, self.std.ub, 0.0))
-        xn[self.status == BASIC] = 0.0
-        return xn
-
-    def _refactor(self, allow_repair: bool = True):
-        B = self.std.A[:, self.basis]
-        try:
-            self.B_inv = np.linalg.inv(B)
-            resid = np.max(np.abs(B @ self.B_inv - np.eye(self.std.m))) \
-                if self.std.m else 0.0
-        except np.linalg.LinAlgError:
-            resid = INF
-        if not np.isfinite(resid) or resid > 1e-5:
-            if not allow_repair:
-                raise SimplexNumericalError(
-                    f"basis condition blow-up (residual {resid:.2e})",
-                    self.pivot_log)
-            self._repair_basis()
-            self._refactor(allow_repair=False)
-            return
-        self._recompute_xb()
-
-    def _repair_basis(self):
-        """Replace dependent basis columns: pivoted QR on [current basis |
-        identity slacks] keeps a maximal independent subset of the current
-        columns (they sort first at equal norm thanks to a tiny up-scaling)
-        and completes with slacks."""
-        from scipy.linalg import qr
-        m, n = self.std.m, self.std.n
-        slack_cols = np.arange(n, n + m)
-        cand = np.concatenate([self.basis, slack_cols])
-        Baug = self.std.A[:, cand].copy()
-        Baug[:, :m] *= 4.0      # prefer keeping current basis columns
-        _, R, piv = qr(Baug, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        tol = max(Baug.shape) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)
-        rank = int(np.sum(diag > tol))
-        new_basis: list[int] = []
-        seen: set[int] = set()
-        for k in piv[:rank]:
-            var = int(cand[k])
-            if var not in seen:
-                new_basis.append(var)
-                seen.add(var)
-        for s in slack_cols:
-            if len(new_basis) == m:
-                break
-            if int(s) not in seen:
-                new_basis.append(int(s))
-                seen.add(int(s))
-        try:
-            np.linalg.inv(self.std.A[:, new_basis])
-        except np.linalg.LinAlgError:
-            new_basis = [int(s) for s in slack_cols]
-        for v in set(int(v) for v in self.basis).difference(new_basis):
-            self.status[v] = self._repair_status(v, AT_LO)
-        self.basis = np.array(new_basis)
-        self.status[self.basis] = BASIC
-        self.pivot_log.append((-1, -1))   # marks a repair
-
-    def _recompute_xb(self):
-        xn = self._nonbasic_values()
-        self.x_b = self.B_inv @ (self.std.b - self.std.A @ xn)
-
-    def full_x(self) -> np.ndarray:
-        x = self._nonbasic_values()
-        x[self.basis] = self.x_b
-        return x
-
-    # -- one simplex step -----------------------------------------------------
-    def _ratio_test(self, alpha: np.ndarray, sigma: float,
-                    phase1_sig: np.ndarray | None):
-        """Vectorized bounded ratio test; among near-minimal ratios prefers
-        the largest pivot magnitude, then the lowest variable index."""
-        lb = self.std.lb[self.basis]
-        ub = self.std.ub[self.basis]
-        w = -sigma * alpha
-        t = np.full(self.std.m, INF)
-        leave = np.full(self.std.m, -1, dtype=np.int8)
-        moved = np.abs(w) > 1e-9
-        sig = np.zeros(self.std.m) if phase1_sig is None else phase1_sig
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up_case = moved & (((sig == 0) & (w > 0) & np.isfinite(ub))
-                               | ((sig > 0) & (w < 0)))
-            lo_case = moved & (((sig == 0) & (w < 0) & np.isfinite(lb))
-                               | ((sig < 0) & (w > 0)))
-            t[up_case] = (ub[up_case] - self.x_b[up_case]) / w[up_case]
-            leave[up_case] = AT_UP
-            t[lo_case] = (lb[lo_case] - self.x_b[lo_case]) / w[lo_case]
-            leave[lo_case] = AT_LO
-        np.maximum(t, 0.0, out=t)
-        t_min = t.min() if self.std.m else INF
-        if not np.isfinite(t_min):
-            return INF, -1, -1
-        near = np.flatnonzero(t <= t_min + 1e-9)
-        r = int(near[np.lexsort((self.basis[near], -np.abs(alpha[near])))[0]])
-        return float(t[r]), r, int(leave[r])
-
-    def _step(self, q: int, sigma: float, phase1_sig: np.ndarray | None) -> float:
-        """Move entering variable q in direction sigma; returns the step or
-        INF for an unbounded ray."""
-        alpha = self.B_inv @ self.std.A[:, q]
-        t_basic, r, leave = self._ratio_test(alpha, sigma, phase1_sig)
-        span = self.std.ub[q] - self.std.lb[q]
-        t_flip = span if (self.status[q] in (AT_LO, AT_UP)
-                          and math.isfinite(span)) else INF
-        t = min(t_basic, t_flip)
-        if t == INF:
-            return INF
-        xq_new = (self.std.lb[q] if self.status[q] == AT_LO else
-                  self.std.ub[q] if self.status[q] == AT_UP else 0.0) + sigma * t
-        self.x_b -= sigma * alpha * t
-        if t_flip <= t_basic:
-            self.status[q] = AT_UP if self.status[q] == AT_LO else AT_LO
-        else:
-            self._pivot(q, r, alpha, leave, xq_new)
-        return t
-
-    def _pivot(self, q: int, r: int, alpha: np.ndarray, leave_status: int,
-               xq_new: float):
-        p = self.basis[r]
-        if abs(alpha[r]) < 1e-9:
-            raise SimplexNumericalError(f"tiny pivot element {alpha[r]:.2e}",
-                                        self.pivot_log)
-        pivrow = self.B_inv[r] / alpha[r]
-        self.B_inv -= np.outer(alpha, pivrow)
-        self.B_inv[r] = pivrow
-        self.basis[r] = q
-        self.status[p] = self._repair_status(p, leave_status)
-        self.status[q] = BASIC
-        self.x_b[r] = xq_new
-        self.pivot_log.append((int(p), int(q)))
-
-    # -- main loop -------------------------------------------------------------
-    def _infeasibility(self) -> tuple[float, np.ndarray]:
-        lb = self.std.lb[self.basis]
-        ub = self.std.ub[self.basis]
-        scale = FEAS_TOL * np.maximum(1.0, np.abs(self.x_b))
-        sig = np.zeros(self.std.m)
-        sig[self.x_b > ub + scale] = 1.0
-        sig[self.x_b < lb - scale] = -1.0
-        total = float(np.sum((self.x_b - ub)[sig > 0])
-                      + np.sum((lb - self.x_b)[sig < 0]))
-        return total, sig
-
-    def _entering(self, d: np.ndarray, bland: bool) -> tuple[int, float]:
-        """Entering variable and move direction from the per-variable
-        derivative d along an increase; (-1, 0) when none improves."""
-        rate = np.where(self.status == AT_UP, -d, d)
-        free = self.status == FREE_NB
-        rate[free] = -np.abs(d[free])
-        rate[self.status == BASIC] = INF
-        if bland:
-            idx = np.flatnonzero(rate < -COST_TOL)
-            if len(idx) == 0:
-                return -1, 0.0
-            q = int(idx[0])
-        else:
-            q = int(np.argmin(rate))
-            if rate[q] >= -COST_TOL:
-                return -1, 0.0
-        if self.status[q] == AT_UP:
-            return q, -1.0
-        if self.status[q] == FREE_NB and d[q] > 0:
-            return q, -1.0
-        return q, 1.0
-
-    def solve(self, deadline: float | None = None) -> str:
-        n, m = self.std.n, self.std.m
-        max_iter = self.MAX_ITER_FACTOR * (n + m) + 5000
-        it_count = 0
-        degenerate = 0
-        bland = False
-        since_refactor = 0
-        phase1_returns = 0
-        infeas, sig = self._infeasibility()
-        in_phase1 = infeas > 0
-        for _ in range(max_iter):
-            it_count += 1
-            if deadline is not None and it_count % 64 == 0 \
-                    and _time.monotonic() > deadline:
-                raise SimplexNumericalError("LP wall-clock budget exceeded",
-                                            self.pivot_log)
-            if in_phase1:
-                infeas, sig = self._infeasibility()
-                if infeas <= self.std.feas_threshold:
-                    in_phase1 = False
-                    self._refactor()
-                    since_refactor = 0
-                    continue
-                grad = -((sig @ self.B_inv) @ self.std.A)
-                q, sigma = self._entering(grad, bland)
-                if q < 0:
-                    return "infeasible"
-                t = self._step(q, sigma, sig)
-                if t == INF:
-                    raise SimplexNumericalError("unbounded phase-1 direction",
-                                                self.pivot_log)
-            else:
-                y = self.std.c[self.basis] @ self.B_inv
-                d = self.std.c - y @ self.std.A
-                q, sigma = self._entering(d, bland)
-                if q < 0:
-                    # optimality claimed: re-verify primal feasibility after
-                    # accumulated updates
-                    self._refactor()
-                    since_refactor = 0
-                    infeas, sig = self._infeasibility()
-                    if infeas > self.std.feas_threshold:
-                        phase1_returns += 1
-                        if phase1_returns > 5:
-                            raise SimplexNumericalError(
-                                "feasibility lost repeatedly", self.pivot_log)
-                        in_phase1 = True
-                        continue
-                    return "optimal"
-                t = self._step(q, sigma, None)
-                if t == INF:
-                    return "unbounded"
-            if t < 1e-10:
-                degenerate += 1
-                if degenerate > self.BLAND_AFTER:
-                    bland = True
-            else:
-                degenerate = 0
-                bland = False
-            since_refactor += 1
-            if since_refactor >= self.REFACTOR_EVERY:
-                self._refactor()
-                since_refactor = 0
-        raise SimplexNumericalError(f"iteration limit {max_iter} exceeded",
-                                    self.pivot_log)
-
-    def state(self) -> _SimplexState:
-        return _SimplexState(self.basis, self.status, self.B_inv)
-
-
-def simplex_solve(mip: MixedIntegerProgram,
-                  override_bounds: dict | None = None,
-                  warm: _SimplexState | None = None,
-                  base_std: _Standardized | None = None,
-                  deadline: float | None = None
-                  ) -> tuple[Solution, _SimplexState | None]:
-    """Optimal basic solution of the LP relaxation (integrality ignored).
-
-    `base_std` optionally reuses a cached standardized form (shared matrix,
-    fresh bounds) to avoid rebuilding dense arrays at every node."""
-    if base_std is not None:
-        std = base_std.with_bounds(override_bounds)
+    nodes = res.mip_node_count or 0
+    if res.x is None or res.status > 1:
+        # infeasible, unbounded, or cut by the time limit before an incumbent
+        status = {1: "time-limit", 2: "infeasible", 3: "unbounded"}[res.status]
+        dual = res.mip_dual_bound
+        return Solution(np.full(n, np.nan), -INF if status == "unbounded" else INF,
+                        status, gap=INF, node_count=nodes,
+                        best_bound=-INF if dual is None else dual + mip.obj_constant)
+    x = np.asarray(res.x, dtype=float)
+    violations = check_solution(mip, x, int_tol=INT_TOL if integral else INF)
+    if violations:
+        raise RuntimeError(f"HiGHS returned an infeasible point: {len(violations)} "
+                           f"violation(s), first {violations[0]}")
+    objective = mip.objective_value(x)
+    gap = res.mip_gap or 0.0            # None for an LP
+    if res.status == 1:
+        status = "time-limit"
     else:
-        std = _Standardized(mip, override_bounds)
-    if std.m == 0:
-        x = np.zeros(std.n)
-        for j in range(std.n):
-            cj = std.c[j]
-            if cj > 0:
-                x[j] = std.lb[j]
-            elif cj < 0:
-                x[j] = std.ub[j]
-            else:
-                x[j] = std.lb[j] if math.isfinite(std.lb[j]) else \
-                    min(std.ub[j], 0.0)
-            if not math.isfinite(x[j]):
-                return Solution(x, -INF, "unbounded"), None
-        return Solution(x, mip.objective_value(x), "optimal"), None
-    try:
-        sx = _Simplex(std, warm)
-        status = sx.solve(deadline)
-    except SimplexNumericalError:
-        if warm is None:
-            raise
-        sx = _Simplex(std, None)      # cold restart before giving up
-        status = sx.solve(deadline)
-    x = sx.full_x()[:std.n]
-    if status == "optimal":
-        return Solution(x, mip.objective_value(x), "optimal"), sx.state()
-    if status == "unbounded":
-        return Solution(x, -INF, "unbounded"), sx.state()
-    return Solution(x, INF, "infeasible"), sx.state()
+        status = "optimal" if gap == 0 else "feasible-with-gap"
+    bound = objective if res.mip_dual_bound is None else \
+        res.mip_dual_bound + mip.obj_constant
+    return Solution(x, objective, status, gap=gap, node_count=nodes,
+                    best_bound=bound, bound_history=[bound])
 
 
-# ---------------------------------------------------------------------------
-# Branch and bound
-# ---------------------------------------------------------------------------
+def simplex_solve(mip: MixedIntegerProgram) -> Solution:
+    """Optimal solution of the LP relaxation (integrality ignored)."""
+    return _highs_solve(mip, integral=False)
+
 
 def branch_and_bound(mip: MixedIntegerProgram, gap_tol: float = 1e-6,
-                     time_limit: float | None = None,
-                     dive: bool = True,
-                     warm_incumbent: np.ndarray | None = None) -> Solution:
-    """Best-first branch and bound on LP relaxations.
+                     time_limit: float | None = None) -> Solution:
+    """Solve the MILP with HiGHS' branch and cut.
 
-    Branches on the most-fractional integer variable (lowest index on ties);
-    terminates at gap <= gap_tol, exhaustion, or the time limit.  An
-    iterative round-and-fix dive seeds the incumbent after the root solve.
-    Node LP failures prune with a warning and downgrade an optimality
-    certificate to feasible-with-gap.  Incumbents are re-validated by an
-    independent constraint check before acceptance; `warm_incumbent`
-    optionally seeds the incumbent from a known feasible point (e.g. a
-    restricted heuristic solve).
+    Stops at a relative gap of `gap_tol` or after `time_limit` seconds.  The
+    status is `optimal` at zero gap, `feasible-with-gap` when stopped by the
+    gap tolerance, `time-limit` when cut by the limit (objective inf and x
+    NaN if no incumbent was found), or `infeasible` / `unbounded`.  Every
+    returned point has passed `check_solution`; a violation raises.
     """
-    t0 = _time.monotonic()
-    int_idx = [j for j, v in enumerate(mip.variables) if v.integer]
-    for j in int_idx:
-        v = mip.variables[j]
-        if not (math.isfinite(v.lb) and math.isfinite(v.ub)):
-            raise ValueError(f"integer variable {v.name} must be bounded")
-
-    base_std = _Standardized(mip) if mip.rows else None
-    incumbent: np.ndarray | None = None
-    inc_obj = INF
-    bound_history: list[float] = []
-    global_bound = -INF
-    degraded = False
-    nodes = 0
-    seq = 0
-
-    def fractional(x) -> list[tuple[float, int]]:
-        return [(abs(x[j] - round(x[j])), j) for j in int_idx
-                if abs(x[j] - round(x[j])) > INT_TOL]
-
-    def try_incumbent(x, obj) -> bool:
-        nonlocal incumbent, inc_obj
-        if obj >= inc_obj - 1e-12:
-            return False
-        if check_solution(mip, x, tol=1e-7):
-            return False
-        incumbent = x.copy()
-        inc_obj = obj
-        return True
-
-    def out_of_time() -> bool:
-        return time_limit is not None and _time.monotonic() - t0 > time_limit
-
-    if warm_incumbent is not None:
-        try_incumbent(np.asarray(warm_incumbent, dtype=float),
-                      mip.objective_value(np.asarray(warm_incumbent, dtype=float)))
-
-    root_sol, root_state = simplex_solve(mip, base_std=base_std)
-    nodes += 1
-    if root_sol.status == "infeasible":
-        return Solution(root_sol.x, INF, "infeasible", gap=INF, node_count=nodes)
-    if root_sol.status == "unbounded":
-        return Solution(root_sol.x, -INF, "unbounded", gap=INF, node_count=nodes)
-    bound_history.append(root_sol.objective)
-    global_bound = root_sol.objective
-
-    if not fractional(root_sol.x):
-        try_incumbent(root_sol.x, root_sol.objective)
-        if incumbent is not None:
-            return Solution(incumbent, inc_obj, "optimal", gap=0.0,
-                            node_count=nodes, best_bound=global_bound,
-                            bound_history=bound_history)
-
-    def dfs_probe(start_sol, start_state, start_overrides,
-                  budget: int = 400) -> None:
-        """Depth-first fix-and-solve probe for a first integral solution:
-        most-integral variable first, preferred value first, lazy child
-        solves with backtracking through the pending stack."""
-        nonlocal nodes
-        stack = [(dict(start_overrides), start_state, start_sol)]
-        solved = 0
-        while stack and solved < budget:
-            if out_of_time():
-                return
-            overrides, state, sol = stack.pop()
-            if sol is None:
-                try:
-                    sol, state = simplex_solve(mip, override_bounds=overrides,
-                                               warm=state, base_std=base_std,
-                                               deadline=lp_deadline())
-                except SimplexNumericalError:
-                    continue
-                solved += 1
-                nodes += 1
-                if sol.status != "optimal" or sol.objective >= inc_obj - 1e-12:
-                    continue
-            fracs = fractional(sol.x)
-            if not fracs:
-                if try_incumbent(sol.x, sol.objective):
-                    return
-                continue
-            _, j = max(fracs, key=lambda fj: (fj[0], -fj[1]))
-            val = float(round(sol.x[j]))
-            vlb, vub = mip.variables[j].lb, mip.variables[j].ub
-            other = val - 1.0 if val > sol.x[j] else val + 1.0
-            for trial in (other, val):   # preferred child on top
-                if not vlb <= trial <= vub:
-                    continue
-                cand = dict(overrides)
-                cand[j] = (trial, trial)
-                stack.append((cand, state, None))
-
-    def lp_deadline():
-        if time_limit is None:
-            return None
-        return t0 + time_limit
-
-    if dive and int_idx:
-        dfs_probe(root_sol, root_state, {})
-
-    heap: list = []
-    heapq.heappush(heap, (root_sol.objective, seq, {}, root_state, root_sol))
-    seq += 1
-
-    def current_gap() -> float:
-        if incumbent is None:
-            return INF
-        return max(inc_obj - global_bound, 0.0) / max(abs(inc_obj), 1e-9)
-
-    status = "exhausted"
-    while heap:
-        bound, _, overrides, parent_state, node_sol = heapq.heappop(heap)
-        global_bound = max(global_bound, min(bound, inc_obj))
-        bound_history.append(global_bound)
-        if incumbent is not None and bound >= inc_obj - 1e-9 * max(1.0, abs(inc_obj)):
-            # best-first order: every remaining node is dominated
-            global_bound = inc_obj
-            bound_history.append(global_bound)
-            break
-        if current_gap() <= gap_tol:
-            status = "gap"
-            break
-        if out_of_time():
-            status = "time"
-            break
-        fracs = fractional(node_sol.x)
-        if not fracs:
-            try_incumbent(node_sol.x, node_sol.objective)
-            continue
-        _, jb = max(fracs, key=lambda fj: (fj[0], -fj[1]))
-        xj = node_sol.x[jb]
-        v = mip.variables[jb]
-        node_lb, node_ub = overrides.get(jb, (v.lb, v.ub))
-        for child_bounds in ((node_lb, math.floor(xj)),
-                             (math.ceil(xj), node_ub)):
-            if child_bounds[0] > child_bounds[1]:
-                continue
-            child = dict(overrides)
-            child[jb] = child_bounds
-            try:
-                sol, state = simplex_solve(mip, override_bounds=child,
-                                           warm=parent_state, base_std=base_std,
-                                           deadline=lp_deadline())
-            except SimplexNumericalError as exc:
-                warnings.warn(f"node LP failed ({exc}); pruning", RuntimeWarning)
-                degraded = True
-                continue
-            nodes += 1
-            if sol.status != "optimal":
-                continue
-            if incumbent is not None and \
-                    sol.objective >= inc_obj - 1e-9 * max(1.0, abs(inc_obj)):
-                continue
-            if not fractional(sol.x):
-                try_incumbent(sol.x, sol.objective)
-            else:
-                heapq.heappush(heap, (sol.objective, seq, child, state, sol))
-                seq += 1
-
-    if status == "exhausted" and incumbent is not None:
-        global_bound = inc_obj
-        bound_history.append(global_bound)
-
-    if incumbent is None:
-        final = "time-limit" if status == "time" else "infeasible"
-        return Solution(np.zeros(mip.n_vars), INF, final, gap=INF,
-                        node_count=nodes, best_bound=global_bound,
-                        bound_history=bound_history)
-    gap = current_gap()
-    if status == "time":
-        final = "time-limit"
-    elif status == "exhausted" and not degraded:
-        final, gap = "optimal", 0.0
-    else:
-        final = "feasible-with-gap"
-    return Solution(incumbent, inc_obj, final, gap=gap, node_count=nodes,
-                    best_bound=global_bound, bound_history=bound_history)
+    return _highs_solve(mip, integral=True, gap_tol=gap_tol, time_limit=time_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ the process model's kJ/h, prices in currency/kWh, time in hours.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,12 +170,6 @@ class ScheduleLayout:
     z_nu: list
 
 
-def _interval_bound(side, rho_box, rd_box) -> tuple[float, float]:
-    """Range of an affine nu-limit side over the (rho, rho_dot) box."""
-    vals = [side(r, d) for r in rho_box for d in rd_box]
-    return min(vals), max(vals)
-
-
 def _state_chain(mip: MixedIntegerProgram, grid: CollocationGrid, name: str,
                  lb: float, ub: float) -> list:
     """Variables for one collocated state; element boundaries shared."""
@@ -191,6 +184,12 @@ def _state_chain(mip: MixedIntegerProgram, grid: CollocationGrid, name: str,
             row.append(mip.add_variable(f"{name}_{e}_{j}", lb, ub))
         out.append(row)
     return out
+
+
+def _chain_values(x: np.ndarray, grid: CollocationGrid, chain: list) -> np.ndarray:
+    """Values of a collocated state at t = 0 and at every collocation point."""
+    return np.array([x[chain[0][0]]] + [x[chain[e][j]] for e in range(grid.n_elem)
+                                        for j in range(1, grid.pts + 1)])
 
 
 def _fix(mip: MixedIntegerProgram, var: int, value: float) -> None:
@@ -208,38 +207,87 @@ def _nu_interp(grid: CollocationGrid, nu_nodes: list, nodes_per_hour: int,
     return [(nu_nodes[seg], 1.0 - frac), (nu_nodes[seg + 1], frac)]
 
 
-def _initial_nu_rows(mip, env, nu0, r_v, d_v, z_rho0, z_rd0, seg_M, tag):
-    """Envelope rows for the free nu value at t = 0 (every later breakpoint
-    coincides with a collocation point and is already constrained)."""
+def _collocation_row(mip: MixedIntegerProgram, grid: CollocationGrid, chain: list,
+                     e: int, j: int, deriv: list, name: str) -> None:
+    """Sum_i D[j,i]*x[e,i] = h * derivative at point (e, j); `deriv` lists
+    (var, coefficient) terms, var None for a constant."""
+    coeffs = {chain[e][i]: grid.D[j - 1][i] for i in range(grid.pts + 1)}
+    rhs = 0.0
+    for var, c in deriv:
+        if var is None:
+            rhs += grid.h * c
+        else:
+            coeffs[var] = coeffs.get(var, 0.0) - grid.h * c
+    mip.add_constraint(coeffs, "=", rhs, name=f"{name}_{e}_{j}")
+
+
+def _select(coeffs: dict, rhs: float, mis: list, M: float) -> float:
+    """Big-M relax the row `coeffs @ x <= rhs` unless every binary z in
+    `mis` equals its target; adds the z terms to `coeffs`, returns the rhs."""
+    for z, target in mis:
+        if target:
+            coeffs[z] = coeffs.get(z, 0.0) + M
+            rhs += M
+        else:
+            coeffs[z] = coeffs.get(z, 0.0) - M
+    return rhs
+
+
+def _seg_big_m(env: RampingEnvelope, rho_box, rd_box, nu_box) -> dict:
+    """Per PWA segment, the big-M values (min side, max side) that relax
+    seg_min - nu <= 0 and nu - seg_max <= 0 over the variable box."""
+    corners = [(r, d) for r in rho_box for d in rd_box]
+    out = {}
+    for key, smin in env.nu_pwa.seg_min.items():
+        hi_min = max(smin(r, d) for r, d in corners)
+        lo_max = min(env.nu_pwa.seg_max[key](r, d) for r, d in corners)
+        out[key] = (max(hi_min - nu_box[0], 0.0) + 1.0,
+                    max(nu_box[1] - lo_max, 0.0) + 1.0)
+    return out
+
+
+def _band_and_link_rows(mip: MixedIntegerProgram, env: RampingEnvelope, rho_box,
+                        rd_box, r_v: int, d_v: int, z_r: int, z_d: int,
+                        sfx: str) -> None:
+    """Linear rho_dot band at one point, and the links that put the segment
+    binaries on the point's quadrant: z_r = 1 for rho >= rho_nom, z_d = 1
+    for rho_dot >= 0 (up to the segment overlap)."""
+    rd_l, rd_u = env.rd_lower, env.rd_upper
+    mip.add_constraint({d_v: 1.0, r_v: -rd_u.a1}, "<=", rd_u.a0, name=f"rdu{sfx}")
+    mip.add_constraint({d_v: 1.0, r_v: -rd_l.a1}, ">=", rd_l.a0, name=f"rdl{sfx}")
+    (rho_lo, rho_hi), rho_nom = rho_box, env.rho_nom
+    ov_r, ov_d = env.nu_pwa.ov_rho, env.nu_pwa.ov_rho_dot
+    mip.add_constraint({r_v: 1.0, z_r: -(rho_hi - rho_nom - ov_r)},
+                       "<=", rho_nom + ov_r, name=f"lzr1{sfx}")
+    mip.add_constraint({r_v: 1.0, z_r: -(rho_nom - ov_r - rho_lo)},
+                       ">=", rho_lo, name=f"lzr2{sfx}")
+    mip.add_constraint({d_v: 1.0, z_d: -(rd_box[1] - ov_d)},
+                       "<=", ov_d, name=f"lzd1{sfx}")
+    mip.add_constraint({d_v: 1.0, z_d: -(rd_box[0] + ov_d)},
+                       ">=", rd_box[0], name=f"lzd2{sfx}")
+
+
+def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, seg_M: dict,
+                 nu_terms: list, r_v: int, d_v: int, z_r: int, z_d: int,
+                 prefix: str, sfx: str = "") -> None:
+    """seg_min(rho, rho_dot) <= nu <= seg_max(rho, rho_dot) for every PWA
+    segment, big-M relaxed unless (z_r, z_d) select the segment; nu is
+    given as (var, coefficient) terms."""
     for key in env.nu_pwa.seg_min:
-        mis = []
-        if env.nu_pwa.n_segments == 4:
-            mis = [(z_rho0, key[0]), (z_rd0, key[1])]
-        smin = env.nu_pwa.seg_min[key]
-        smax = env.nu_pwa.seg_max[key]
+        mis = [(z_r, key[0]), (z_d, key[1])] if env.nu_pwa.n_segments == 4 else []
+        smin, smax = env.nu_pwa.seg_min[key], env.nu_pwa.seg_max[key]
         M_min, M_max = seg_M[key]
-        coeffs = {nu0: 1.0}
+        tag = f"{key[0]:d}{key[1]:d}{sfx}"
+        coeffs = dict(nu_terms)
         coeffs[r_v] = coeffs.get(r_v, 0.0) - smax.a_rho
         coeffs[d_v] = coeffs.get(d_v, 0.0) - smax.a_rho_dot
-        rhs = smax.a0
-        for z, target in mis:
-            if target:
-                coeffs[z] = coeffs.get(z, 0.0) + M_max
-                rhs += M_max
-            else:
-                coeffs[z] = coeffs.get(z, 0.0) - M_max
-        mip.add_constraint(coeffs, "<=", rhs, name=f"{tag}u_{key[0]:d}{key[1]:d}")
-        coeffs = {nu0: -1.0}
+        rhs = _select(coeffs, smax.a0, mis, M_max)
+        mip.add_constraint(coeffs, "<=", rhs, name=f"{prefix}u_{tag}")
+        coeffs = {k: -c for k, c in nu_terms}
         coeffs[r_v] = coeffs.get(r_v, 0.0) + smin.a_rho
         coeffs[d_v] = coeffs.get(d_v, 0.0) + smin.a_rho_dot
-        rhs = -smin.a0
-        for z, target in mis:
-            if target:
-                coeffs[z] = coeffs.get(z, 0.0) + M_min
-                rhs += M_min
-            else:
-                coeffs[z] = coeffs.get(z, 0.0) - M_min
-        mip.add_constraint(coeffs, "<=", rhs, name=f"{tag}l_{key[0]:d}{key[1]:d}")
+        rhs = _select(coeffs, -smin.a0, mis, M_min)
+        mip.add_constraint(coeffs, "<=", rhs, name=f"{prefix}l_{tag}")
 
 
 def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, ScheduleLayout]:
@@ -293,25 +341,6 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
     z_nu = [mip.add_variable(f"zn_{h}", 0, 1, integer=True)
             for h in range(n_hours)]
 
-    D, h_el = grid.D, grid.h
-
-    def coll_rows(chain, deriv_of_point, name):
-        """Sum_i D[j,i]*x[e,i] = h * derivative(e, j) for every point."""
-        for e in range(grid.n_elem):
-            for j in range(1, grid.pts + 1):
-                coeffs = {chain[e][i]: D[j - 1][i] for i in range(grid.pts + 1)}
-                rhs = 0.0
-                for var, c in deriv_of_point(e, j):
-                    if var is None:
-                        rhs += h_el * c
-                    else:
-                        coeffs[var] = coeffs.get(var, 0.0) - h_el * c
-                mip.add_constraint(coeffs, "=", rhs, name=f"{name}_{e}_{j}")
-
-    coll_rows(rho, lambda e, j: [(rd[e][j], 1.0)], "dC_rho")
-    coll_rows(rd, lambda e, j: _nu_interp(grid, nu_nodes, 1, e, j), "dC_rd")
-    coll_rows(S, lambda e, j: [(rho[e][j], 1.0), (None, -rho_nom)], "dC_S")
-
     def cost_rate(e, j):
         hour = min(e // sp.elems_per_hour, n_hours - 1)
         out = [(q_in[(u.name, e, j)], sp.market.gas_price)
@@ -319,118 +348,54 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
         out.append((dp[(e, j)], sp.market.el_price[hour]))
         return out
 
-    coll_rows(phi, cost_rate, "dC_phi")
+    for name, chain, deriv in (
+            ("dC_rho", rho, lambda e, j: [(rd[e][j], 1.0)]),
+            ("dC_rd", rd, lambda e, j: _nu_interp(grid, nu_nodes, 1, e, j)),
+            ("dC_S", S, lambda e, j: [(rho[e][j], 1.0), (None, -rho_nom)]),
+            ("dC_phi", phi, cost_rate)):
+        for e in range(grid.n_elem):
+            for j in range(1, grid.pts + 1):
+                _collocation_row(mip, grid, chain, e, j, deriv(e, j), name)
 
     # ramping envelope and PWA selection ------------------------------------
-    rd_l, rd_u = env.rd_lower, env.rd_upper
-    seg_M = {}
-    for key in env.nu_pwa.seg_min:
-        lo_min, hi_min = _interval_bound(env.nu_pwa.seg_min[key],
-                                         (rho_lo, rho_hi), rd_box)
-        lo_max, hi_max = _interval_bound(env.nu_pwa.seg_max[key],
-                                         (rho_lo, rho_hi), rd_box)
-        # min side: seg_min - nu <= M*mis ; max side: nu - seg_max <= M*mis
-        seg_M[key] = (max(hi_min - nu_box[0], 0.0) + 1.0,
-                      max(nu_box[1] - lo_max, 0.0) + 1.0)
+    seg_M = _seg_big_m(env, (rho_lo, rho_hi), rd_box, nu_box)
+    _pwa_nu_rows(mip, env, seg_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
+                 z_rho[0], z_rd[0], "inu")
 
-    _initial_nu_rows(mip, env, nu_nodes[0], rho[0][0], rd[0][0],
-                     z_rho[0], z_rd[0], seg_M, "inu")
-
-    dm_M = {}
-    dem_box = []
-    for key, seg in dm.segments.items():
-        vals = [seg(r, d, n) / KJH_PER_KW
-                for r in (rho_lo, rho_hi) for d in rd_box for n in nu_box]
-        dem_box += vals
-        dm_M[key] = (max(vals) + q_dem_hi + 1.0)
+    dm_M = {key: max(seg(r, d, n) / KJH_PER_KW for r in (rho_lo, rho_hi)
+                     for d in rd_box for n in nu_box) + q_dem_hi + 1.0
+            for key, seg in dm.segments.items()}
+    ov_n = 0.2 * min(-nu_box[0], nu_box[1]) if nu_box[1] > 0 > nu_box[0] else 0.0
 
     for e in range(grid.n_elem):
         hour = min(e // sp.elems_per_hour, n_hours - 1)
         for j in range(1, grid.pts + 1):
             r_v, d_v = rho[e][j], rd[e][j]
             nu_expr = _nu_interp(grid, nu_nodes, 1, e, j)
-            # linear rate-derivative band
-            mip.add_constraint({d_v: 1.0, r_v: -rd_u.a1}, "<=", rd_u.a0,
-                               name=f"rdu_{e}_{j}")
-            mip.add_constraint({d_v: 1.0, r_v: -rd_l.a1}, ">=", rd_l.a0,
-                               name=f"rdl_{e}_{j}")
-            # indicator links (overlapping segment domains)
-            ov_r, ov_d = env.nu_pwa.ov_rho, env.nu_pwa.ov_rho_dot
-            ov_n = 0.2 * min(-nu_box[0], nu_box[1]) if nu_box[1] > 0 > nu_box[0] else 0.0
-            mip.add_constraint({r_v: 1.0, z_rho[hour]: -(rho_hi - rho_nom - ov_r)},
-                               "<=", rho_nom + ov_r, name=f"lzr1_{e}_{j}")
-            mip.add_constraint({r_v: 1.0, z_rho[hour]: -(rho_nom - ov_r - rho_lo)},
-                               ">=", rho_lo, name=f"lzr2_{e}_{j}")
-            mip.add_constraint({d_v: 1.0, z_rd[hour]: -(rd_box[1] - ov_d)},
-                               "<=", ov_d, name=f"lzd1_{e}_{j}")
-            mip.add_constraint({d_v: 1.0, z_rd[hour]: -(rd_box[0] + ov_d)}, ">=",
-                               rd_box[0], name=f"lzd2_{e}_{j}")
+            sfx = f"_{e}_{j}"
+            _band_and_link_rows(mip, env, (rho_lo, rho_hi), rd_box, r_v, d_v,
+                                z_rho[hour], z_rd[hour], sfx)
+            # sign link of nu for the demand segments (overlapping domains)
             nu_c = dict(nu_expr)
             nu_c[z_nu[hour]] = -(nu_box[1] - ov_n)
-            mip.add_constraint(nu_c, "<=", ov_n, name=f"lzn1_{e}_{j}")
+            mip.add_constraint(nu_c, "<=", ov_n, name=f"lzn1{sfx}")
             nu_c = dict(nu_expr)
             nu_c[z_nu[hour]] = -(nu_box[0] + ov_n)
-            mip.add_constraint(nu_c, ">=", nu_box[0], name=f"lzn2_{e}_{j}")
-            # PWA nu limits, big-M selected by (z_rho, z_rd)
-            if env.nu_pwa.n_segments == 1:
-                keys = [(False, False)]
-            else:
-                keys = list(env.nu_pwa.seg_min)
-            for key in keys:
-                mis = []
-                if env.nu_pwa.n_segments == 4:
-                    mis = [(z_rho[hour], key[0]), (z_rd[hour], key[1])]
-                smin = env.nu_pwa.seg_min[key]
-                smax = env.nu_pwa.seg_max[key]
-                M_min, M_max = seg_M[key]
-
-                def mis_terms(coeffs, M):
-                    rhs_shift = 0.0
-                    for z, target in mis:
-                        if target:
-                            coeffs[z] = coeffs.get(z, 0.0) + M
-                            rhs_shift += M
-                        else:
-                            coeffs[z] = coeffs.get(z, 0.0) - M
-                    return rhs_shift
-
-                coeffs = dict(nu_expr)
-                coeffs[r_v] = coeffs.get(r_v, 0.0) - smax.a_rho
-                coeffs[d_v] = coeffs.get(d_v, 0.0) - smax.a_rho_dot
-                shift = mis_terms(coeffs, M_max)
-                mip.add_constraint(coeffs, "<=", smax.a0 + shift,
-                                   name=f"pwau_{key[0]:d}{key[1]:d}_{e}_{j}")
-                coeffs = {k: -c for k, c in nu_expr}
-                coeffs[r_v] = coeffs.get(r_v, 0.0) + smin.a_rho
-                coeffs[d_v] = coeffs.get(d_v, 0.0) + smin.a_rho_dot
-                shift = mis_terms(coeffs, M_min)
-                mip.add_constraint(coeffs, "<=", -smin.a0 + shift,
-                                   name=f"pwal_{key[0]:d}{key[1]:d}_{e}_{j}")
+            mip.add_constraint(nu_c, ">=", nu_box[0], name=f"lzn2{sfx}")
+            _pwa_nu_rows(mip, env, seg_M, nu_expr, r_v, d_v, z_rho[hour],
+                         z_rd[hour], "pwa", sfx)
             # PWA demand, big-M selected by (z_rd, z_nu)
             for key, seg in dm.segments.items():
                 mis = [(z_rd[hour], key[0]), (z_nu[hour], key[1])]
-                M = dm_M[key]
-
-                def seg_coeffs(sign):
+                for sign, tag in ((1.0, "u"), (-1.0, "l")):
                     coeffs = {q_dem[(e, j)]: sign}
                     coeffs[r_v] = coeffs.get(r_v, 0.0) - sign * seg.c_rho / KJH_PER_KW
                     coeffs[d_v] = coeffs.get(d_v, 0.0) - sign * seg.c_rho_dot / KJH_PER_KW
                     for var, c in nu_expr:
                         coeffs[var] = coeffs.get(var, 0.0) - sign * c * seg.c_nu / KJH_PER_KW
-                    return coeffs
-
-                for sign, tag in ((1.0, "u"), (-1.0, "l")):
-                    coeffs = seg_coeffs(sign)
-                    shift = 0.0
-                    for z, target in mis:
-                        if target:
-                            coeffs[z] = coeffs.get(z, 0.0) + M
-                            shift += M
-                        else:
-                            coeffs[z] = coeffs.get(z, 0.0) - M
-                    mip.add_constraint(
-                        coeffs, "<=", sign * seg.c0 / KJH_PER_KW + shift,
-                        name=f"dem{tag}_{key[0]:d}{key[1]:d}_{e}_{j}")
+                    rhs = _select(coeffs, sign * seg.c0 / KJH_PER_KW, mis, dm_M[key])
+                    mip.add_constraint(coeffs, "<=", rhs,
+                                       name=f"dem{tag}_{key[0]:d}{key[1]:d}{sfx}")
 
     # conversion units, balances ---------------------------------------------
     for e in range(grid.n_elem):
@@ -503,16 +468,9 @@ def extract_result(sp: ScheduleProblem, layout: ScheduleLayout,
     grid = layout.grid
     x = sol.x
     times = grid.all_times()
-
-    def chain_values(chain):
-        out = [x[chain[0][0]]]
-        for e in range(grid.n_elem):
-            out.extend(x[chain[e][j]] for j in range(1, grid.pts + 1))
-        return np.array(out)
-
-    rho = chain_values(layout.rho)
-    rd = chain_values(layout.rho_dot)
-    S = chain_values(layout.S)
+    rho = _chain_values(x, grid, layout.rho)
+    rd = _chain_values(x, grid, layout.rho_dot)
+    S = _chain_values(x, grid, layout.S)
     nu_nodes = np.array([x[v] for v in layout.nu_nodes])
     nu = np.interp(times, np.arange(len(nu_nodes)), nu_nodes)
 
@@ -550,9 +508,15 @@ def extract_result(sp: ScheduleProblem, layout: ScheduleLayout,
 def solve_schedule(sp: ScheduleProblem) -> tuple[ScheduleResult, Solution]:
     mip, layout = assemble_problem(sp)
     sol = branch_and_bound(mip, gap_tol=sp.gap_tol, time_limit=sp.time_limit_s)
-    if sol.status in ("infeasible", "unbounded"):
-        raise RuntimeError(f"schedule optimization {sol.status}")
+    _require_incumbent(sol, "schedule")
     return extract_result(sp, layout, sol), sol
+
+
+def _require_incumbent(sol: Solution, what: str) -> None:
+    """Raise when the solve returned no point: infeasible, unbounded, or cut
+    by the time limit before a first incumbent."""
+    if not np.isfinite(sol.objective):
+        raise RuntimeError(f"{what} optimization {sol.status}, no incumbent")
 
 
 def steady_baseline(sp: ScheduleProblem) -> tuple[ScheduleResult, Solution]:
@@ -606,80 +570,24 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
     z_rd = [mip.add_variable(f"zd_{e}", 0, 1, integer=True)
             for e in range(grid.n_elem)]
 
-    D, h_el = grid.D, grid.h
     nodes_per_hour = elems_per_hour   # nu breaks at element boundaries
     for e in range(grid.n_elem):
         for j in range(1, grid.pts + 1):
-            coeffs = {rho[e][i]: D[j - 1][i] for i in range(grid.pts + 1)}
-            coeffs[rd[e][j]] = coeffs.get(rd[e][j], 0.0) - h_el
-            mip.add_constraint(coeffs, "=", 0.0, name=f"dC_rho_{e}_{j}")
-            coeffs = {rd[e][i]: D[j - 1][i] for i in range(grid.pts + 1)}
-            for var, c in _nu_interp(grid, nu_nodes, nodes_per_hour, e, j):
-                coeffs[var] = coeffs.get(var, 0.0) - h_el * c
-            mip.add_constraint(coeffs, "=", 0.0, name=f"dC_rd_{e}_{j}")
+            _collocation_row(mip, grid, rho, e, j, [(rd[e][j], 1.0)], "dC_rho")
+            _collocation_row(mip, grid, rd, e, j,
+                             _nu_interp(grid, nu_nodes, nodes_per_hour, e, j), "dC_rd")
 
-    rd_l, rd_u = env.rd_lower, env.rd_upper
-    rho_nom = env.rho_nom
-    seg_M = {}
-    for key in env.nu_pwa.seg_min:
-        lo_min, hi_min = _interval_bound(env.nu_pwa.seg_min[key],
-                                         (rho_lo, rho_hi), rd_box)
-        lo_max, hi_max = _interval_bound(env.nu_pwa.seg_max[key],
-                                         (rho_lo, rho_hi), rd_box)
-        seg_M[key] = (max(hi_min - nu_box[0], 0.0) + 1.0,
-                      max(nu_box[1] - lo_max, 0.0) + 1.0)
-
-    _initial_nu_rows(mip, env, nu_nodes[0], rho[0][0], rd[0][0],
-                     z_rho[0], z_rd[0], seg_M, "inu")
-
+    seg_M = _seg_big_m(env, (rho_lo, rho_hi), rd_box, nu_box)
+    _pwa_nu_rows(mip, env, seg_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
+                 z_rho[0], z_rd[0], "inu")
     for e in range(grid.n_elem):
         for j in range(1, grid.pts + 1):
             r_v, d_v = rho[e][j], rd[e][j]
-            nu_expr = _nu_interp(grid, nu_nodes, nodes_per_hour, e, j)
-            mip.add_constraint({d_v: 1.0, r_v: -rd_u.a1}, "<=", rd_u.a0,
-                               name=f"rdu_{e}_{j}")
-            mip.add_constraint({d_v: 1.0, r_v: -rd_l.a1}, ">=", rd_l.a0,
-                               name=f"rdl_{e}_{j}")
-            ov_r, ov_d = env.nu_pwa.ov_rho, env.nu_pwa.ov_rho_dot
-            mip.add_constraint({r_v: 1.0, z_rho[e]: -(rho_hi - rho_nom - ov_r)},
-                               "<=", rho_nom + ov_r, name=f"lzr1_{e}_{j}")
-            mip.add_constraint({r_v: 1.0, z_rho[e]: -(rho_nom - ov_r - rho_lo)},
-                               ">=", rho_lo, name=f"lzr2_{e}_{j}")
-            mip.add_constraint({d_v: 1.0, z_rd[e]: -(rd_box[1] - ov_d)},
-                               "<=", ov_d, name=f"lzd1_{e}_{j}")
-            mip.add_constraint({d_v: 1.0, z_rd[e]: -(rd_box[0] + ov_d)}, ">=",
-                               rd_box[0], name=f"lzd2_{e}_{j}")
-            for key in env.nu_pwa.seg_min:
-                mis = []
-                if env.nu_pwa.n_segments == 4:
-                    mis = [(z_rho[e], key[0]), (z_rd[e], key[1])]
-                smin = env.nu_pwa.seg_min[key]
-                smax = env.nu_pwa.seg_max[key]
-                M_min, M_max = seg_M[key]
-                coeffs = dict(nu_expr)
-                coeffs[r_v] = coeffs.get(r_v, 0.0) - smax.a_rho
-                coeffs[d_v] = coeffs.get(d_v, 0.0) - smax.a_rho_dot
-                rhs = smax.a0
-                for z, target in mis:
-                    if target:
-                        coeffs[z] = coeffs.get(z, 0.0) + M_max
-                        rhs += M_max
-                    else:
-                        coeffs[z] = coeffs.get(z, 0.0) - M_max
-                mip.add_constraint(coeffs, "<=", rhs,
-                                   name=f"pwau_{key[0]:d}{key[1]:d}_{e}_{j}")
-                coeffs = {k: -c for k, c in nu_expr}
-                coeffs[r_v] = coeffs.get(r_v, 0.0) + smin.a_rho
-                coeffs[d_v] = coeffs.get(d_v, 0.0) + smin.a_rho_dot
-                rhs = -smin.a0
-                for z, target in mis:
-                    if target:
-                        coeffs[z] = coeffs.get(z, 0.0) + M_min
-                        rhs += M_min
-                    else:
-                        coeffs[z] = coeffs.get(z, 0.0) - M_min
-                mip.add_constraint(coeffs, "<=", rhs,
-                                   name=f"pwal_{key[0]:d}{key[1]:d}_{e}_{j}")
+            sfx = f"_{e}_{j}"
+            _band_and_link_rows(mip, env, (rho_lo, rho_hi), rd_box, r_v, d_v,
+                                z_rho[e], z_rd[e], sfx)
+            _pwa_nu_rows(mip, env, seg_M, _nu_interp(grid, nu_nodes, nodes_per_hour, e, j),
+                         r_v, d_v, z_rho[e], z_rd[e], "pwa", sfx)
 
     # objective: maximize (up) / minimize (down) the integral of rho
     w = grid.weights
@@ -687,132 +595,36 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
     sign = -1.0 if up else 1.0
     for e in range(grid.n_elem):
         for j in range(1, grid.pts + 1):
-            obj[rho[e][j]] = obj.get(rho[e][j], 0.0) + sign * w[j - 1] * h_el
+            obj[rho[e][j]] = obj.get(rho[e][j], 0.0) + sign * w[j - 1] * grid.h
     mip.set_objective(obj)
     layout = ScheduleLayout(grid, rho, rd, [], [], nu_nodes, {}, {}, {}, {},
                             z_rho, z_rd, [])
     return mip, layout
 
 
-def _greedy_envelope_trajectory(env: RampingEnvelope, up: bool,
-                                horizon: float, dt: float = 0.005):
-    """Bang-bang trajectory inside the fitted envelope (bisected switch
-    time); used only to seed the integer pattern for the exact search."""
-    def run(t_sw):
-        rho = env.rho_bounds[0] if up else env.rho_bounds[1]
-        rd, t = 0.0, 0.0
-        ts, rs = [0.0], [rho]
-        while t < horizon - 1e-9:
-            nlo, nhi = env.nu_range(rho, rd)
-            nu = (nhi if t < t_sw else nlo) if up else (nlo if t < t_sw else nhi)
-            rd2 = rd + nu * dt
-            flo, fhi = env.rho_dot_range(rho)
-            rd2 = min(max(rd2, flo), fhi)
-            if up and rd2 < 0 and t > t_sw:
-                rd2 = 0.0
-            if not up and rd2 > 0 and t > t_sw:
-                rd2 = 0.0
-            rho += 0.5 * (rd + rd2) * dt
-            rho = min(max(rho, env.rho_bounds[0]), env.rho_bounds[1])
-            rd = rd2
-            t += dt
-            ts.append(t)
-            rs.append(rho)
-        return np.array(ts), np.array(rs)
-
-    lo, hi = 0.0, horizon
-    tgt = env.rho_bounds[1] if up else env.rho_bounds[0]
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        _, rs = run(mid)
-        reached = rs[-1] >= tgt - 1e-6 if up else rs[-1] <= tgt + 1e-6
-        if reached:
-            hi = mid
-        else:
-            lo = mid
-    return run(hi)
-
-
 def solve_ramp(direction: str, env: RampingEnvelope, horizon: float | None = None,
                elem_h: float | None = None, pts: int = 2, gap_tol: float = 0.03,
                time_limit_s: float = 50.0) -> RampResult:
-    """Solve an as-fast-as-possible ramp.
-
-    A greedy bang-bang trajectory inside the envelope fixes a candidate
-    segment-binary pattern whose warm LP seeds the incumbent; the exact
-    branch-and-bound search then runs with that incumbent.
-    """
+    """Solve an as-fast-as-possible ramp: one `branch_and_bound` call on
+    `ramp_problem`, stopped at `gap_tol` or after `time_limit_s` seconds.
+    The ramp time is the first instant rho is within 1 % of the target
+    bound."""
     up = direction == "up"
     if horizon is None:
         horizon = 2.5 if up else 4.0
     if elem_h is None:
         elem_h = 0.1 if up else 0.2
     mip, layout = ramp_problem(direction, env, horizon, elem_h, pts)
-    grid = layout.grid
-
-    import time as _time
-    from .milp import _Standardized, simplex_solve
-    t_start = _time.monotonic()
-    deadline = t_start + 0.45 * time_limit_s
-    base_std = _Standardized(mip)
-    hint = None
-    try:
-        root_sol, root_state = simplex_solve(mip, base_std=base_std,
-                                             deadline=deadline)
-    except Exception:
-        root_sol = root_state = None
-    if root_sol is not None and root_sol.status == "optimal":
-        ts, rs = _greedy_envelope_trajectory(env, up, horizon)
-        rho_nom = env.rho_nom
-        pattern = []
-        for e in range(grid.n_elem):
-            mid = (e + 0.5) * grid.h
-            pattern.append(1.0 if np.interp(mid, ts, rs) >= rho_nom else 0.0)
-        zd_val = 1.0 if up else 0.0
-        candidates = [list(pattern)]
-        flip = [k for k in range(1, grid.n_elem)
-                if pattern[k] != pattern[k - 1]]
-        for k in flip:
-            alt = list(pattern)
-            alt[k - 1] = alt[k]
-            candidates.append(alt)
-            alt2 = list(pattern)
-            alt2[k] = alt2[k - 1]
-            candidates.append(alt2)
-        for cand in candidates:
-            overrides = {}
-            for e in range(grid.n_elem):
-                overrides[layout.z_rho[e]] = (cand[e], cand[e])
-                overrides[layout.z_rho_dot[e]] = (zd_val, zd_val)
-            try:
-                s2, _ = simplex_solve(mip, override_bounds=overrides,
-                                      warm=root_state, base_std=base_std,
-                                      deadline=deadline)
-            except Exception:
-                continue
-            if s2.status == "optimal":
-                hint = s2.x
-                break
-    remaining = max(time_limit_s - (_time.monotonic() - t_start), 5.0)
-    sol = branch_and_bound(mip, gap_tol=gap_tol, time_limit=remaining,
-                           warm_incumbent=hint)
-    if sol.status in ("infeasible", "unbounded"):
-        raise RuntimeError(f"ramp optimization {sol.status}")
+    sol = branch_and_bound(mip, gap_tol, time_limit_s)
+    _require_incumbent(sol, "ramp")
     grid = layout.grid
     times = grid.all_times()
     x = sol.x
-
-    def chain_values(chain):
-        out = [x[chain[0][0]]]
-        for e in range(grid.n_elem):
-            out.extend(x[chain[e][j]] for j in range(1, grid.pts + 1))
-        return np.array(out)
-
-    rho = chain_values(layout.rho)
-    rd = chain_values(layout.rho_dot)
+    rho = _chain_values(x, grid, layout.rho)
+    rd = _chain_values(x, grid, layout.rho_dot)
     nu_nodes = np.array([x[v] for v in layout.nu_nodes])
     nu = np.interp(times, np.arange(len(nu_nodes)) * grid.h, nu_nodes)
-    target = env.rho_bounds[1] if direction == "up" else env.rho_bounds[0]
+    target = env.rho_bounds[1] if up else env.rho_bounds[0]
     ramp_time = _first_within(times, rho, target, rel=0.01)
     return RampResult(times, rho, rd, nu, ramp_time, sol.status, sol.gap)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rampsched.envelope import derive_envelope, fit_demand_pwa
 from rampsched.process import Bounds, ProcessParams
 from rampsched.transform import fit_operating_strategy
 
@@ -23,3 +24,13 @@ def strategy_fit(params, bounds):
 @pytest.fixture(scope="session")
 def strategy(strategy_fit):
     return strategy_fit[0]
+
+
+@pytest.fixture(scope="session")
+def envelope(strategy, params, bounds):
+    return derive_envelope(strategy, params, bounds)
+
+
+@pytest.fixture(scope="session")
+def demand_model(strategy, params, bounds, envelope):
+    return fit_demand_pwa(strategy, params, bounds, envelope)

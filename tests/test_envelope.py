@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampsched.envelope import (EnvelopeFitError, derive_envelope,
-                                detect_regions, envelope_from_json,
-                                envelope_to_json, demand_from_json,
-                                demand_to_json, fit_demand_pwa, fit_nu_pwa,
+from rampsched.envelope import (EnvelopeFitError, detect_regions,
+                                envelope_from_json, envelope_to_json,
+                                demand_from_json, demand_to_json, fit_nu_pwa,
                                 fit_rho_dot_limits, im_input_u2, max_tau,
                                 nu_limits_true, rho_dot_limit_from_bound,
                                 sbm_limits, true_rho_dot_limits)
@@ -17,16 +16,6 @@ from rampsched.transform import (RampingPoint, backtransform,
 @pytest.fixture(scope="session")
 def rd_fit(strategy, params, bounds):
     return fit_rho_dot_limits(strategy, params, bounds)
-
-
-@pytest.fixture(scope="session")
-def envelope(strategy, params, bounds):
-    return derive_envelope(strategy, params, bounds)
-
-
-@pytest.fixture(scope="session")
-def demand_model(strategy, params, bounds, envelope):
-    return fit_demand_pwa(strategy, params, bounds, envelope)
 
 
 # --- per-bound rate-derivative inversion -------------------------------------

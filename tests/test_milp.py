@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rampsched import milp as milp_module
 from rampsched.milp import (INF, MixedIntegerProgram, Solution,
                             branch_and_bound, check_solution, export_mps,
                             import_mps, simplex_solve, write_solution_csv)
@@ -56,7 +57,7 @@ def test_single_bound_lp():
     mip.add_variable("x", 0.0, 10.0)
     mip.add_constraint({0: 1.0}, ">=", 1.0)
     mip.set_objective({0: 1.0})
-    sol, _ = simplex_solve(mip)
+    sol = simplex_solve(mip)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
@@ -68,7 +69,7 @@ def test_textbook_facet_lp():
     mip.add_variable("y")
     mip.add_constraint({0: 1.0, 1: 1.0}, "<=", 1.0)
     mip.set_objective({0: -1.0, 1: -1.0})
-    sol, _ = simplex_solve(mip)
+    sol = simplex_solve(mip)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-1.0, abs=1e-9)
 
@@ -77,7 +78,7 @@ def test_infeasible_lp():
     mip = MixedIntegerProgram()
     mip.add_variable("x", 0.0, 1.0)
     mip.add_constraint({0: 1.0}, ">=", 2.0)
-    sol, _ = simplex_solve(mip)
+    sol = simplex_solve(mip)
     assert sol.status == "infeasible"
 
 
@@ -86,7 +87,7 @@ def test_unbounded_lp():
     mip.add_variable("x", 0.0, INF)
     mip.add_constraint({0: 1.0}, ">=", 1.0)
     mip.set_objective({0: -1.0})
-    sol, _ = simplex_solve(mip)
+    sol = simplex_solve(mip)
     assert sol.status == "unbounded"
 
 
@@ -95,7 +96,7 @@ def test_free_variable_lp():
     mip.add_variable("x", -INF, INF)
     mip.add_constraint({0: 1.0}, ">=", -5.0)
     mip.set_objective({0: 1.0})
-    sol, _ = simplex_solve(mip)
+    sol = simplex_solve(mip)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-5.0, abs=1e-8)
 
@@ -107,7 +108,7 @@ def test_equality_rows():
     mip.add_constraint({0: 1.0, 1: 1.0}, "=", 2.0)
     mip.add_constraint({0: 1.0, 1: -1.0}, "=", 0.5)
     mip.set_objective({0: 1.0, 1: 3.0})
-    sol, _ = simplex_solve(mip)
+    sol = simplex_solve(mip)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(1.25, abs=1e-9)
     assert sol.x[1] == pytest.approx(0.75, abs=1e-9)
@@ -123,11 +124,28 @@ def test_random_lps_against_vertex_enumeration():
         b = rng.uniform(0.5, 3.0, size=m)     # x = 0 feasible
         ub = rng.uniform(0.5, 5.0, size=n)
         mip = small_lp(c, A, b, ub)
-        sol, _ = simplex_solve(mip)
+        sol = simplex_solve(mip)
         assert sol.status == "optimal", f"trial {trial}"
         oracle = enumerate_vertices(c, A, b, ub)
         assert sol.objective == pytest.approx(oracle, abs=1e-7), f"trial {trial}"
         assert not check_solution(mip, sol.x)
+
+
+def test_solver_point_failing_the_check_raises(monkeypatch):
+    mip = MixedIntegerProgram()
+    mip.add_variable("x", 0.0, 10.0)
+    mip.add_constraint({0: 1.0}, ">=", 1.0)
+    mip.set_objective({0: 1.0})
+    solve = milp_module.optimize.milp
+
+    def corrupted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.x = np.zeros_like(res.x)       # violates x >= 1
+        return res
+
+    monkeypatch.setattr(milp_module.optimize, "milp", corrupted)
+    with pytest.raises(RuntimeError, match="violation"):
+        simplex_solve(mip)
 
 
 # --- branch and bound ------------------------------------------------------------
@@ -157,6 +175,26 @@ def test_knapsack_against_enumeration():
     assert sol.objective == pytest.approx(best, abs=1e-7)
 
 
+def test_lp_relaxation_of_a_mip_ignores_integrality():
+    rng = np.random.default_rng(3)
+    values = rng.uniform(1, 10, size=10)
+    weights = rng.uniform(1, 8, size=10)
+    cap = 0.4 * weights.sum()
+    mip = knapsack(values, weights, cap)
+    relaxed = simplex_solve(mip)
+    assert relaxed.status == "optimal"
+    assert np.any(np.abs(relaxed.x - np.round(relaxed.x)) > 1e-6)
+    # Dantzig's bound: fill by value density, the last item fractionally
+    order = np.argsort(-values / weights)
+    room, dantzig = cap, 0.0
+    for j in order:
+        take = min(1.0, room / weights[j])
+        dantzig -= take * values[j]
+        room -= take * weights[j]
+    assert relaxed.objective == pytest.approx(dantzig, abs=1e-7)
+    assert relaxed.objective <= branch_and_bound(mip, gap_tol=1e-9).objective + 1e-9
+
+
 def test_integral_relaxation_solves_at_root():
     # totally unimodular: assignment-like rows
     mip = MixedIntegerProgram()
@@ -167,7 +205,7 @@ def test_integral_relaxation_solves_at_root():
     mip.set_objective({0: 1.0, 1: 2.0, 2: 3.0, 3: 1.0})
     sol = branch_and_bound(mip)
     assert sol.status == "optimal"
-    assert sol.node_count == 1
+    assert sol.node_count <= 1          # no branching (HiGHS may finish in presolve)
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
 
@@ -348,7 +386,7 @@ def test_solution_csv(tmp_path):
     mip.add_variable("b", 0, 2)
     mip.add_constraint({0: 1, 1: 1}, ">=", 1)
     mip.set_objective({0: 1, 1: 2})
-    sol, _ = simplex_solve(mip)
+    sol = simplex_solve(mip)
     path = tmp_path / "sol.csv"
     write_solution_csv(path, mip, sol)
     lines = path.read_text().strip().splitlines()
