@@ -12,7 +12,6 @@ guarantee survives grid refinement.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -236,19 +235,14 @@ class PwaEnvelope:
 
     Segments are indexed by (rho above nominal, rate derivative above zero);
     selection in the scheduling problem uses one binary per split.  Each
-    segment's planes are fitted conservatively over a domain that overlaps
-    the neighbouring quadrant by (ov_rho, ov_rho_dot), so the hourly or
-    per-element segment choice stays feasible when a trajectory straddles a
-    boundary within one element.  With n_segments = 1 a single affine pair
-    covers the whole band.
+    segment's planes are fitted conservatively over its own quadrant.  With
+    n_segments = 1 a single affine pair covers the whole band.
     """
 
     rho_nom: float
     n_segments: int
     seg_min: dict
     seg_max: dict
-    ov_rho: float = 0.0
-    ov_rho_dot: float = 0.0
 
     def key(self, rho: float, rho_dot: float) -> tuple[bool, bool]:
         if self.n_segments == 1:
@@ -318,31 +312,21 @@ def _true_nu_surfaces(R, D, strat, p, b):
     return NLO, NHI
 
 
-OVERLAP_FRAC = 0.0
-
-
 def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
                lower: LinearLimit, upper: LinearLimit, n_grid: int = 51,
-               segments: int = 4,
-               overlap_frac: float = OVERLAP_FRAC
-               ) -> tuple[PwaEnvelope, CoverageReport]:
+               segments: int = 4) -> tuple[PwaEnvelope, CoverageReport]:
     """Fit conservative piecewise-affine limits for the second rate
     derivative over the fitted rate-derivative band.
 
-    Each segment is fit on its own regular grid spanning its quadrant
-    widened by `overlap_frac` of the neighbouring half (so segment planes
-    stay conservative when the scheduler's coarse segment choice straddles a
-    boundary), with a curvature margin guarding points between grid nodes.
-    Coverage is evaluated on the common n x n grid with strict segment
-    selection."""
+    Each segment is fit on its own regular grid spanning its quadrant, with
+    a curvature margin guarding points between grid nodes.  Coverage is
+    evaluated on the common n x n grid with strict segment selection."""
     if segments not in (1, 4):
         raise ValueError("segments must be 1 or 4")
     rho_nom = b.rho_nom
     rho_lo, rho_hi = b.rho
-    ov_rho = overlap_frac * 0.5 * (rho_hi - rho_lo)
     seg_min, seg_max = {}, {}
     if segments == 1:
-        ov_rho = ov_rd = 0.0
         R, D = _nu_grid(strat, p, b, lower, upper, n_grid)
         NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
         smin, smax = _fit_nu_segment(R, D, NLO, NHI)
@@ -350,27 +334,20 @@ def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
         seg_max[(False, False)] = smax
     else:
         m = n_grid // 2 + 1
-        # the rate-derivative split stays strict: only the rho boundary must
-        # tolerate mid-element crossings (see scheduler link rows)
-        ov_rd = 0.0
         for key in SEGMENT_KEYS:
-            r_a = max(rho_lo, rho_nom - ov_rho) if key[0] else rho_lo
-            r_b = rho_hi if key[0] else min(rho_hi, rho_nom + ov_rho)
-            rho_seg = np.linspace(r_a, r_b, m)
+            rho_seg = np.linspace(*((rho_nom, rho_hi) if key[0] else (rho_lo, rho_nom)), m)
             R = np.repeat(rho_seg, m).reshape(m, m)
             D = np.empty((m, m))
             for i, r in enumerate(rho_seg):
                 lo_r, hi_r = float(lower(r)), float(upper(r))
                 if key[1]:
-                    D[i] = np.linspace(max(lo_r, -ov_rd), hi_r, m)
+                    D[i] = np.linspace(max(lo_r, 0.0), hi_r, m)
                 else:
-                    D[i] = np.linspace(lo_r, min(hi_r, ov_rd), m)
+                    D[i] = np.linspace(lo_r, min(hi_r, 0.0), m)
             NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
             seg_min[key], seg_max[key] = _fit_nu_segment(R, D, NLO, NHI)
     env = PwaEnvelope(rho_nom=rho_nom, n_segments=segments,
-                      seg_min=seg_min, seg_max=seg_max,
-                      ov_rho=ov_rho if segments == 4 else 0.0,
-                      ov_rho_dot=ov_rd if segments == 4 else 0.0)
+                      seg_min=seg_min, seg_max=seg_max)
     R, D = _nu_grid(strat, p, b, lower, upper, n_grid)
     NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
     cov = np.empty_like(R)
@@ -445,8 +422,6 @@ def envelope_to_json(env: RampingEnvelope, path) -> None:
                                         "max": _side_doc(env.nu_pwa.seg_max[k])}
             for k in env.nu_pwa.seg_min
         },
-        "ov_rho": env.nu_pwa.ov_rho,
-        "ov_rho_dot": env.nu_pwa.ov_rho_dot,
         "coverage_mean": env.coverage.mean,
         "coverage_min": env.coverage.min,
         "fingerprint": env.fingerprint,
@@ -465,9 +440,7 @@ def envelope_from_json(path) -> RampingEnvelope:
         seg_min[key] = PwaSide(**sides["min"])
         seg_max[key] = PwaSide(**sides["max"])
     pwa = PwaEnvelope(rho_nom=doc["rho_nom"], n_segments=doc["n_segments"],
-                      seg_min=seg_min, seg_max=seg_max,
-                      ov_rho=doc.get("ov_rho", 0.0),
-                      ov_rho_dot=doc.get("ov_rho_dot", 0.0))
+                      seg_min=seg_min, seg_max=seg_max)
     cov = CoverageReport(np.zeros((0, 0)), doc["coverage_mean"], doc["coverage_min"])
     return RampingEnvelope(tuple(doc["rho_bounds"]), doc["rho_nom"],
                            LinearLimit(**doc["rd_lower"]),
@@ -488,38 +461,11 @@ def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
                            strategy_fingerprint(strat, p))
 
 
-def export_rho_dot_grid(path, strat, p, b, lower: LinearLimit,
-                        upper: LinearLimit, grid: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "true_lower", "true_upper", "fit_lower",
-                    "fit_upper", "lower_source", "upper_source"])
-        for i, r in enumerate(grid["rho"]):
-            w.writerow([f"{r:.10g}", f"{grid['true_lower'][i]:.10g}",
-                        f"{grid['true_upper'][i]:.10g}",
-                        f"{float(lower(r)):.10g}", f"{float(upper(r)):.10g}",
-                        grid["lower_sources"][i], grid["upper_sources"][i]])
-
-
-def export_nu_grid(path, env: RampingEnvelope, strat, p, b, n: int = 51) -> None:
-    R, D = _nu_grid(strat, p, b, env.rd_lower, env.rd_upper, n)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "rho_dot", "nu_true_min", "nu_true_max",
-                    "nu_pwa_min", "nu_pwa_max", "coverage"])
-        for i in range(n):
-            for j in range(n):
-                tl, th = nu_limits_true(R[i, j], D[i, j], strat, p, b)
-                pl, ph = env.nu_range(R[i, j], D[i, j])
-                w.writerow([f"{v:.10g}" for v in
-                            (R[i, j], D[i, j], tl, th, pl, ph, (ph - pl) / (th - tl))])
-
-
 # ---------------------------------------------------------------------------
 # Heat-demand model
 # ---------------------------------------------------------------------------
 
-DEMAND_SEGMENT_KEYS = ((False, False), (False, True), (True, False), (True, True))
+DEMAND_FIT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -536,31 +482,35 @@ class DemandSide:
 
 @dataclass
 class PwaDemandModel:
-    """Piecewise-affine process heat demand in kJ/h over (rho, rho_dot, nu).
+    """Convex piecewise-affine process heat demand in kJ/h over
+    (rho, rho_dot, nu): the maximum over a few planes.
 
-    Four segments split at rho_dot = 0 and nu = 0; `single` is the
-    one-segment least-squares baseline.  Mean absolute errors are relative
-    to the nominal steady demand."""
+    The scheduler models it as the epigraph `q_dem >= plane` for every plane,
+    which equals the maximum only while heat beyond the process demand never
+    pays (as when CHP electricity earns more than its gas costs);
+    `scheduler.extract_result` raises when a solution leaves surplus.  Mean
+    absolute errors are relative to the nominal steady demand;
+    `mae_single_rel` is the one-plane least-squares baseline."""
 
-    segments: dict
-    single: DemandSide
+    planes: tuple
     q_nominal: float
     mae_single_rel: float
     mae_pwa_rel: float
-    empty_segments: tuple = ()
     fingerprint: str = ""
 
-    def key(self, rho_dot: float, nu: float) -> tuple[bool, bool]:
-        return (rho_dot >= 0.0, nu >= 0.0)
-
-    def predict(self, rho: float, rho_dot: float, nu: float) -> float:
-        return float(self.segments[self.key(rho_dot, nu)](rho, rho_dot, nu))
+    def predict(self, rho, rho_dot, nu):
+        """Maximum plane value; broadcasts over array arguments."""
+        return np.max([pl(rho, rho_dot, nu) for pl in self.planes], axis=0)
 
 
 def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
                    env: RampingEnvelope, n: int = 11) -> PwaDemandModel:
     """Fit the process heat demand Q1+Q2 on an n^3 grid nested inside the
-    envelope; least-squares affine per segment, infeasible corners skipped."""
+    envelope (infeasible corners skipped) as the maximum of four planes, by
+    Magnani-Boyd alternation (Optim. Eng. 10, 2009): starting from the split
+    at rho_dot = 0 and nu = 0, fit each partition by least squares, then give
+    each point to its largest plane, until no point moves.  A plane left
+    without points is dropped."""
     rho_g = np.linspace(*b.rho, n)
     frac = np.linspace(0.0, 1.0, n)
     pts, q = [], []
@@ -583,49 +533,36 @@ def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     q = np.array(q)
     _, u_nom = backtransform(RampingPoint(b.rho_nom, 0.0, 0.0), strat, p)
     q_nom = u_nom.Q1 + u_nom.Q2
+    A = np.column_stack([np.ones(len(q)), pts])
 
-    def ls(mask) -> tuple[DemandSide, np.ndarray]:
-        A = np.column_stack([np.ones(mask.sum()), pts[mask]])
-        coef, *_ = np.linalg.lstsq(A, q[mask], rcond=None)
-        side = DemandSide(*[float(cc) for cc in coef])
-        return side, A @ coef
+    def ls(mask) -> np.ndarray:
+        return np.linalg.lstsq(A[mask], q[mask], rcond=None)[0]
 
-    all_mask = np.ones(len(q), dtype=bool)
-    single, pred_single = ls(all_mask)
-    mae_single = float(np.mean(np.abs(pred_single - q))) / q_nom
+    mae_single = float(np.mean(np.abs(A @ ls(slice(None)) - q))) / q_nom
 
-    segments = {}
-    empty = []
-    abs_err = np.empty(len(q))
-    for key in DEMAND_SEGMENT_KEYS:
-        mask = ((pts[:, 1] >= 0) == key[0]) & ((pts[:, 2] >= 0) == key[1])
-        if mask.sum() < 8:
-            segments[key] = single
-            empty.append(key)
-            continue
-        side, pred = ls(mask)
-        segments[key] = side
-        abs_err[mask] = np.abs(pred - q[mask])
-    # points in inherited segments score against the single fit
-    for key in empty:
-        mask = ((pts[:, 1] >= 0) == key[0]) & ((pts[:, 2] >= 0) == key[1])
-        abs_err[mask] = np.abs(pred_single[mask] - q[mask])
-    mae_pwa = float(np.mean(abs_err)) / q_nom
-    return PwaDemandModel(segments=segments, single=single, q_nominal=float(q_nom),
-                          mae_single_rel=mae_single, mae_pwa_rel=mae_pwa,
-                          empty_segments=tuple(empty),
-                          fingerprint=env.fingerprint)
+    labels = 2 * (pts[:, 1] >= 0) + (pts[:, 2] >= 0)
+    for _ in range(DEMAND_FIT_MAX_ITER):
+        coef = np.array([ls(labels == k) for k in np.unique(labels)])
+        fit = A @ coef.T
+        new = np.argmax(fit, axis=1)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    else:
+        raise EnvelopeFitError(f"demand fit did not settle in {DEMAND_FIT_MAX_ITER} "
+                               "iterations")
+    mae_pwa = float(np.mean(np.abs(fit.max(axis=1) - q))) / q_nom
+    return PwaDemandModel(planes=tuple(DemandSide(*[float(c) for c in row]) for row in coef),
+                          q_nominal=float(q_nom), mae_single_rel=mae_single,
+                          mae_pwa_rel=mae_pwa, fingerprint=env.fingerprint)
 
 
 def demand_to_json(model: PwaDemandModel, path) -> None:
     doc = {
-        "segments": {f"{int(k[0])}{int(k[1])}": vars(s).copy()
-                     for k, s in model.segments.items()},
-        "single": vars(model.single).copy(),
+        "planes": [vars(s).copy() for s in model.planes],
         "q_nominal": model.q_nominal,
         "mae_single_rel": model.mae_single_rel,
         "mae_pwa_rel": model.mae_pwa_rel,
-        "empty_segments": [f"{int(k[0])}{int(k[1])}" for k in model.empty_segments],
         "fingerprint": model.fingerprint,
     }
     with open(path, "w") as fh:
@@ -636,15 +573,10 @@ def demand_to_json(model: PwaDemandModel, path) -> None:
 def demand_from_json(path) -> PwaDemandModel:
     with open(path) as fh:
         doc = json.load(fh)
-    segs = {(bool(int(k[0])), bool(int(k[1]))): DemandSide(**v)
-            for k, v in doc["segments"].items()}
     return PwaDemandModel(
-        segments=segs, single=DemandSide(**doc["single"]),
+        planes=tuple(DemandSide(**v) for v in doc["planes"]),
         q_nominal=doc["q_nominal"], mae_single_rel=doc["mae_single_rel"],
-        mae_pwa_rel=doc["mae_pwa_rel"],
-        empty_segments=tuple((bool(int(k[0])), bool(int(k[1])))
-                             for k in doc["empty_segments"]),
-        fingerprint=doc.get("fingerprint", ""))
+        mae_pwa_rel=doc["mae_pwa_rel"], fingerprint=doc.get("fingerprint", ""))
 
 
 # ---------------------------------------------------------------------------

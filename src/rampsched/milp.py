@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,8 +172,17 @@ def _highs_solve(mip: MixedIntegerProgram, integral: bool, gap_tol: float = 0.0,
     options = dict(disp=False, mip_rel_gap=gap_tol)
     if time_limit is not None:
         options["time_limit"] = time_limit
-    res = optimize.milp(c, integrality=integrality, bounds=optimize.Bounds(lb, ub),
-                        constraints=constraints, options=options)
+    # HiGHS writes some MIP messages to fd 1 even with disp=False
+    sys.stdout.flush()
+    saved_stdout = os.dup(1)
+    try:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), 1)
+            res = optimize.milp(c, integrality=integrality, bounds=optimize.Bounds(lb, ub),
+                                constraints=constraints, options=options)
+    finally:
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
     if res.status not in (0, 1, 2, 3):
         raise RuntimeError(f"HiGHS failed: {res.message}")
 

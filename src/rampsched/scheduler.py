@@ -1,17 +1,19 @@
 """Simultaneous process / multi-energy-system scheduling as a MILP.
 
 Assembles the demand-response problem (production-rate dynamics under the
-fitted ramping envelope, piecewise-affine heat demand, conversion units with
-minimum part load, storage, grid exchange, energy costs) on an orthogonal
-collocation grid, plus the as-fast-as-possible ramp problems and the
-steady-production baseline.  Powers are in kW, heat demand converted from
-the process model's kJ/h, prices in currency/kWh, time in hours.
+fitted ramping envelope, convex heat demand, conversion units with minimum
+part load, storage, grid exchange, energy costs) on an orthogonal
+collocation grid, plus the as-fast-as-possible ramp problems.  The heat
+demand is the epigraph of the convex max-affine demand model, one row per
+plane and no binaries; the epigraph equals the model only while surplus
+heat never pays, which `extract_result` checks on every solution.  Powers
+are in kW, heat demand converted from the process model's kJ/h, prices in
+currency/kWh, time in hours.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .envelope import PwaDemandModel, RampingEnvelope
 from .milp import MixedIntegerProgram, Solution, branch_and_bound
 
 KJH_PER_KW = 3600.0
+SURPLUS_RTOL = 1e-6       # q_dem above its demand model, relative
 
 
 @dataclass(frozen=True)
@@ -109,25 +112,6 @@ def two_level_market(horizon_h: int, high: float = 0.06, low: float = 0.01,
     return MarketSeries(price, gas, (heat_kw,) * horizon_h, (el_kw,) * horizon_h)
 
 
-def market_to_csv(path, m: MarketSeries) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["hour", "price", "heat_dem", "el_dem"])
-        for h in range(m.n_hours):
-            w.writerow([h, f"{m.el_price[h]:.10g}", f"{m.heat_demand_kw[h]:.10g}",
-                        f"{m.el_demand_kw[h]:.10g}"])
-
-
-def market_from_csv(path, gas_price: float = 0.03) -> MarketSeries:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if rows[0] != ["hour", "price", "heat_dem", "el_dem"]:
-        raise ValueError(f"unexpected market header: {rows[0]}")
-    data = [(float(r[1]), float(r[2]), float(r[3])) for r in rows[1:]]
-    return MarketSeries(tuple(d[0] for d in data), gas_price,
-                        tuple(d[1] for d in data), tuple(d[2] for d in data))
-
-
 @dataclass
 class ScheduleProblem:
     envelope: RampingEnvelope
@@ -167,7 +151,6 @@ class ScheduleLayout:
     z_on: dict           # (unit, hour) -> var
     z_rho: list
     z_rho_dot: list
-    z_nu: list
 
 
 def _state_chain(mip: MixedIntegerProgram, grid: CollocationGrid, name: str,
@@ -251,20 +234,17 @@ def _band_and_link_rows(mip: MixedIntegerProgram, env: RampingEnvelope, rho_box,
                         sfx: str) -> None:
     """Linear rho_dot band at one point, and the links that put the segment
     binaries on the point's quadrant: z_r = 1 for rho >= rho_nom, z_d = 1
-    for rho_dot >= 0 (up to the segment overlap)."""
+    for rho_dot >= 0."""
     rd_l, rd_u = env.rd_lower, env.rd_upper
     mip.add_constraint({d_v: 1.0, r_v: -rd_u.a1}, "<=", rd_u.a0, name=f"rdu{sfx}")
     mip.add_constraint({d_v: 1.0, r_v: -rd_l.a1}, ">=", rd_l.a0, name=f"rdl{sfx}")
     (rho_lo, rho_hi), rho_nom = rho_box, env.rho_nom
-    ov_r, ov_d = env.nu_pwa.ov_rho, env.nu_pwa.ov_rho_dot
-    mip.add_constraint({r_v: 1.0, z_r: -(rho_hi - rho_nom - ov_r)},
-                       "<=", rho_nom + ov_r, name=f"lzr1{sfx}")
-    mip.add_constraint({r_v: 1.0, z_r: -(rho_nom - ov_r - rho_lo)},
+    mip.add_constraint({r_v: 1.0, z_r: -(rho_hi - rho_nom)},
+                       "<=", rho_nom, name=f"lzr1{sfx}")
+    mip.add_constraint({r_v: 1.0, z_r: -(rho_nom - rho_lo)},
                        ">=", rho_lo, name=f"lzr2{sfx}")
-    mip.add_constraint({d_v: 1.0, z_d: -(rd_box[1] - ov_d)},
-                       "<=", ov_d, name=f"lzd1{sfx}")
-    mip.add_constraint({d_v: 1.0, z_d: -(rd_box[0] + ov_d)},
-                       ">=", rd_box[0], name=f"lzd2{sfx}")
+    mip.add_constraint({d_v: 1.0, z_d: -rd_box[1]}, "<=", 0.0, name=f"lzd1{sfx}")
+    mip.add_constraint({d_v: 1.0, z_d: -rd_box[0]}, ">=", rd_box[0], name=f"lzd2{sfx}")
 
 
 def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, seg_M: dict,
@@ -292,8 +272,8 @@ def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, seg_M: dict,
 
 def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, ScheduleLayout]:
     """Build the scheduling MILP: collocated rate dynamics under the PWA
-    ramping envelope, PWA heat demand, unit commitment with part load,
-    storage balance and energy costs."""
+    ramping envelope, the epigraph of the convex heat demand, unit
+    commitment with part load, storage balance and energy costs."""
     env, dm = sp.envelope, sp.demand
     grid = collocation_grid(sp.horizon_h, sp.elems_per_hour, sp.pts)
     mip = MixedIntegerProgram(f"DR{sp.horizon_h}H")
@@ -318,8 +298,6 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
     n_hours = sp.horizon_h
     nu_nodes = [mip.add_variable(f"nu_{k}", *nu_box) for k in range(n_hours + 1)]
 
-    q_dem_hi = max(dm.q_nominal * 3.0,
-                   max(abs(v) for v in nu_box) * 1e6) / KJH_PER_KW
     q_in, dp, q_dem = {}, {}, {}
     for e in range(grid.n_elem):
         for j in range(1, grid.pts + 1):
@@ -327,7 +305,7 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
                 q_in[(u.name, e, j)] = mip.add_variable(
                     f"qi_{u.name}_{e}_{j}", 0.0, u.gas_in_max_kw)
             dp[(e, j)] = mip.add_variable(f"dp_{e}_{j}", -1e5, 1e5)
-            q_dem[(e, j)] = mip.add_variable(f"qd_{e}_{j}", 0.0, q_dem_hi)
+            q_dem[(e, j)] = mip.add_variable(f"qd_{e}_{j}", 0.0, float("inf"))
 
     z_on = {}
     for u in sp.components:
@@ -337,8 +315,6 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
     z_rho = [mip.add_variable(f"zr_{h}", 0, 1, integer=True)
              for h in range(n_hours)]
     z_rd = [mip.add_variable(f"zd_{h}", 0, 1, integer=True)
-            for h in range(n_hours)]
-    z_nu = [mip.add_variable(f"zn_{h}", 0, 1, integer=True)
             for h in range(n_hours)]
 
     def cost_rate(e, j):
@@ -362,11 +338,6 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
     _pwa_nu_rows(mip, env, seg_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
                  z_rho[0], z_rd[0], "inu")
 
-    dm_M = {key: max(seg(r, d, n) / KJH_PER_KW for r in (rho_lo, rho_hi)
-                     for d in rd_box for n in nu_box) + q_dem_hi + 1.0
-            for key, seg in dm.segments.items()}
-    ov_n = 0.2 * min(-nu_box[0], nu_box[1]) if nu_box[1] > 0 > nu_box[0] else 0.0
-
     for e in range(grid.n_elem):
         hour = min(e // sp.elems_per_hour, n_hours - 1)
         for j in range(1, grid.pts + 1):
@@ -375,27 +346,15 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
             sfx = f"_{e}_{j}"
             _band_and_link_rows(mip, env, (rho_lo, rho_hi), rd_box, r_v, d_v,
                                 z_rho[hour], z_rd[hour], sfx)
-            # sign link of nu for the demand segments (overlapping domains)
-            nu_c = dict(nu_expr)
-            nu_c[z_nu[hour]] = -(nu_box[1] - ov_n)
-            mip.add_constraint(nu_c, "<=", ov_n, name=f"lzn1{sfx}")
-            nu_c = dict(nu_expr)
-            nu_c[z_nu[hour]] = -(nu_box[0] + ov_n)
-            mip.add_constraint(nu_c, ">=", nu_box[0], name=f"lzn2{sfx}")
             _pwa_nu_rows(mip, env, seg_M, nu_expr, r_v, d_v, z_rho[hour],
                          z_rd[hour], "pwa", sfx)
-            # PWA demand, big-M selected by (z_rd, z_nu)
-            for key, seg in dm.segments.items():
-                mis = [(z_rd[hour], key[0]), (z_nu[hour], key[1])]
-                for sign, tag in ((1.0, "u"), (-1.0, "l")):
-                    coeffs = {q_dem[(e, j)]: sign}
-                    coeffs[r_v] = coeffs.get(r_v, 0.0) - sign * seg.c_rho / KJH_PER_KW
-                    coeffs[d_v] = coeffs.get(d_v, 0.0) - sign * seg.c_rho_dot / KJH_PER_KW
-                    for var, c in nu_expr:
-                        coeffs[var] = coeffs.get(var, 0.0) - sign * c * seg.c_nu / KJH_PER_KW
-                    rhs = _select(coeffs, sign * seg.c0 / KJH_PER_KW, mis, dm_M[key])
-                    mip.add_constraint(coeffs, "<=", rhs,
-                                       name=f"dem{tag}_{key[0]:d}{key[1]:d}{sfx}")
+            # convex heat demand: q_dem on or above every plane
+            for k, pl in enumerate(dm.planes):
+                coeffs = {q_dem[(e, j)]: 1.0, r_v: -pl.c_rho / KJH_PER_KW,
+                          d_v: -pl.c_rho_dot / KJH_PER_KW}
+                for var, c in nu_expr:
+                    coeffs[var] = -c * pl.c_nu / KJH_PER_KW
+                mip.add_constraint(coeffs, ">=", pl.c0 / KJH_PER_KW, name=f"dem_{k}{sfx}")
 
     # conversion units, balances ---------------------------------------------
     for e in range(grid.n_elem):
@@ -424,7 +383,7 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
     mip.set_objective({phi[-1][grid.pts]: 1.0})
 
     layout = ScheduleLayout(grid, rho, rd, S, phi, nu_nodes, q_in, dp, q_dem,
-                            z_on, z_rho, z_rd, z_nu)
+                            z_on, z_rho, z_rd)
     return mip, layout
 
 
@@ -477,6 +436,16 @@ def extract_result(sp: ScheduleProblem, layout: ScheduleLayout,
     pts_list = [(e, j) for e in range(grid.n_elem)
                 for j in range(1, grid.pts + 1)]
     q_dem = np.array([x[layout.q_dem[p]] for p in pts_list])
+    # the epigraph rows hold q_dem at or above the demand model; above it the
+    # schedule burns gas for heat the process does not take
+    demand = sp.demand.predict(rho[1:], rd[1:], nu[1:]) / KJH_PER_KW
+    surplus = (q_dem - demand) / np.maximum(1.0, np.abs(demand))
+    k = int(np.argmax(surplus))
+    if surplus[k] > SURPLUS_RTOL:
+        raise RuntimeError(
+            f"surplus heat: q_dem {q_dem[k]:.6g} kW exceeds the demand model's "
+            f"{demand[k]:.6g} kW at t = {times[k + 1]:.4g} h; the convex demand "
+            "epigraph is exact only while surplus heat does not pay")
     dp = np.array([x[layout.dp[p]] for p in pts_list])
     unit_heat = {}
     for u in sp.components:
@@ -517,11 +486,6 @@ def _require_incumbent(sol: Solution, what: str) -> None:
     by the time limit before a first incumbent."""
     if not np.isfinite(sol.objective):
         raise RuntimeError(f"{what} optimization {sol.status}, no incumbent")
-
-
-def steady_baseline(sp: ScheduleProblem) -> tuple[ScheduleResult, Solution]:
-    """Same problem with the production rate pinned at nominal."""
-    return solve_schedule(replace(sp, fix_steady=True))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +562,7 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
             obj[rho[e][j]] = obj.get(rho[e][j], 0.0) + sign * w[j - 1] * grid.h
     mip.set_objective(obj)
     layout = ScheduleLayout(grid, rho, rd, [], [], nu_nodes, {}, {}, {}, {},
-                            z_rho, z_rd, [])
+                            z_rho, z_rd)
     return mip, layout
 
 
@@ -645,53 +609,3 @@ def _first_within(times: np.ndarray, rho: np.ndarray, target: float,
             return float(times[k - 1] + frac * (times[k] - times[k - 1]))
     return None
 
-
-def schedule_to_csv(path, res: ScheduleResult, sp: ScheduleProblem,
-                    provenance: str = "") -> None:
-    grid_times = res.times
-    with open(path, "w", newline="") as fh:
-        if provenance:
-            fh.write(f"# inputs_hash={provenance}\n")
-        w = csv.writer(fh)
-        w.writerow(["t", "rho", "rho_dot", "nu", "S", "q_dem_kw", "grid_kw"]
-                   + [f"q_{u.name}_kw" for u in sp.components])
-        # the first row is the initial state; demand columns start at the
-        # first collocation point
-        for k, t in enumerate(grid_times):
-            if k == 0:
-                extras = ["", ""] + [""] * len(sp.components)
-            else:
-                extras = [f"{res.q_dem_kw[k - 1]:.8g}", f"{res.grid_kw[k - 1]:.8g}"]
-                extras += [f"{res.unit_heat_kw[u.name][k - 1]:.8g}"
-                           for u in sp.components]
-            w.writerow([f"{t:.8g}", f"{res.rho[k]:.10g}", f"{res.rho_dot[k]:.10g}",
-                        f"{res.nu[k]:.10g}", f"{res.storage[k]:.10g}"] + extras)
-
-
-def ramp_to_csv(path, res: RampResult) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "rho", "rho_dot", "nu"])
-        for k, t in enumerate(res.times):
-            w.writerow([f"{t:.8g}", f"{res.rho[k]:.10g}",
-                        f"{res.rho_dot[k]:.10g}", f"{res.nu[k]:.10g}"])
-
-
-def read_schedule_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        provenance = ""
-        rows = []
-        for line in fh:
-            if line.startswith("#"):
-                if "inputs_hash=" in line:
-                    provenance = line.strip().split("inputs_hash=")[1]
-                continue
-            rows.append(line.rstrip("\n"))
-    parsed = list(csv.reader(rows))
-    header, body = parsed[0], parsed[1:]
-    idx = {name: k for k, name in enumerate(header)}
-    out = {name: np.array([float(r[idx[name]]) if r[idx[name]] else np.nan
-                           for r in body])
-           for name in ("t", "rho", "rho_dot", "nu", "S")}
-    out["provenance"] = provenance
-    return out

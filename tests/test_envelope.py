@@ -230,18 +230,16 @@ def test_demand_nominal_prediction(demand_model, strategy, params, bounds):
 
 
 def test_demand_segments_fitted(demand_model):
-    assert demand_model.empty_segments == ()
-    assert len(demand_model.segments) == 4
+    assert len(demand_model.planes) == 4
+    assert demand_model.mae_pwa_rel <= 0.025
 
 
 def test_demand_json_roundtrip(tmp_path, demand_model):
     path = tmp_path / "demand.json"
     demand_to_json(demand_model, path)
     back = demand_from_json(path)
-    assert back.single == demand_model.single
     assert back.q_nominal == pytest.approx(demand_model.q_nominal)
-    for k, seg in demand_model.segments.items():
-        assert back.segments[k] == seg
+    assert back.planes == demand_model.planes
 
 
 # --- set-point-filter comparison -------------------------------------------------
