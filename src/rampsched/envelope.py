@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, linprog
 
 from .process import Bounds, ProcessParams
-from .transform import (OperatingStrategy, OutsideFlatRegionError,
-                        RampingPoint, backtransform, flash_duty, psi_Fp,
-                        q1_affine_in_nu, solve_T1, theta_T1)
+from .transform import (T1_BRACKET, OperatingStrategy, OutsideFlatRegionError,
+                        RampingPoint, backtransform, bottom_flow, psi_Fp,
+                        q1_affine_in_nu, theta_T1)
 
 INF = float("inf")
 
@@ -43,14 +43,13 @@ def rho_dot_limit_from_bound(rho: float, variable: str, bound_value: float,
     if variable == "T1":
         return theta_T1(rho, bound_value, strat, p)
     if variable == "Q2":
-        from .transform import bottom_flow
         FB = bottom_flow(rho, strat.pi4(rho), strat, p)
         T1 = strat.xi3_nom + (p.dHV * rho - bound_value) / (p.rhoF * p.Cp * (rho + FB))
         return theta_T1(rho, T1, strat, p)
     if variable == "Fp":
         def f(T1):
             return psi_Fp(rho, T1, strat, p) - bound_value
-        lo, hi = 300.0, 600.0
+        lo, hi = T1_BRACKET
         if f(lo) * f(hi) > 0:
             # bound not reachable: report a non-constraining sentinel
             return INF if f(lo) < 0 else -INF

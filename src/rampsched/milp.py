@@ -10,7 +10,6 @@ and import round-trip byte-identically.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import os
@@ -407,10 +406,3 @@ def import_mps(text: str) -> MixedIntegerProgram:
     mip.set_objective(obj, obj_const)
     return mip
 
-
-def write_solution_csv(path, mip: MixedIntegerProgram, sol: Solution) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "value"])
-        for v, x in zip(mip.variables, sol.x):
-            w.writerow([v.name, f"{x:.12g}"])

@@ -4,21 +4,19 @@ Six differential states (reactor concentrations cA1, cB1 and temperature T1;
 flash concentrations cA2, cB2 and temperature T2), four manipulated inputs
 (bottom stream FB, purge Fp, heat duties Q1, Q2) and the production rate rho
 as scheduling degree of freedom.  Provides the ODE right-hand side, a fixed
-step RK4 simulator with piecewise-linear control interpolation, bound
-checking, and CSV trajectory I/O.
+step RK4 simulator with piecewise-linear control interpolation, and bound
+checking.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 STATE_NAMES = ("cA1", "cB1", "T1", "cA2", "cB2", "T2")
 INPUT_NAMES = ("FB", "Fp", "Q1", "Q2")
-TRAJ_HEADER = ("t",) + STATE_NAMES + INPUT_NAMES + ("rho",)
 
 
 @dataclass(frozen=True)
@@ -290,20 +288,3 @@ def check_bounds(traj: Trajectory, b: Bounds, rel_tol: float = 1e-3) -> Violatio
     report.violations.sort(key=lambda v: (v.time, v.variable))
     return report
 
-
-def write_trajectory(path, traj: Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRAJ_HEADER)
-        for i, t in enumerate(traj.times):
-            w.writerow([f"{t:.10g}"] + [f"{v:.12g}" for v in traj.states[i]]
-                       + [f"{v:.12g}" for v in traj.inputs[i]] + [f"{traj.rho[i]:.12g}"])
-
-
-def read_trajectory(path) -> Trajectory:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if tuple(rows[0]) != TRAJ_HEADER:
-        raise ValueError(f"unexpected trajectory header: {rows[0]}")
-    data = np.array([[float(v) for v in r] for r in rows[1:]])
-    return Trajectory(data[:, 0], data[:, 1:7], data[:, 7:11], data[:, 11])

@@ -19,19 +19,24 @@ invertible from (rho, rho_dot, nu), nu being the second rate derivative:
   where A0/A1 (B0/B1) are the Fp-intercept and Fp-slope of the reactor A
   (B) balance right-hand side.  The derivation is locked by a closed-loop
   simulation test that holds cB2 at its nominal value to 1e-4 over hours.
-* the reactor A-balance with Fp replaced by psi_Fp becomes a scalar equation
-  theta(rho, T1) = rho_dot/…, strictly monotone in T1 through the two
-  Arrhenius terms; solve_T1 inverts it by bracketed root finding,
-* the reactor duty Q1 follows from the total time derivative of that scalar
-  equation, in which both nu and Q1 enter affinely.
+* with the purge eliminated, the reactor A-balance is one scalar residual
+
+      _flat_rate(rho, T1) = A0 + A1*psi_Fp = (A1*B0 - B1*A0) / (s*A1 - B1),
+
+  equal to a1*rho_dot on the flat trajectory and to 0 at a steady state.
+  It is strictly monotone in T1 through the two Arrhenius terms, so both
+  solve_T1 and steady_state_point are one bracketed root of it on
+  T1_BRACKET,
+* the reactor duty Q1 follows from the total time derivative of that
+  residual, in which both nu and Q1 enter affinely; its partials are closed
+  form (the residual is affine in A0 and B0, which differentiate exactly).
 """
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, asdict
-from math import exp, isfinite
+from dataclasses import asdict, dataclass, replace
+from math import exp
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -60,12 +65,9 @@ class OperatingStrategy:
     def pi4(self, rho: float) -> float:
         return self.a0_xi4 + self.a1_xi4 * rho
 
-    def to_json(self, path, extra: dict | None = None) -> None:
-        doc = asdict(self)
-        if extra:
-            doc.update(extra)
+    def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
@@ -113,19 +115,34 @@ def flash_duty(rho: float, T1: float, strat: OperatingStrategy,
     return -p.rhoF * p.Cp * (rho + FB) * (T1 - strat.xi3_nom) + p.dHV * rho
 
 
-def _balance_coeffs(rho: float, T1: float, strat: OperatingStrategy,
-                    p: ProcessParams) -> tuple[float, float, float, float]:
-    """Fp-intercepts/slopes (A0, A1, B0, B1) of the reactor A and B balances."""
+def _reactor_terms(rho: float, T1: float, strat: OperatingStrategy,
+                   p: ProcessParams) -> tuple[float, float, float, float, float]:
+    """(cA1, cB1, FB, r1, r2) along the strategy at (rho, T1)."""
     cA1 = strat.pi4(rho)
     cB1 = cb1_of_ca1(cA1, strat, p)
-    FB = bottom_flow(rho, cA1, strat, p)
-    r1 = p.k1 * cA1 * exp(-p.E1 / (p.R * T1))
-    r2 = p.k2 * cB1 * exp(-p.E2 / (p.R * T1))
-    A0 = rho * (p.cA0 - cA1) / p.V1 + FB * (strat.xi1_nom - cA1) / p.V1 - r1
+    return (cA1, cB1, bottom_flow(rho, cA1, strat, p),
+            p.k1 * cA1 * exp(-p.E1 / (p.R * T1)),
+            p.k2 * cB1 * exp(-p.E2 / (p.R * T1)))
+
+
+def _fp_slopes(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
+    """Constant Fp-slopes A1, B1 of the reactor A and B balances and the
+    purge denominator s*A1 - B1."""
     A1 = (p.cA0 - strat.xi1_nom) / p.V1
+    B1 = (p.cB0 - strat.xi2_nom) / p.V1
+    den = cb1_slope(strat, p) * A1 - B1
+    if abs(den) < 1e-12:
+        raise SingularTransformError("vanishing structural coefficient s*A1 - B1")
+    return A1, B1, den
+
+
+def _fp_intercepts(rho: float, T1: float, strat: OperatingStrategy,
+                   p: ProcessParams) -> tuple[float, float]:
+    """Fp-intercepts A0, B0 of the reactor A and B balances."""
+    cA1, cB1, FB, r1, r2 = _reactor_terms(rho, T1, strat, p)
+    A0 = rho * (p.cA0 - cA1) / p.V1 + FB * (strat.xi1_nom - cA1) / p.V1 - r1
     B0 = rho * (p.cB0 - cB1) / p.V1 + FB * (strat.xi2_nom - cB1) / p.V1 + r1 - r2
-    B1 = -strat.xi2_nom / p.V1
-    return A0, A1, B0, B1
+    return A0, B0
 
 
 def psi_Fp(rho: float, T1: float, strat: OperatingStrategy,
@@ -133,12 +150,18 @@ def psi_Fp(rho: float, T1: float, strat: OperatingStrategy,
     """Purge stream enforcing d2cB2/dt2 = 0, as a function of (rho, T1)."""
     if T1 <= 0:
         raise ValueError("psi_Fp: T1 must be positive")
-    s = cb1_slope(strat, p)
-    A0, A1, B0, B1 = _balance_coeffs(rho, T1, strat, p)
-    den = s * A1 - B1
-    if abs(den) < 1e-12:
-        raise SingularTransformError("psi_Fp: vanishing structural coefficient")
-    return (B0 - s * A0) / den
+    _, _, den = _fp_slopes(strat, p)
+    A0, B0 = _fp_intercepts(rho, T1, strat, p)
+    return (B0 - cb1_slope(strat, p) * A0) / den
+
+
+def _flat_rate(rho: float, T1: float, strat: OperatingStrategy,
+               p: ProcessParams) -> float:
+    """dcA1/dt with the purge at psi_Fp: a1*rho_dot on the flat trajectory,
+    0 at a steady state."""
+    A1, B1, den = _fp_slopes(strat, p)
+    A0, B0 = _fp_intercepts(rho, T1, strat, p)
+    return (A1 * B0 - B1 * A0) / den
 
 
 def theta_T1(rho: float, T1: float, strat: OperatingStrategy,
@@ -146,71 +169,72 @@ def theta_T1(rho: float, T1: float, strat: OperatingStrategy,
     """rho_dot at which the reactor A-balance holds for the given (rho, T1)."""
     if strat.a1_xi4 == 0:
         raise SingularTransformError("theta_T1: strategy slope a1 is zero")
-    A0, A1, _, _ = _balance_coeffs(rho, T1, strat, p)
-    return (A0 + A1 * psi_Fp(rho, T1, strat, p)) / strat.a1_xi4
+    return _flat_rate(rho, T1, strat, p) / strat.a1_xi4
 
 
 T1_BRACKET = (300.0, 600.0)
+
+
+def _flat_root(rate: float, rho: float, strat: OperatingStrategy,
+               p: ProcessParams, bracket: tuple[float, float]) -> float | None:
+    """T1 in the bracket with _flat_rate(rho, T1) = rate; None if there is none."""
+    lo, hi = bracket
+
+    def f(T1):
+        return _flat_rate(rho, T1, strat, p) - rate
+
+    if f(lo) * f(hi) > 0:
+        return None
+    return brentq(f, lo, hi, xtol=1e-10, rtol=1e-14)
 
 
 def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
              p: ProcessParams, bracket: tuple[float, float] = T1_BRACKET) -> float:
     """Reactor temperature along the strategy at (rho, rho_dot).
 
-    Bracketed root of theta_T1(rho, .) = rho_dot; the bracket is wider than
-    the temperature operating bounds so that bound-violating points are
+    Bracketed root of _flat_rate(rho, .) = a1*rho_dot; the bracket is wider
+    than the temperature operating bounds so that bound-violating points are
     detected by value rather than by solver failure.
     """
-    lo, hi = bracket
-
-    def f(T1):
-        return theta_T1(rho, T1, strat, p) - rho_dot
-
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
+    if strat.a1_xi4 == 0:
+        raise SingularTransformError("solve_T1: strategy slope a1 is zero")
+    T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, strat, p, bracket)
+    if T1 is None:
         raise OutsideFlatRegionError(
-            f"no reactor temperature in [{lo}, {hi}] K for "
+            f"no reactor temperature in [{bracket[0]}, {bracket[1]}] K for "
             f"rho={rho:.4g}, rho_dot={rho_dot:.4g}")
-    return brentq(f, lo, hi, xtol=1e-10, rtol=1e-14)
+    return T1
 
 
 def reactor_drift(rho: float, T1: float, strat: OperatingStrategy,
                   p: ProcessParams) -> float:
     """dT1/dt contribution of flows and reactions (everything except Q1)."""
-    cA1 = strat.pi4(rho)
-    cB1 = cb1_of_ca1(cA1, strat, p)
-    FB = bottom_flow(rho, cA1, strat, p)
+    _, _, FB, r1, r2 = _reactor_terms(rho, T1, strat, p)
     Fp = psi_Fp(rho, T1, strat, p)
-    r1 = p.k1 * cA1 * exp(-p.E1 / (p.R * T1))
-    r2 = p.k2 * cB1 * exp(-p.E2 / (p.R * T1))
     return ((rho + Fp) / p.V1 * (p.T0 - T1) + (FB - Fp) / p.V1 * (strat.xi3_nom - T1)
             - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
 
 
-def _psi_residual(rho: float, rho_dot: float, T1: float,
-                  strat: OperatingStrategy, p: ProcessParams) -> float:
-    """Residual of the reactor A-balance along the strategy (zero on the
-    flat trajectory); its total time derivative yields Q1."""
-    A0, A1, _, _ = _balance_coeffs(rho, T1, strat, p)
-    return A0 + A1 * psi_Fp(rho, T1, strat, p) - strat.a1_xi4 * rho_dot
-
-
-FD_REL_STEP = 1e-6
-
-
-def _psi_partials(rho: float, rho_dot: float, T1: float,
-                  strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
-    """Central finite-difference partials of the residual w.r.t. (rho, rho_dot, T1)."""
-    out = []
-    for k, val in enumerate((rho, rho_dot, T1)):
-        h = FD_REL_STEP * max(abs(val), 1.0)
-        args_hi = [rho, rho_dot, T1]
-        args_lo = [rho, rho_dot, T1]
-        args_hi[k] += h
-        args_lo[k] -= h
-        out.append((_psi_residual(*args_hi, strat, p)
-                    - _psi_residual(*args_lo, strat, p)) / (2 * h))
-    return tuple(out)
+def _psi_partials(rho: float, T1: float, strat: OperatingStrategy,
+                  p: ProcessParams) -> tuple[float, float, float]:
+    """Closed-form partials of the residual _flat_rate(rho, T1) - a1*rho_dot
+    w.r.t. (rho, rho_dot, T1)."""
+    a1 = strat.a1_xi4
+    A1, B1, den = _fp_slopes(strat, p)
+    cA1, cB1, FB, r1, r2 = _reactor_terms(rho, T1, strat, p)
+    # d/dT1 acts on the Arrhenius factors only: dA0 = -dr1, dB0 = dr1 - dr2
+    dr1_T, dr2_T = r1 * p.E1 / (p.R * T1 * T1), r2 * p.E2 / (p.R * T1 * T1)
+    P_T1 = (A1 * (dr1_T - dr2_T) + B1 * dr1_T) / den
+    # d/drho through cA1 = a0 + a1*rho, cB1 = xi2 + s*(cA1 - xi1) and FB
+    dcA1, dcB1 = a1, cb1_slope(strat, p) * a1
+    m = (nominal_vapor(strat, p)[0] - strat.xi1_nom) / (cA1 - strat.xi1_nom)
+    dFB = m - 1.0 - rho * m * dcA1 / (cA1 - strat.xi1_nom)
+    dr1, dr2 = r1 / cA1 * dcA1, r2 / cB1 * dcB1
+    dA0 = ((p.cA0 - cA1) - rho * dcA1 + dFB * (strat.xi1_nom - cA1) - FB * dcA1) / p.V1 - dr1
+    dB0 = (((p.cB0 - cB1) - rho * dcB1 + dFB * (strat.xi2_nom - cB1) - FB * dcB1) / p.V1
+           + dr1 - dr2)
+    P_rho = (A1 * dB0 - B1 * dA0) / den
+    return P_rho, -a1, P_T1
 
 
 def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
@@ -222,7 +246,7 @@ def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
     reactor energy balance and Q1 enters it linearly.
     """
     T1 = solve_T1(rho, rho_dot, strat, p)
-    P_rho, P_rd, P_T1 = _psi_partials(rho, rho_dot, T1, strat, p)
+    P_rho, P_rd, P_T1 = _psi_partials(rho, T1, strat, p)
     scale = p.rhoF * p.Cp * p.V1
     psi_q1 = P_T1 / scale
     if abs(psi_q1) < 1e-12:
@@ -269,67 +293,30 @@ def steady_state_point(rho: float, cA1: float, strat: OperatingStrategy | None =
                        bounds: Bounds | None = None) -> tuple[StateVec, InputVec]:
     """Steady state with nominal flash conditions and the given reactor cA1.
 
-    FB and cB1 follow in closed form; (T1, Fp) solve the two reactor
-    component balances by damped Newton iteration with finite-difference
-    Jacobian; Q2 and Q1 then close the energy balances.  The residual of all
-    six right-hand sides is verified to 1e-9 (scaled).
+    FB and cB1 follow in closed form; T1 is the one bracketed root of
+    _flat_rate = 0 on T1_BRACKET under the constant strategy cA1, with no
+    Newton iteration and no finite-difference step.  psi_Fp, flash_duty and
+    the reactor energy balance then give Fp, Q2 and Q1.  The residual of
+    all six right-hand sides is verified to 1e-9 (scaled).
     """
     p = p or ProcessParams()
     b = bounds or Bounds()
-    strat = strat or OperatingStrategy(a0_xi4=cA1, a1_xi4=0.0)
+    const = replace(strat or OperatingStrategy(0.0, 0.0), a0_xi4=cA1, a1_xi4=0.0)
     lo, hi = b.rho
     if not lo <= rho <= hi:
         raise SteadyStateError(f"rho={rho} outside [{lo}, {hi}]")
-    cAv, _ = nominal_vapor(strat, p)
-    if not strat.xi1_nom < cA1 <= cAv:
+    cAv, _ = nominal_vapor(const, p)
+    if not const.xi1_nom < cA1 <= cAv:
         raise SteadyStateError(f"cA1={cA1} outside the FB-feasible window")
-    FB = bottom_flow(rho, cA1, strat, p)
-    cB1 = cb1_of_ca1(cA1, strat, p)
-
-    def F(T1, Fp):
-        r1 = p.k1 * cA1 * exp(-p.E1 / (p.R * T1))
-        r2 = p.k2 * cB1 * exp(-p.E2 / (p.R * T1))
-        return np.array([
-            (rho + Fp) / p.V1 * (p.cA0 - cA1)
-            + (FB - Fp) / p.V1 * (strat.xi1_nom - cA1) - r1,
-            (rho + Fp) / p.V1 * (p.cB0 - cB1)
-            + (FB - Fp) / p.V1 * (strat.xi2_nom - cB1) + r1 - r2,
-        ])
-
-    z = np.array([435.0, 4.0])
-    for _ in range(100):
-        f = F(*z)
-        if np.linalg.norm(f) < 1e-13:
-            break
-        J = np.zeros((2, 2))
-        for j in range(2):
-            d = np.zeros(2)
-            d[j] = 1e-6 * max(abs(z[j]), 1.0)
-            J[:, j] = (F(*(z + d)) - F(*(z - d))) / (2 * d[j])
-        try:
-            dz = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError as exc:
-            raise SteadyStateError(f"singular Jacobian at rho={rho}, cA1={cA1}") from exc
-        t, fn = 1.0, np.linalg.norm(f)
-        while t > 1e-9 and np.linalg.norm(F(*(z + t * dz))) > fn:
-            t /= 2
-        z = z + t * dz
-        if not (300.0 < z[0] < 600.0):
-            raise SteadyStateError(
-                f"T1={z[0]:.1f} left the bracket at rho={rho}, cA1={cA1}")
-    else:
-        raise SteadyStateError(f"no convergence at rho={rho}, cA1={cA1}")
-
-    T1, Fp = float(z[0]), float(z[1])
-    r1 = p.k1 * cA1 * exp(-p.E1 / (p.R * T1))
-    r2 = p.k2 * cB1 * exp(-p.E2 / (p.R * T1))
-    Q2 = -p.rhoF * p.Cp * (rho + FB) * (T1 - strat.xi3_nom) + p.dHV * rho
-    Q1 = -p.rhoF * p.Cp * p.V1 * (
-        (rho + Fp) / p.V1 * (p.T0 - T1)
-        + (FB - Fp) / p.V1 * (strat.xi3_nom - T1)
-        - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
-    x = StateVec(cA1, cB1, T1, strat.xi1_nom, strat.xi2_nom, strat.xi3_nom)
-    u = InputVec(FB, Fp, Q1, Q2)
+    T1 = _flat_root(0.0, rho, const, p, T1_BRACKET)
+    if T1 is None:
+        raise SteadyStateError(
+            f"no reactor temperature in {list(T1_BRACKET)} K at rho={rho}, cA1={cA1}")
+    x = StateVec(cA1, cb1_of_ca1(cA1, const, p), T1,
+                 const.xi1_nom, const.xi2_nom, const.xi3_nom)
+    u = InputVec(bottom_flow(rho, cA1, const, p), psi_Fp(rho, T1, const, p),
+                 -p.rhoF * p.Cp * p.V1 * reactor_drift(rho, T1, const, p),
+                 flash_duty(rho, T1, const, p))
     resid = scaled_residual(x, u, rho, p)
     if resid > 1e-9:
         raise SteadyStateError(f"steady residual {resid:.2e} exceeds 1e-9")
@@ -456,19 +443,6 @@ def fit_operating_strategy(p: ProcessParams | None = None,
         linear_degradation_pct=100.0 * (float(best.fun) - free_total) / free_total,
     )
     return strat, report
-
-
-def write_steady_sweep(path, strat: OperatingStrategy, p: ProcessParams,
-                       bounds: Bounds, n: int = 21) -> None:
-    """CSV of steady states along the fitted strategy."""
-    rho_lo, rho_hi = bounds.rho
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "cA1", "cB1", "T1", "FB", "Fp", "Q1", "Q2"])
-        for rho in np.linspace(rho_lo, rho_hi, n):
-            x, u = steady_state_point(rho, strat.pi4(rho), strat, p, bounds)
-            w.writerow([f"{v:.10g}" for v in
-                        (rho, x.cA1, x.cB1, x.T1, u.FB, u.Fp, u.Q1, u.Q2)])
 
 
 # ---------------------------------------------------------------------------

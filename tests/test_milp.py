@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rampsched import milp as milp_module
 from rampsched.milp import (INF, MixedIntegerProgram, Solution,
                             branch_and_bound, check_solution, export_mps,
-                            import_mps, simplex_solve, write_solution_csv)
+                            import_mps, simplex_solve)
 
 
 def small_lp(c, A, b, ub, senses=None):
@@ -378,17 +378,3 @@ def test_mps_roundtrip_property(data):
     mip.set_objective({j: 1.0 for j in range(n)})
     text = export_mps(mip)
     assert export_mps(import_mps(text)) == text
-
-
-def test_solution_csv(tmp_path):
-    mip = MixedIntegerProgram()
-    mip.add_variable("a", 0, 2)
-    mip.add_variable("b", 0, 2)
-    mip.add_constraint({0: 1, 1: 1}, ">=", 1)
-    mip.set_objective({0: 1, 1: 2})
-    sol = simplex_solve(mip)
-    path = tmp_path / "sol.csv"
-    write_solution_csv(path, mip, sol)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "name,value"
-    assert len(lines) == 3

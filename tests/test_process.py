@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from rampsched.process import (Bounds, ControlSchedule, InputVec,
                                ProcessParams, StateVec, Trajectory,
-                               check_bounds, ode_rhs, read_trajectory,
-                               simulate, write_trajectory)
+                               check_bounds, ode_rhs, simulate)
 from rampsched.transform import steady_state_point
 
 
@@ -145,14 +144,3 @@ def test_mass_fraction_consistency(rho, ca1):
     sums1 = traj.states[:, 0] + traj.states[:, 1]
     sums2 = traj.states[:, 3] + traj.states[:, 4]
     assert np.all(sums1 <= 1 + 1e-6) and np.all(sums2 <= 1 + 1e-6)
-
-
-def test_trajectory_csv_roundtrip(tmp_path, params, bounds):
-    x, u = steady(params, bounds)
-    traj = simulate(x, ControlSchedule.constant(u, 5.25, 0.5), 0.5, step=0.1, p=params)
-    path = tmp_path / "traj.csv"
-    write_trajectory(path, traj)
-    back = read_trajectory(path)
-    assert np.allclose(back.states, traj.states, rtol=1e-10)
-    assert np.allclose(back.inputs, traj.inputs, rtol=1e-10)
-    assert np.allclose(back.times, traj.times, rtol=1e-10)

@@ -4,11 +4,10 @@ import pytest
 from rampsched.process import (Bounds, ControlSchedule, InputVec,
                                ProcessParams, simulate)
 from rampsched.transform import (OperatingStrategy, OutsideFlatRegionError,
-                                 RampingPoint, SteadyStateError, backtransform,
-                                 cb1_of_ca1, flash_duty, nominal_vapor,
-                                 psi_Fp, q1_affine_in_nu, scaled_residual,
-                                 solve_T1, steady_state_point,
-                                 strategy_outputs, write_steady_sweep)
+                                 RampingPoint, SteadyStateError, _flat_rate,
+                                 _psi_partials, backtransform, nominal_vapor,
+                                 psi_Fp, scaled_residual, solve_T1,
+                                 steady_state_point, strategy_outputs)
 
 RHO_NOM = 5.25
 
@@ -125,8 +124,29 @@ def test_backtransform_steady_equals_steady_point(strategy, params, bounds):
     for rho in (4.3, 5.25, 6.2):
         x, u = steady_state_point(rho, strategy.pi4(rho), strategy, params, bounds)
         xb, ub = backtransform(RampingPoint(rho, 0.0, 0.0), strategy, params)
-        assert np.allclose(xb.as_array(), x.as_array(), rtol=1e-8, atol=1e-8)
-        assert np.allclose(ub.as_array(), u.as_array(), rtol=1e-6, atol=2e-4)
+        assert np.allclose(xb.as_array(), x.as_array(), rtol=1e-12, atol=1e-9)
+        assert np.allclose(ub.as_array(), u.as_array(), rtol=1e-12, atol=1e-9)
+
+
+def test_rho_dot_partial_is_exact(strategy, params):
+    T1 = solve_T1(RHO_NOM, 0.3, strategy, params)
+    assert _psi_partials(RHO_NOM, T1, strategy, params)[1] == -strategy.a1_xi4
+
+
+def test_partials_match_central_differences(strategy, params, bounds, envelope):
+    """Closed-form rho and T1 partials of the flat residual against central
+    differences of _flat_rate on a 5x5 grid of the fitted rho_dot band."""
+    h_rho, h_T1 = 1e-5, 1e-3
+    for rho in np.linspace(*bounds.rho, 5):
+        for rd in np.linspace(*envelope.rho_dot_range(rho), 5):
+            T1 = solve_T1(rho, rd, strategy, params)
+            P_rho, _, P_T1 = _psi_partials(rho, T1, strategy, params)
+            fd_rho = (_flat_rate(rho + h_rho, T1, strategy, params)
+                      - _flat_rate(rho - h_rho, T1, strategy, params)) / (2 * h_rho)
+            fd_T1 = (_flat_rate(rho, T1 + h_T1, strategy, params)
+                     - _flat_rate(rho, T1 - h_T1, strategy, params)) / (2 * h_T1)
+            assert P_rho == pytest.approx(fd_rho, rel=1e-6)
+            assert P_T1 == pytest.approx(fd_T1, rel=1e-6)
 
 
 def test_q1_affine_in_nu(strategy, params):
@@ -206,16 +226,8 @@ def test_backtransform_consistency_fd(strategy, params):
     assert err <= 1e-4
 
 
-def test_steady_sweep_csv(tmp_path, strategy, params, bounds):
-    path = tmp_path / "sweep.csv"
-    write_steady_sweep(path, strategy, params, bounds, n=5)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "rho,cA1,cB1,T1,FB,Fp,Q1,Q2"
-    assert len(rows) == 6
-
-
 def test_strategy_json_roundtrip(tmp_path, strategy):
     path = tmp_path / "strategy.json"
-    strategy.to_json(path, extra={"note": "test"})
+    strategy.to_json(path)
     back = OperatingStrategy.from_json(path)
     assert back == strategy
