@@ -20,9 +20,9 @@ import numpy as np
 from scipy.optimize import brentq, linprog
 
 from .process import Bounds, ProcessParams
-from .transform import (T1_BRACKET, OperatingStrategy, OutsideFlatRegionError,
-                        RampingPoint, backtransform, bottom_flow, psi_Fp,
-                        q1_affine_in_nu, theta_T1)
+from .transform import (T1_BRACKET, OperatingStrategy, RampingPoint,
+                        backtransform, bottom_flow, psi_Fp, q1_affine_in_nu,
+                        theta_T1)
 
 INF = float("inf")
 
@@ -86,14 +86,14 @@ def nu_limits_true(rho: float, rho_dot: float, strat: OperatingStrategy,
                    p: ProcessParams, b: Bounds) -> tuple[float, float]:
     """True limits on the second rate derivative from the reactor duty
     bounds, via the affine relation Q1 = c0 + c1*nu; the orientation follows
-    the sign of c1 rather than being assumed."""
+    the sign of c1 rather than being assumed.  Broadcasts over arrays."""
     c0, c1, _ = q1_affine_in_nu(rho, rho_dot, strat, p)
     q_lo, q_hi = b.Q1
-    if abs(c1) < 1e-12:
+    if np.any(np.abs(c1) < 1e-12):
         raise RuntimeError(f"vanishing nu coefficient at rho={rho}, rho_dot={rho_dot}")
     nu_a = (q_lo - c0) / c1
     nu_b = (q_hi - c0) / c1
-    return (nu_a, nu_b) if nu_a < nu_b else (nu_b, nu_a)
+    return np.minimum(nu_a, nu_b), np.maximum(nu_a, nu_b)
 
 
 def detect_regions(xs: np.ndarray, feasible: np.ndarray) -> list[tuple[float, float]]:
@@ -301,11 +301,7 @@ def _fit_nu_segment(R: np.ndarray, D: np.ndarray, NLO: np.ndarray,
 
 
 def _true_nu_surfaces(R, D, strat, p, b):
-    NLO = np.empty_like(R)
-    NHI = np.empty_like(R)
-    for i in range(R.shape[0]):
-        for j in range(R.shape[1]):
-            NLO[i, j], NHI[i, j] = nu_limits_true(R[i, j], D[i, j], strat, p, b)
+    NLO, NHI = nu_limits_true(R, D, strat, p, b)
     if np.any(NLO >= NHI):
         raise EnvelopeFitError("true nu limits cross inside the band")
     return NLO, NHI
@@ -505,31 +501,26 @@ class PwaDemandModel:
 def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
                    env: RampingEnvelope, n: int = 11) -> PwaDemandModel:
     """Fit the process heat demand Q1+Q2 on an n^3 grid nested inside the
-    envelope (infeasible corners skipped) as the maximum of four planes, by
+    envelope (corners with an empty nu band skipped; every other point must
+    backtransform, or the envelope is at fault and the call raises
+    OutsideFlatRegionError) as the maximum of four planes, by
     Magnani-Boyd alternation (Optim. Eng. 10, 2009): starting from the split
     at rho_dot = 0 and nu = 0, fit each partition by least squares, then give
     each point to its largest plane, until no point moves.  A plane left
     without points is dropped."""
     rho_g = np.linspace(*b.rho, n)
     frac = np.linspace(0.0, 1.0, n)
-    pts, q = [], []
+    pts = []
     for rho in rho_g:
         rl, rh = env.rho_dot_range(rho)
         for fr in frac:
             rd = rl + fr * (rh - rl)
             nl, nh = env.nu_range(rho, rd)
-            if nl > nh:
-                continue
-            for fn in frac:
-                nu = nl + fn * (nh - nl)
-                try:
-                    _, u = backtransform(RampingPoint(rho, rd, nu), strat, p)
-                except OutsideFlatRegionError:
-                    continue
-                pts.append((rho, rd, nu))
-                q.append(u.Q1 + u.Q2)
+            if nl <= nh:
+                pts += [(rho, rd, nl + fn * (nh - nl)) for fn in frac]
     pts = np.array(pts)
-    q = np.array(q)
+    _, u = backtransform(RampingPoint(*pts.T), strat, p)
+    q = u.Q1 + u.Q2
     _, u_nom = backtransform(RampingPoint(b.rho_nom, 0.0, 0.0), strat, p)
     q_nom = u_nom.Q1 + u_nom.Q2
     A = np.column_stack([np.ones(len(q)), pts])

@@ -30,20 +30,30 @@ invertible from (rho, rho_dot, nu), nu being the second rate derivative:
 * the reactor duty Q1 follows from the total time derivative of that
   residual, in which both nu and Q1 enter affinely; its partials are closed
   form (the residual is affine in A0 and B0, which differentiate exactly).
+
+Every function here broadcasts over numpy arrays, so a whole set-up grid
+(the strategy fit's cA1 scan, the envelope's nu surfaces, the demand grid)
+is one call.  The root in T1 takes one of two paths, chosen by np.ndim of
+the input.  A scalar point is one scipy brentq: about 0.1 ms, and the
+per-point replays of a schedule make hundreds of such calls, where a
+size-1 array would cost ten times as much in numpy call overhead.  An
+array runs one safeguarded Newton/bisection over all its points at once,
+on the exact T1 partial; a grid of thousands of points costs about as
+much as a few brentq roots.  Both roots evaluate the same residual and
+stop at 1e-10 K.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from math import exp
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .flatness import OutputCandidate, SparsityModel
-from .process import (Bounds, InputVec, ProcessParams, StateVec, ode_rhs,
-                      vapor_fractions)
+from .process import (Bounds, InputVec, ProcessParams, StateVec, _rhs_array,
+                      reaction_rates, vapor_fractions)
 
 
 class OutsideFlatRegionError(RuntimeError):
@@ -80,9 +90,21 @@ class OperatingStrategy:
 
 @dataclass(frozen=True)
 class RampingPoint:
+    """One point, or with array fields a batch of points."""
     rho: float          # m^3/h
     rho_dot: float      # m^3/h^2
     nu: float           # m^3/h^3 (second rate derivative)
+
+
+def _is_batch(*values) -> bool:
+    """Whether any value has an axis: np.ndim > 0, without np.ndim's
+    microseconds on a Python float."""
+    return any(getattr(v, "ndim", 0) for v in values)
+
+
+def _any(mask) -> bool:
+    """np.any, without its microseconds on a scalar bool."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
 
 
 def nominal_vapor(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float]:
@@ -121,8 +143,7 @@ def _reactor_terms(rho: float, T1: float, strat: OperatingStrategy,
     cA1 = strat.pi4(rho)
     cB1 = cb1_of_ca1(cA1, strat, p)
     return (cA1, cB1, bottom_flow(rho, cA1, strat, p),
-            p.k1 * cA1 * exp(-p.E1 / (p.R * T1)),
-            p.k2 * cB1 * exp(-p.E2 / (p.R * T1)))
+            *reaction_rates(cA1, cB1, T1, p))
 
 
 def _fp_slopes(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
@@ -136,10 +157,11 @@ def _fp_slopes(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float
     return A1, B1, den
 
 
-def _fp_intercepts(rho: float, T1: float, strat: OperatingStrategy,
+def _fp_intercepts(rho: float, terms: tuple, strat: OperatingStrategy,
                    p: ProcessParams) -> tuple[float, float]:
-    """Fp-intercepts A0, B0 of the reactor A and B balances."""
-    cA1, cB1, FB, r1, r2 = _reactor_terms(rho, T1, strat, p)
+    """Fp-intercepts A0, B0 of the reactor A and B balances, from the
+    _reactor_terms at (rho, T1)."""
+    cA1, cB1, FB, r1, r2 = terms
     A0 = rho * (p.cA0 - cA1) / p.V1 + FB * (strat.xi1_nom - cA1) / p.V1 - r1
     B0 = rho * (p.cB0 - cB1) / p.V1 + FB * (strat.xi2_nom - cB1) / p.V1 + r1 - r2
     return A0, B0
@@ -148,10 +170,10 @@ def _fp_intercepts(rho: float, T1: float, strat: OperatingStrategy,
 def psi_Fp(rho: float, T1: float, strat: OperatingStrategy,
            p: ProcessParams) -> float:
     """Purge stream enforcing d2cB2/dt2 = 0, as a function of (rho, T1)."""
-    if T1 <= 0:
+    if _any(T1 <= 0):
         raise ValueError("psi_Fp: T1 must be positive")
     _, _, den = _fp_slopes(strat, p)
-    A0, B0 = _fp_intercepts(rho, T1, strat, p)
+    A0, B0 = _fp_intercepts(rho, _reactor_terms(rho, T1, strat, p), strat, p)
     return (B0 - cb1_slope(strat, p) * A0) / den
 
 
@@ -160,8 +182,15 @@ def _flat_rate(rho: float, T1: float, strat: OperatingStrategy,
     """dcA1/dt with the purge at psi_Fp: a1*rho_dot on the flat trajectory,
     0 at a steady state."""
     A1, B1, den = _fp_slopes(strat, p)
-    A0, B0 = _fp_intercepts(rho, T1, strat, p)
+    A0, B0 = _fp_intercepts(rho, _reactor_terms(rho, T1, strat, p), strat, p)
     return (A1 * B0 - B1 * A0) / den
+
+
+def _t1_partial(T1, r1, r2, A1, B1, den, p: ProcessParams):
+    """d_flat_rate/dT1, through the Arrhenius factors only: dA0 = -dr1,
+    dB0 = dr1 - dr2."""
+    dr1_T, dr2_T = r1 * p.E1 / (p.R * T1 * T1), r2 * p.E2 / (p.R * T1 * T1)
+    return (A1 * (dr1_T - dr2_T) + B1 * dr1_T) / den
 
 
 def theta_T1(rho: float, T1: float, strat: OperatingStrategy,
@@ -173,19 +202,60 @@ def theta_T1(rho: float, T1: float, strat: OperatingStrategy,
 
 
 T1_BRACKET = (300.0, 600.0)
+T1_XTOL = 1e-10                 # K, both root paths
+_NEWTON_MAX_ITER = 100          # bisection alone needs 42 halvings of 300 K
 
 
-def _flat_root(rate: float, rho: float, strat: OperatingStrategy,
-               p: ProcessParams, bracket: tuple[float, float]) -> float | None:
-    """T1 in the bracket with _flat_rate(rho, T1) = rate; None if there is none."""
+def _flat_root(rate, rho, strat: OperatingStrategy, p: ProcessParams,
+               bracket: tuple[float, float]):
+    """T1 in the bracket with _flat_rate(rho, T1) = rate; NaN where there is
+    none.
+
+    Scalar rate and rho take one brentq, the fast path for the hundreds of
+    single points a schedule replay backtransforms (a size-1 array Newton
+    costs about ten times as much).  Arrays broadcast (with any array fields
+    of strat), and every point runs the same safeguarded Newton iteration at
+    once, on the exact T1 partial: each step keeps the bracket
+    [T_neg, T_pos] on which the residual changes sign and falls back to its
+    midpoint when the Newton step leaves it.  Both stop at T1_XTOL.
+    """
     lo, hi = bracket
+    # T1 enters A0 and B0 only through r1 and r2 (A0 - r1, B0 + r1 - r2), so
+    # the flow terms are evaluated once, the rates at every iterate; the
+    # residual is bitwise _flat_rate - rate
+    A1, B1, den = _fp_slopes(strat, p)
+    cA1, cB1, FB = _reactor_terms(rho, lo, strat, p)[:3]
+    A0f, B0f = _fp_intercepts(rho, (cA1, cB1, FB, 0.0, 0.0), strat, p)
 
-    def f(T1):
-        return _flat_rate(rho, T1, strat, p) - rate
+    def residual(T1):
+        r1, r2 = reaction_rates(cA1, cB1, T1, p)
+        return (A1 * (B0f + r1 - r2) - B1 * (A0f - r1)) / den - rate, r1, r2
 
-    if f(lo) * f(hi) > 0:
-        return None
-    return brentq(f, lo, hi, xtol=1e-10, rtol=1e-14)
+    if not _is_batch(rate, rho):
+        def f(T1):
+            return residual(T1)[0]
+
+        if f(lo) * f(hi) > 0:
+            return np.nan
+        return brentq(f, lo, hi, xtol=T1_XTOL, rtol=1e-14)
+    f_lo, f_hi = residual(lo)[0], residual(hi)[0]
+    ok = f_lo * f_hi <= 0
+    t_neg, t_pos = np.where(f_lo < f_hi, lo, hi), np.where(f_lo < f_hi, hi, lo)
+    T1 = np.full(np.shape(ok), 0.5 * (lo + hi))
+    active = ok.copy()
+    for _ in range(_NEWTON_MAX_ITER):
+        f, r1, r2 = residual(T1)
+        t_neg, t_pos = np.where(f < 0, T1, t_neg), np.where(f > 0, T1, t_pos)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = T1 - f / _t1_partial(T1, r1, r2, A1, B1, den, p)
+        inside = (nxt >= np.minimum(t_neg, t_pos)) & (nxt <= np.maximum(t_neg, t_pos))
+        nxt = np.where(inside, nxt, 0.5 * (t_neg + t_pos))
+        converged = np.abs(nxt - T1) <= T1_XTOL
+        T1 = np.where(active, nxt, T1)
+        active &= ~converged
+        if not active.any():
+            return np.where(ok, T1, np.nan)
+    raise RuntimeError(f"T1 Newton did not converge in {_NEWTON_MAX_ITER} steps")
 
 
 def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
@@ -194,15 +264,21 @@ def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
 
     Bracketed root of _flat_rate(rho, .) = a1*rho_dot; the bracket is wider
     than the temperature operating bounds so that bound-violating points are
-    detected by value rather than by solver failure.
+    detected by value rather than by solver failure.  Broadcasts over
+    arrays; one point outside the flat region fails the whole call.
     """
     if strat.a1_xi4 == 0:
         raise SingularTransformError("solve_T1: strategy slope a1 is zero")
     T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, strat, p, bracket)
-    if T1 is None:
+    miss = np.isnan(T1)
+    if _any(miss):
+        i = np.argmax(miss)
+        r, rd = (float(np.ravel(np.broadcast_to(v, np.shape(T1)))[i])
+                 for v in (rho, rho_dot))
         raise OutsideFlatRegionError(
             f"no reactor temperature in [{bracket[0]}, {bracket[1]}] K for "
-            f"rho={rho:.4g}, rho_dot={rho_dot:.4g}")
+            f"rho={r:.4g}, rho_dot={rd:.4g}"
+            + (f" ({np.count_nonzero(miss)} of {miss.size} points)" if np.ndim(T1) else ""))
     return T1
 
 
@@ -222,9 +298,7 @@ def _psi_partials(rho: float, T1: float, strat: OperatingStrategy,
     a1 = strat.a1_xi4
     A1, B1, den = _fp_slopes(strat, p)
     cA1, cB1, FB, r1, r2 = _reactor_terms(rho, T1, strat, p)
-    # d/dT1 acts on the Arrhenius factors only: dA0 = -dr1, dB0 = dr1 - dr2
-    dr1_T, dr2_T = r1 * p.E1 / (p.R * T1 * T1), r2 * p.E2 / (p.R * T1 * T1)
-    P_T1 = (A1 * (dr1_T - dr2_T) + B1 * dr1_T) / den
+    P_T1 = _t1_partial(T1, r1, r2, A1, B1, den, p)
     # d/drho through cA1 = a0 + a1*rho, cB1 = xi2 + s*(cA1 - xi1) and FB
     dcA1, dcB1 = a1, cb1_slope(strat, p) * a1
     m = (nominal_vapor(strat, p)[0] - strat.xi1_nom) / (cA1 - strat.xi1_nom)
@@ -249,7 +323,7 @@ def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
     P_rho, P_rd, P_T1 = _psi_partials(rho, T1, strat, p)
     scale = p.rhoF * p.Cp * p.V1
     psi_q1 = P_T1 / scale
-    if abs(psi_q1) < 1e-12:
+    if _any(abs(psi_q1) < 1e-12):
         raise SingularTransformError("q1_affine_in_nu: vanishing Q1 coefficient")
     drift = reactor_drift(rho, T1, strat, p)
     c0 = -(P_rho * rho_dot + P_T1 * drift) / psi_q1
@@ -259,16 +333,20 @@ def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
 
 def backtransform(pt: RampingPoint, strat: OperatingStrategy,
                   p: ProcessParams) -> tuple[StateVec, InputVec]:
-    """Map a ramping point (rho, rho_dot, nu) to full states and inputs."""
+    """Map a ramping point (rho, rho_dot, nu) to full states and inputs.
+
+    With array fields in pt, every state and input field is an array of
+    their common shape."""
     c0, c1, T1 = q1_affine_in_nu(pt.rho, pt.rho_dot, strat, p)
     cA1 = strat.pi4(pt.rho)
-    x = StateVec(cA1=cA1, cB1=cb1_of_ca1(cA1, strat, p), T1=T1,
-                 cA2=strat.xi1_nom, cB2=strat.xi2_nom, T2=strat.xi3_nom)
-    u = InputVec(FB=bottom_flow(pt.rho, cA1, strat, p),
-                 Fp=psi_Fp(pt.rho, T1, strat, p),
-                 Q1=c0 + c1 * pt.nu,
-                 Q2=flash_duty(pt.rho, T1, strat, p))
-    return x, u
+    x = (cA1, cb1_of_ca1(cA1, strat, p), T1,
+         strat.xi1_nom, strat.xi2_nom, strat.xi3_nom)
+    u = (bottom_flow(pt.rho, cA1, strat, p), psi_Fp(pt.rho, T1, strat, p),
+         c0 + c1 * pt.nu, flash_duty(pt.rho, T1, strat, p))
+    if _is_batch(T1, pt.nu):
+        fields = np.broadcast_arrays(*x, *u)
+        x, u = fields[:6], fields[6:]
+    return StateVec(*x), InputVec(*u)
 
 
 def strategy_outputs(rho: float, rho_dot: float, nu: float,
@@ -288,37 +366,63 @@ class SteadyStateError(RuntimeError):
     pass
 
 
+def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
+                  b: Bounds) -> tuple[StateVec, InputVec, np.ndarray]:
+    """Steady states with nominal flash conditions at the given (rho, cA1)
+    pairs; broadcasts, and scalars give 0-d results.
+
+    FB and cB1 follow in closed form; T1 is the root of _flat_rate = 0 on
+    T1_BRACKET under the constant strategy cA1 (_flat_root: one brentq for a
+    scalar point, one Newton batch for arrays).  psi_Fp, flash_duty and the
+    reactor energy balance then give Fp, Q2 and Q1.  Returns (x, u, fail):
+    fail is 0 where the point solved, else the first check it failed: 1 rho
+    outside its bounds, 2 cA1 outside the FB-feasible window, 3 no root in
+    the bracket, 4 a scaled residual of the six balances above 1e-9.  The
+    fields of a failed point are placeholders.
+    """
+    lo, hi = b.rho
+    rho_ok = np.asarray((lo <= rho) & (rho <= hi))
+    cAv, _ = nominal_vapor(strat, p)
+    win_ok = np.asarray((strat.xi1_nom < cA1) & (cA1 <= cAv))
+    a0 = np.where(win_ok, cA1, cAv)
+    # a scalar point stays on Python floats, on which brentq runs fastest
+    const = replace(strat, a0_xi4=a0 if a0.ndim else float(a0), a1_xi4=0.0)
+    T1 = _flat_root(0.0, rho, const, p, T1_BRACKET)
+    root_ok = ~np.isnan(T1)
+    T1 = np.nan_to_num(T1, nan=T1_BRACKET[0])
+    cA1 = const.pi4(rho)
+    fields = np.broadcast_arrays(
+        cA1, cb1_of_ca1(cA1, const, p), T1, const.xi1_nom, const.xi2_nom, const.xi3_nom,
+        bottom_flow(rho, cA1, const, p), psi_Fp(rho, T1, const, p),
+        -p.rhoF * p.Cp * p.V1 * reactor_drift(rho, T1, const, p),
+        flash_duty(rho, T1, const, p))
+    x, u = StateVec(*fields[:6]), InputVec(*fields[6:])
+    fail = np.select([~rho_ok, ~win_ok, ~root_ok, ~(scaled_residual(x, u, rho, p) <= 1e-9)],
+                     [1, 2, 3, 4], 0)
+    return x, u, fail
+
+
 def steady_state_point(rho: float, cA1: float, strat: OperatingStrategy | None = None,
                        p: ProcessParams | None = None,
                        bounds: Bounds | None = None) -> tuple[StateVec, InputVec]:
     """Steady state with nominal flash conditions and the given reactor cA1.
 
-    FB and cB1 follow in closed form; T1 is the one bracketed root of
-    _flat_rate = 0 on T1_BRACKET under the constant strategy cA1, with no
-    Newton iteration and no finite-difference step.  psi_Fp, flash_duty and
-    the reactor energy balance then give Fp, Q2 and Q1.  The residual of
-    all six right-hand sides is verified to 1e-9 (scaled).
-    """
+    The scalar case of _steady_batch, so T1 is one brentq root (a lone point
+    would pay the array Newton's per-call overhead for nothing); raises
+    SteadyStateError naming the first check the point failed."""
     p = p or ProcessParams()
     b = bounds or Bounds()
-    const = replace(strat or OperatingStrategy(0.0, 0.0), a0_xi4=cA1, a1_xi4=0.0)
-    lo, hi = b.rho
-    if not lo <= rho <= hi:
-        raise SteadyStateError(f"rho={rho} outside [{lo}, {hi}]")
-    cAv, _ = nominal_vapor(const, p)
-    if not const.xi1_nom < cA1 <= cAv:
+    x, u, fail = _steady_batch(rho, cA1, strat or OperatingStrategy(0.0, 0.0), p, b)
+    if fail == 1:
+        raise SteadyStateError(f"rho={rho} outside [{b.rho[0]}, {b.rho[1]}]")
+    if fail == 2:
         raise SteadyStateError(f"cA1={cA1} outside the FB-feasible window")
-    T1 = _flat_root(0.0, rho, const, p, T1_BRACKET)
-    if T1 is None:
+    if fail == 3:
         raise SteadyStateError(
             f"no reactor temperature in {list(T1_BRACKET)} K at rho={rho}, cA1={cA1}")
-    x = StateVec(cA1, cb1_of_ca1(cA1, const, p), T1,
-                 const.xi1_nom, const.xi2_nom, const.xi3_nom)
-    u = InputVec(bottom_flow(rho, cA1, const, p), psi_Fp(rho, T1, const, p),
-                 -p.rhoF * p.Cp * p.V1 * reactor_drift(rho, T1, const, p),
-                 flash_duty(rho, T1, const, p))
-    resid = scaled_residual(x, u, rho, p)
-    if resid > 1e-9:
+    x, u = StateVec.from_array(x.as_array()), InputVec.from_array(u.as_array())
+    if fail == 4:
+        resid = scaled_residual(x, u, rho, p)
         raise SteadyStateError(f"steady residual {resid:.2e} exceeds 1e-9")
     return x, u
 
@@ -327,8 +431,10 @@ _RES_SCALE = np.array([1.0, 1.0, 100.0, 1.0, 1.0, 100.0])
 
 
 def scaled_residual(x: StateVec, u: InputVec, rho: float, p: ProcessParams) -> float:
-    """Max-norm of the ODE right-hand side, temperatures scaled by 100 K."""
-    return float(np.max(np.abs(ode_rhs(x, u, rho, p).as_array()) / _RES_SCALE))
+    """Max-norm of the ODE right-hand side, temperatures scaled by 100 K;
+    broadcasts over array fields of equal shape (NaN where one is NaN)."""
+    rhs = _rhs_array(x.as_array(), u.as_array(), rho, p)
+    return np.max(np.abs(rhs).T / _RES_SCALE, axis=-1).T
 
 
 def _window(rho: float, strat: OperatingStrategy, p: ProcessParams,
@@ -339,10 +445,13 @@ def _window(rho: float, strat: OperatingStrategy, p: ProcessParams,
     return lo, cAv
 
 
-def _steady_feasible(x: StateVec, u: InputVec, b: Bounds) -> bool:
+def _steady_feasible(x: StateVec, u: InputVec, b: Bounds):
+    """Whether every reactor state and input lies within its bounds;
+    elementwise over array fields."""
     vals = {"cA1": x.cA1, "cB1": x.cB1, "T1": x.T1, "FB": u.FB, "Fp": u.Fp,
             "Q1": u.Q1, "Q2": u.Q2}
-    return all(getattr(b, k)[0] <= v <= getattr(b, k)[1] for k, v in vals.items())
+    return np.logical_and.reduce([(getattr(b, k)[0] <= v) & (v <= getattr(b, k)[1])
+                                  for k, v in vals.items()])
 
 
 @dataclass
@@ -365,7 +474,8 @@ def fit_operating_strategy(p: ProcessParams | None = None,
     violating any variable bound are excluded).  The line is then fit by
     Nelder-Mead on the summed objective, seeded by least squares through the
     per-rho optima; the best constant strategy is fit the same way for the
-    degradation report.
+    degradation report.  Each scan, each golden-section round (all grid rho
+    at once) and each evaluation of the summed objective is one steady batch.
     """
     p = p or ProcessParams()
     b = bounds or Bounds()
@@ -373,52 +483,39 @@ def fit_operating_strategy(p: ProcessParams | None = None,
     rho_lo, rho_hi = b.rho
     rhos = np.linspace(rho_lo, rho_hi, n_grid)
 
-    def objective(rho: float, cA1: float) -> float:
+    def objective(rho: np.ndarray, cA1: np.ndarray) -> np.ndarray:
         lo, hi = _window(rho, base, p, b)
-        if not lo - 1e-12 <= cA1 <= hi:
-            return np.inf
-        try:
-            x, u = steady_state_point(rho, cA1, base, p, b)
-        except SteadyStateError:
-            return np.inf
-        return u.Q1 + u.Q2 if _steady_feasible(x, u, b) else np.inf
+        x, u, fail = _steady_batch(rho, cA1, base, p, b)
+        ok = (lo - 1e-12 <= cA1) & (cA1 <= hi) & (fail == 0) & _steady_feasible(x, u, b)
+        return np.where(ok, u.Q1 + u.Q2, np.inf)
 
-    free_ca1, free_vals = [], []
-    for rho in rhos:
-        lo, hi = _window(rho, base, p, b)
-        grid = np.linspace(lo, hi, 161)
-        vals = np.array([objective(rho, c) for c in grid])
-        i = int(np.argmin(vals))
-        if not np.isfinite(vals[i]):
-            raise SteadyStateError(f"empty feasible window at rho={rho:.4g}")
-        a, c = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        for _ in range(60):
-            m1, m2 = a + 0.382 * (c - a), a + 0.618 * (c - a)
-            v1, v2 = objective(rho, m1), objective(rho, m2)
-            if not np.isfinite(v1):
-                a = m1
-            elif not np.isfinite(v2):
-                c = m2
-            elif v1 < v2:
-                c = m2
-            else:
-                a = m1
-        cand = 0.5 * (a + c)
-        val = objective(rho, cand)
-        if not np.isfinite(val):
-            cand, val = grid[i], vals[i]
-        free_ca1.append(float(cand))
-        free_vals.append(float(val))
-    free_total = float(sum(free_vals))
+    lo, hi = _window(rhos, base, p, b)
+    grid = np.linspace(lo, hi, 161, axis=1)
+    vals = objective(np.repeat(rhos, 161), grid.ravel()).reshape(grid.shape)
+    idx = np.argmin(vals, axis=1)
+    rows = np.arange(n_grid)
+    if not np.all(np.isfinite(vals[rows, idx])):
+        bad = rhos[np.argmin(np.isfinite(vals[rows, idx]))]
+        raise SteadyStateError(f"empty feasible window at rho={bad:.4g}")
+    a, c = grid[rows, np.maximum(idx - 1, 0)], grid[rows, np.minimum(idx + 1, 160)]
+    both = np.concatenate([rhos, rhos])
+    for _ in range(60):
+        m1, m2 = a + 0.382 * (c - a), a + 0.618 * (c - a)
+        v1, v2 = np.split(objective(both, np.concatenate([m1, m2])), 2)
+        # shrink from above where m1 is better, or the only finite one
+        move_c = np.isfinite(v1) & (~np.isfinite(v2) | (v1 < v2))
+        a, c = np.where(move_c, a, m1), np.where(move_c, m2, c)
+    cand = 0.5 * (a + c)
+    val = objective(rhos, cand)
+    bad = ~np.isfinite(val)
+    cand[bad], val[bad] = grid[rows, idx][bad], vals[rows, idx][bad]
+    free_ca1 = [float(v) for v in cand]
+    free_total = float(sum(val.tolist()))
 
     def total(a0: float, a1: float) -> float:
-        tot = 0.0
-        for rho in rhos:
-            v = objective(rho, a0 + a1 * rho)
-            if not np.isfinite(v):
-                return np.inf
-            tot += v
-        return tot
+        v = objective(rhos, a0 + a1 * rhos)
+        # cumsum adds in grid order, as a running sum does
+        return float(np.cumsum(v)[-1]) if np.all(np.isfinite(v)) else np.inf
 
     A = np.vstack([np.ones_like(rhos), rhos]).T
     seed, *_ = np.linalg.lstsq(A, np.array(free_ca1), rcond=None)

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampsched.envelope import (EnvelopeFitError, detect_regions,
+from rampsched.envelope import (EnvelopeFitError, LinearLimit, detect_regions,
                                 envelope_from_json, envelope_to_json,
-                                demand_from_json, demand_to_json, fit_nu_pwa,
-                                fit_rho_dot_limits, im_input_u2, max_tau,
-                                nu_limits_true, rho_dot_limit_from_bound,
+                                demand_from_json, demand_to_json, fit_demand_pwa,
+                                fit_nu_pwa, fit_rho_dot_limits, im_input_u2,
+                                max_tau, nu_limits_true, rho_dot_limit_from_bound,
                                 sbm_limits, true_rho_dot_limits)
-from rampsched.transform import (RampingPoint, backtransform,
-                                 steady_state_point)
+from rampsched.process import Trajectory, check_bounds
+from rampsched.transform import (OutsideFlatRegionError, RampingPoint,
+                                 backtransform, steady_state_point)
 
 
 @pytest.fixture(scope="session")
@@ -194,6 +195,28 @@ def test_pwa_conservative_on_fit_grid(strategy, params, bounds, envelope):
             assert tl - 1e-9 <= pl < ph <= th + 1e-9
 
 
+def test_envelope_conservative_off_grid(strategy, params, bounds, envelope):
+    """3 000 seeded points drawn inside the fitted envelope, away from the
+    fitting grid, backtransform to states and inputs within every bound
+    (check_bounds' relative tolerance, 1e-3)."""
+    rng = np.random.default_rng(2205)
+    n = 3000
+    rho = rng.uniform(*bounds.rho, n)
+    lo, hi = envelope.rd_lower(rho), envelope.rd_upper(rho)
+    rd = lo + rng.uniform(size=n) * (hi - lo)
+    band = np.array([envelope.nu_range(r, d) for r, d in zip(rho, rd)])
+    nu = band[:, 0] + rng.uniform(size=n) * (band[:, 1] - band[:, 0])
+    x, u = backtransform(RampingPoint(rho, rd, nu), strategy, params)
+    traj = Trajectory(np.arange(n, dtype=float), x.as_array().T, u.as_array().T, rho)
+    report = check_bounds(traj, bounds)
+    assert report.feasible, str(report)
+
+
+def test_envelope_coverage_pinned(envelope):
+    assert envelope.coverage.mean == pytest.approx(0.901612497, abs=1e-8)
+    assert envelope.coverage.min == pytest.approx(0.749151491, abs=1e-8)
+
+
 def test_pwa_steady_point_admits_both_signs(envelope):
     nl, nh = envelope.nu_range(5.25, 0.0)
     assert nl < 0.0 < nh
@@ -232,6 +255,15 @@ def test_demand_nominal_prediction(demand_model, strategy, params, bounds):
 def test_demand_segments_fitted(demand_model):
     assert len(demand_model.planes) == 4
     assert demand_model.mae_pwa_rel <= 0.025
+
+
+def test_demand_fit_raises_outside_flat_region(strategy, params, bounds, envelope):
+    """A demand grid reaching rho_dot = 1000 m^3/h^2 (T1 above 600 K) is an
+    envelope fault: the fit raises instead of skipping those points."""
+    import dataclasses
+    wide = dataclasses.replace(envelope, rd_upper=LinearLimit(1e3, 0.0, "upper", "test"))
+    with pytest.raises(OutsideFlatRegionError):
+        fit_demand_pwa(strategy, params, bounds, wide)
 
 
 def test_demand_json_roundtrip(tmp_path, demand_model):

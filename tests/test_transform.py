@@ -5,8 +5,9 @@ from rampsched.process import (Bounds, ControlSchedule, InputVec,
                                ProcessParams, simulate)
 from rampsched.transform import (OperatingStrategy, OutsideFlatRegionError,
                                  RampingPoint, SteadyStateError, _flat_rate,
-                                 _psi_partials, backtransform, nominal_vapor,
-                                 psi_Fp, scaled_residual, solve_T1,
+                                 _psi_partials, _steady_batch, _steady_feasible,
+                                 _window, backtransform, nominal_vapor, psi_Fp,
+                                 q1_affine_in_nu, scaled_residual, solve_T1,
                                  steady_state_point, strategy_outputs)
 
 RHO_NOM = 5.25
@@ -49,6 +50,34 @@ def test_constant_strategy_degradation(strategy_fit):
 def test_linear_strategy_degradation(strategy_fit):
     _, report = strategy_fit
     assert 0.0 <= report.linear_degradation_pct <= 0.3
+
+
+def test_fitted_strategy_pinned(strategy):
+    assert strategy.a0_xi4 == pytest.approx(0.4572912159075695, rel=1e-8)
+    assert strategy.a1_xi4 == pytest.approx(0.0024124966017676453, rel=1e-8)
+
+
+def test_steady_batch_mask_matches_scalar(params, bounds):
+    """Over the strategy fit's 21 x 161 (rho, cA1) scan, the steady batch
+    (Newton) marks the same points solved and within bounds as the scalar
+    steady_state_point (brentq), at the same temperatures."""
+    base = OperatingStrategy(0.0, 0.0)
+    rhos = np.linspace(*bounds.rho, 21)
+    lo, hi = _window(rhos, base, params, bounds)
+    rho = np.repeat(rhos, 161)
+    ca1 = np.linspace(lo, hi, 161, axis=1).ravel()
+    x, u, fail = _steady_batch(rho, ca1, base, params, bounds)
+    batch = (fail == 0) & _steady_feasible(x, u, bounds)
+    scalar = np.zeros_like(batch)
+    for k in range(rho.size):
+        try:
+            xs, us = steady_state_point(rho[k], ca1[k], base, params, bounds)
+        except SteadyStateError:
+            continue
+        scalar[k] = _steady_feasible(xs, us, bounds)
+        assert x.T1[k] == pytest.approx(xs.T1, rel=1e-10)
+    assert np.array_equal(batch, scalar)
+    assert 0 < batch.sum() < batch.size
 
 
 def test_single_point_grid_degenerates_to_constant(params, bounds):
@@ -126,6 +155,37 @@ def test_backtransform_steady_equals_steady_point(strategy, params, bounds):
         xb, ub = backtransform(RampingPoint(rho, 0.0, 0.0), strategy, params)
         assert np.allclose(xb.as_array(), x.as_array(), rtol=1e-12, atol=1e-9)
         assert np.allclose(ub.as_array(), u.as_array(), rtol=1e-12, atol=1e-9)
+
+
+def test_batch_equals_scalar_loop(strategy, params, bounds, envelope):
+    """Array solve_T1, q1_affine_in_nu and backtransform (Newton) equal the
+    scalar calls (brentq) to 1e-10 relative on a 7 x 7 grid of the fitted
+    rho_dot band."""
+    rhos = np.linspace(*bounds.rho, 7)
+    rho = np.repeat(rhos, 7)
+    rd = np.concatenate([np.linspace(*envelope.rho_dot_range(r), 7) for r in rhos])
+    nu = np.linspace(-2.0, 2.0, rho.size)
+    T1 = solve_T1(rho, rd, strategy, params)
+    coef = q1_affine_in_nu(rho, rd, strategy, params)
+    x, u = backtransform(RampingPoint(rho, rd, nu), strategy, params)
+    xa, ua = x.as_array(), u.as_array()
+    assert xa.shape == (6, rho.size) and ua.shape == (4, rho.size)
+    for k in range(rho.size):
+        assert T1[k] == pytest.approx(solve_T1(rho[k], rd[k], strategy, params), rel=1e-10)
+        assert [c[k] for c in coef] == pytest.approx(
+            q1_affine_in_nu(rho[k], rd[k], strategy, params), rel=1e-10)
+        xs, us = backtransform(RampingPoint(rho[k], rd[k], nu[k]), strategy, params)
+        assert xa[:, k] == pytest.approx(xs.as_array(), rel=1e-10)
+        assert ua[:, k] == pytest.approx(us.as_array(), rel=1e-10)
+
+
+def test_batch_with_one_point_outside_region_raises(strategy, params):
+    rho = np.full(5, RHO_NOM)
+    rd = np.array([0.0, 0.1, 1e4, 0.2, 0.3])
+    with pytest.raises(OutsideFlatRegionError, match="1 of 5 points"):
+        solve_T1(rho, rd, strategy, params)
+    with pytest.raises(OutsideFlatRegionError):
+        backtransform(RampingPoint(rho, rd, np.zeros(5)), strategy, params)
 
 
 def test_rho_dot_partial_is_exact(strategy, params):
