@@ -7,16 +7,23 @@ reactor duty bounds through the affine relation Q1(nu).  True limits are
 evaluated by inverting the backtransformation; conservative linear and
 piecewise-affine approximations are fitted by linear programming with
 per-point conservativeness constraints plus a curvature margin so that the
-guarantee survives grid refinement.
+guarantee survives grid refinement.  Both true nu limits are concave on the
+rate-derivative band, so every nu plane holds on the whole band: the upper
+limit is the minimum of N_UPPER planes, and the lower limit is any one of
+N_LOWER planes, each above the true lower limit everywhere.  Piecewise-affine
+fits (nu planes and the heat-demand model) share one Magnani-Boyd
+alternation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import brentq, linprog
 
 from .process import Bounds, ProcessParams
@@ -215,7 +222,9 @@ def fit_rho_dot_limits(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     return lower, upper, grid
 
 
-SEGMENT_KEYS = ((False, False), (False, True), (True, False), (True, True))
+N_LOWER = 2   # lower nu planes; the MILP selects one per hour, ceil(log2 N_LOWER) binaries
+N_UPPER = 4   # upper nu planes; nu lies below all of them, no binaries
+PWA_FIT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -230,28 +239,26 @@ class PwaSide:
 
 @dataclass(frozen=True)
 class PwaEnvelope:
-    """Piecewise-affine limits on the second rate derivative.
+    """Piecewise-affine limits on the second rate derivative, each plane
+    valid on the whole rate-derivative band.
 
-    Segments are indexed by (rho above nominal, rate derivative above zero);
-    selection in the scheduling problem uses one binary per split.  Each
-    segment's planes are fitted conservatively over its own quadrant.  With
-    n_segments = 1 a single affine pair covers the whole band.
-    """
+    The true limits are concave on the band.  `upper` is a min-affine inner
+    fit of the upper limit: nu lies below every upper plane.  Every `lower`
+    plane lies above the true lower limit everywhere, so nu need only lie
+    above one of them, chosen freely (in the scheduler by binary code,
+    Vielma, SIAM Rev. 57, 2015).  The admissible band is therefore
+    [min over lower, min over upper]."""
 
-    rho_nom: float
-    n_segments: int
-    seg_min: dict
-    seg_max: dict
+    lower: tuple
+    upper: tuple
+    # the benchmark gate reads this before its quadrant-segment fallback,
+    # which whole-band planes never need
+    n_segments = 1
 
-    def key(self, rho: float, rho_dot: float) -> tuple[bool, bool]:
-        if self.n_segments == 1:
-            return (False, False)
-        return (rho >= self.rho_nom, rho_dot >= 0.0)
-
-    def nu_range(self, rho: float, rho_dot: float) -> tuple[float, float]:
-        k = self.key(rho, rho_dot)
-        return (float(self.seg_min[k](rho, rho_dot)),
-                float(self.seg_max[k](rho, rho_dot)))
+    def nu_range(self, rho, rho_dot):
+        """(lower, upper) limit on nu; broadcasts over array arguments."""
+        return (np.min([pl(rho, rho_dot) for pl in self.lower], axis=0),
+                np.min([pu(rho, rho_dot) for pu in self.upper], axis=0))
 
 
 @dataclass
@@ -265,39 +272,12 @@ class CoverageReport:
 
 
 def _nu_grid(strat, p, b, lower: LinearLimit, upper: LinearLimit, n: int):
-    rho = np.linspace(*b.rho, n)
-    frac = np.linspace(0.0, 1.0, n)
-    R = np.repeat(rho, n).reshape(n, n)
-    D = np.empty((n, n))
-    for i, r in enumerate(rho):
-        lo, hi = float(lower(r)), float(upper(r))
-        D[i] = lo + frac * (hi - lo)
-    return R, D
-
-
-def _fit_nu_segment(R: np.ndarray, D: np.ndarray, NLO: np.ndarray,
-                    NHI: np.ndarray) -> tuple[PwaSide, PwaSide]:
-    """Joint LP for one segment: hug the true limits from inside, keep a
-    strictly positive band width."""
-    m_lo = _curvature_margin(NLO, "lower", safety=2.0)
-    m_hi = _curvature_margin(NHI, "upper", safety=2.0)
-    z = np.column_stack([np.ones(R.size), R.ravel(), D.ravel()])
-    lo_v, hi_v = NLO.ravel(), NHI.ravel()
-    # variables [amin(3), amax(3)]
-    c = np.concatenate([z.sum(axis=0), -z.sum(axis=0)])
-    A_ub = np.vstack([
-        np.hstack([-z, np.zeros_like(z)]),    # amin >= lo + margin
-        np.hstack([np.zeros_like(z), z]),     # amax <= hi - margin
-        np.hstack([z, -z]),                   # amin <= amax - eps
-    ])
-    b_ub = np.concatenate([-(lo_v + m_lo), hi_v - m_hi,
-                           -1e-9 * np.ones(z.shape[0])])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 6,
-                  method="highs")
-    if not res.success:
-        raise EnvelopeFitError(f"nu fit infeasible: {res.message}")
-    return (PwaSide(*[float(v) for v in res.x[:3]]),
-            PwaSide(*[float(v) for v in res.x[3:]]))
+    """n x n grid over the rate-derivative band: rho along axis 0, the
+    fraction of the band at that rho along axis 1."""
+    rho = np.linspace(*b.rho, n)[:, None]
+    frac = np.linspace(0.0, 1.0, n)[None, :]
+    lo, hi = lower(rho), upper(rho)
+    return np.broadcast_to(rho, (n, n)), lo + frac * (hi - lo)
 
 
 def _true_nu_surfaces(R, D, strat, p, b):
@@ -307,49 +287,97 @@ def _true_nu_surfaces(R, D, strat, p, b):
     return NLO, NHI
 
 
-def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-               lower: LinearLimit, upper: LinearLimit, n_grid: int = 51,
-               segments: int = 4) -> tuple[PwaEnvelope, CoverageReport]:
-    """Fit conservative piecewise-affine limits for the second rate
-    derivative over the fitted rate-derivative band.
+def _magnani_boyd(fit, score, labels: np.ndarray) -> np.ndarray:
+    """Magnani-Boyd alternation (Optim. Eng. 10, 2009) for a max- or
+    min-affine fit: `fit(labels)` returns one plane per label in use, then
+    `score(planes) -> (value, labels)` relabels each point from the planes,
+    lower value better.  A label left without points drops its plane.
+    Stops at a labelling seen before or at the first iterate that does not
+    improve, and returns the best planes."""
+    seen, best, best_value = set(), None, INF
+    for _ in range(PWA_FIT_MAX_ITER):
+        seen.add(labels.tobytes())
+        coef = fit(labels)
+        value, labels = score(coef)
+        if value >= best_value:
+            return best
+        best, best_value = coef, value
+        if labels.tobytes() in seen:
+            return best
+    raise EnvelopeFitError(f"piecewise-affine fit did not settle in {PWA_FIT_MAX_ITER} "
+                           "iterations")
 
-    Each segment is fit on its own regular grid spanning its quadrant, with
-    a curvature margin guarding points between grid nodes.  Coverage is
-    evaluated on the common n x n grid with strict segment selection."""
-    if segments not in (1, 4):
-        raise ValueError("segments must be 1 or 4")
-    rho_nom = b.rho_nom
-    rho_lo, rho_hi = b.rho
-    seg_min, seg_max = {}, {}
-    if segments == 1:
-        R, D = _nu_grid(strat, p, b, lower, upper, n_grid)
-        NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
-        smin, smax = _fit_nu_segment(R, D, NLO, NHI)
-        seg_min[(False, False)] = smin
-        seg_max[(False, False)] = smax
-    else:
-        m = n_grid // 2 + 1
-        for key in SEGMENT_KEYS:
-            rho_seg = np.linspace(*((rho_nom, rho_hi) if key[0] else (rho_lo, rho_nom)), m)
-            R = np.repeat(rho_seg, m).reshape(m, m)
-            D = np.empty((m, m))
-            for i, r in enumerate(rho_seg):
-                lo_r, hi_r = float(lower(r)), float(upper(r))
-                if key[1]:
-                    D[i] = np.linspace(max(lo_r, 0.0), hi_r, m)
-                else:
-                    D[i] = np.linspace(lo_r, min(hi_r, 0.0), m)
-            NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
-            seg_min[key], seg_max[key] = _fit_nu_segment(R, D, NLO, NHI)
-    env = PwaEnvelope(rho_nom=rho_nom, n_segments=segments,
-                      seg_min=seg_min, seg_max=seg_max)
+
+def _cells_touching(mask: np.ndarray) -> np.ndarray:
+    """Nodes of every grid cell with a node in `mask`: its 3 x 3 dilation."""
+    pad = np.pad(mask, 1)
+    n, m = mask.shape
+    return np.any([pad[i:i + n, j:j + m] for i in range(3) for j in range(3)], axis=0)
+
+
+def _blocks(m: int, k: int) -> np.ndarray:
+    """Labels splitting an m x m grid into k blocks, as square as k allows
+    and finer along axis 1."""
+    rows = max(d for d in range(1, math.isqrt(k) + 1) if k % d == 0)
+    i, j = np.indices((m, m))
+    return (i * rows // m) * (k // rows) + j * (k // rows) // m
+
+
+def _fit_nu_side(R, D, limit: np.ndarray, side: str, labels: np.ndarray) -> tuple:
+    """Planes for one side, one per partition of the grid, fitted in one
+    block-diagonal LP per round that pushes each plane toward the limit on
+    its partition.
+
+    A lower plane is at least the limit plus the curvature margin at every
+    node; an upper plane is at most the limit minus the margin at every node
+    of every cell that touches its partition, so each cell has one upper
+    plane that holds at all four of its corners."""
+    upper = side == "upper"
+    sign = 1.0 if upper else -1.0
+    bound = (limit - sign * _curvature_margin(limit, side, safety=2.0)).ravel()
+    Z = np.column_stack([np.ones(R.size), R.ravel(), D.ravel()])
+
+    def fit(labels):
+        c, blocks, rhs = [], [], []
+        for k in np.unique(labels):
+            mask = labels == k
+            rows = _cells_touching(mask.reshape(R.shape)).ravel() if upper else slice(None)
+            c.append(-sign * Z[mask].sum(axis=0))
+            blocks.append(sign * Z[rows])
+            rhs.append(sign * bound[rows])
+        res = linprog(np.concatenate(c), A_ub=block_diag(*blocks), b_ub=np.concatenate(rhs),
+                      bounds=(None, None), method="highs")
+        if not res.success:
+            raise EnvelopeFitError(f"nu {side} fit infeasible: {res.message}")
+        return res.x.reshape(-1, 3)
+
+    def score(coef):
+        v = Z @ coef.T
+        return -sign * float(v.min(axis=1).sum()), np.argmin(v, axis=1)
+
+    coef = _magnani_boyd(fit, score, labels.ravel())
+    return tuple(PwaSide(*map(float, row)) for row in coef)
+
+
+def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
+               lower: LinearLimit, upper: LinearLimit, n_grid: int = 51
+               ) -> tuple[PwaEnvelope, CoverageReport]:
+    """Fit conservative piecewise-affine limits for the second rate
+    derivative over the fitted rate-derivative band: N_LOWER lower and
+    N_UPPER upper planes, each valid on the whole band.
+
+    The planes are fitted on the (n_grid // 2 + 1)^2 grid of the band, with
+    its curvature margin guarding points between grid nodes; coverage, the
+    fitted band width over the true one, is evaluated on the n_grid^2 grid."""
+    m = n_grid // 2 + 1
+    R, D = _nu_grid(strat, p, b, lower, upper, m)
+    NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
+    env = PwaEnvelope(lower=_fit_nu_side(R, D, NLO, "lower", _blocks(m, N_LOWER)),
+                      upper=_fit_nu_side(R, D, NHI, "upper", _blocks(m, N_UPPER)))
     R, D = _nu_grid(strat, p, b, lower, upper, n_grid)
     NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
-    cov = np.empty_like(R)
-    for i in range(n_grid):
-        for j in range(n_grid):
-            plo, phi = env.nu_range(R[i, j], D[i, j])
-            cov[i, j] = (phi - plo) / (NHI[i, j] - NLO[i, j])
+    lo, hi = env.nu_range(R, D)
+    cov = (hi - lo) / (NHI - NLO)
     return env, CoverageReport(cov, float(cov.mean()), float(cov.min()))
 
 
@@ -379,14 +407,9 @@ class RampingEnvelope:
             float(max(self.rd_upper(r).max(), 0.0))
 
     def nu_box(self) -> tuple[float, float]:
-        corners = []
-        rd_box = self.rho_dot_box()
-        for rho in self.rho_bounds:
-            for rd in rd_box:
-                for seg in self.nu_pwa.seg_min.values():
-                    corners.append(float(seg(rho, rd)))
-                for seg in self.nu_pwa.seg_max.values():
-                    corners.append(float(seg(rho, rd)))
+        planes = self.nu_pwa.lower + self.nu_pwa.upper
+        corners = [float(pl(rho, rd)) for rho in self.rho_bounds
+                   for rd in self.rho_dot_box() for pl in planes]
         return min(corners), max(corners)
 
     def contains(self, rho: float, rho_dot: float, nu: float,
@@ -411,12 +434,8 @@ def envelope_to_json(env: RampingEnvelope, path) -> None:
         "rho_nom": env.rho_nom,
         "rd_lower": vars(env.rd_lower).copy(),
         "rd_upper": vars(env.rd_upper).copy(),
-        "n_segments": env.nu_pwa.n_segments,
-        "segments": {
-            f"{int(k[0])}{int(k[1])}": {"min": _side_doc(env.nu_pwa.seg_min[k]),
-                                        "max": _side_doc(env.nu_pwa.seg_max[k])}
-            for k in env.nu_pwa.seg_min
-        },
+        "nu_lower": [_side_doc(pl) for pl in env.nu_pwa.lower],
+        "nu_upper": [_side_doc(pu) for pu in env.nu_pwa.upper],
         "coverage_mean": env.coverage.mean,
         "coverage_min": env.coverage.min,
         "fingerprint": env.fingerprint,
@@ -429,13 +448,8 @@ def envelope_to_json(env: RampingEnvelope, path) -> None:
 def envelope_from_json(path) -> RampingEnvelope:
     with open(path) as fh:
         doc = json.load(fh)
-    seg_min, seg_max = {}, {}
-    for ks, sides in doc["segments"].items():
-        key = (bool(int(ks[0])), bool(int(ks[1])))
-        seg_min[key] = PwaSide(**sides["min"])
-        seg_max[key] = PwaSide(**sides["max"])
-    pwa = PwaEnvelope(rho_nom=doc["rho_nom"], n_segments=doc["n_segments"],
-                      seg_min=seg_min, seg_max=seg_max)
+    pwa = PwaEnvelope(lower=tuple(PwaSide(**d) for d in doc["nu_lower"]),
+                      upper=tuple(PwaSide(**d) for d in doc["nu_upper"]))
     cov = CoverageReport(np.zeros((0, 0)), doc["coverage_mean"], doc["coverage_min"])
     return RampingEnvelope(tuple(doc["rho_bounds"]), doc["rho_nom"],
                            LinearLimit(**doc["rd_lower"]),
@@ -449,9 +463,9 @@ def strategy_fingerprint(strat: OperatingStrategy, p: ProcessParams) -> str:
 
 
 def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-                    n_grid: int = 51, segments: int = 4) -> RampingEnvelope:
+                    n_grid: int = 51) -> RampingEnvelope:
     lower, upper, _ = fit_rho_dot_limits(strat, p, b, n_grid)
-    pwa, cov = fit_nu_pwa(strat, p, b, lower, upper, n_grid, segments)
+    pwa, cov = fit_nu_pwa(strat, p, b, lower, upper, n_grid)
     return RampingEnvelope(b.rho, b.rho_nom, lower, upper, pwa, cov,
                            strategy_fingerprint(strat, p))
 
@@ -459,9 +473,6 @@ def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
 # ---------------------------------------------------------------------------
 # Heat-demand model
 # ---------------------------------------------------------------------------
-
-DEMAND_FIT_MAX_ITER = 100
-
 
 @dataclass(frozen=True)
 class DemandSide:
@@ -506,19 +517,12 @@ def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     OutsideFlatRegionError) as the maximum of four planes, by
     Magnani-Boyd alternation (Optim. Eng. 10, 2009): starting from the split
     at rho_dot = 0 and nu = 0, fit each partition by least squares, then give
-    each point to its largest plane, until no point moves.  A plane left
-    without points is dropped."""
-    rho_g = np.linspace(*b.rho, n)
-    frac = np.linspace(0.0, 1.0, n)
-    pts = []
-    for rho in rho_g:
-        rl, rh = env.rho_dot_range(rho)
-        for fr in frac:
-            rd = rl + fr * (rh - rl)
-            nl, nh = env.nu_range(rho, rd)
-            if nl <= nh:
-                pts += [(rho, rd, nl + fn * (nh - nl)) for fn in frac]
-    pts = np.array(pts)
+    each point to its largest plane, while the squared error falls."""
+    R, D = _nu_grid(strat, p, b, env.rd_lower, env.rd_upper, n)
+    nl, nh = env.nu_range(R, D)
+    keep = nl <= nh
+    nu = nl[keep, None] + np.linspace(0.0, 1.0, n) * (nh - nl)[keep, None]
+    pts = np.column_stack([np.repeat(R[keep], n), np.repeat(D[keep], n), nu.ravel()])
     _, u = backtransform(RampingPoint(*pts.T), strat, p)
     q = u.Q1 + u.Q2
     _, u_nom = backtransform(RampingPoint(b.rho_nom, 0.0, 0.0), strat, p)
@@ -530,17 +534,15 @@ def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
 
     mae_single = float(np.mean(np.abs(A @ ls(slice(None)) - q))) / q_nom
 
-    labels = 2 * (pts[:, 1] >= 0) + (pts[:, 2] >= 0)
-    for _ in range(DEMAND_FIT_MAX_ITER):
-        coef = np.array([ls(labels == k) for k in np.unique(labels)])
+    def score(coef):
         fit = A @ coef.T
-        new = np.argmax(fit, axis=1)
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    else:
-        raise EnvelopeFitError(f"demand fit did not settle in {DEMAND_FIT_MAX_ITER} "
-                               "iterations")
+        return float(np.sum((fit.max(axis=1) - q) ** 2)), np.argmax(fit, axis=1)
+
+    def fit(labels):
+        return np.array([ls(labels == k) for k in np.unique(labels)])
+
+    coef = _magnani_boyd(fit, score, 2 * (pts[:, 1] >= 0) + (pts[:, 2] >= 0))
+    fit = A @ coef.T
     mae_pwa = float(np.mean(np.abs(fit.max(axis=1) - q))) / q_nom
     return PwaDemandModel(planes=tuple(DemandSide(*[float(c) for c in row]) for row in coef),
                           q_nominal=float(q_nom), mae_single_rel=mae_single,

@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from scipy import optimize, sparse
 INF = float("inf")
 
 INT_TOL = 1e-6
+HIGHS_TOL = 1e-9          # HiGHS primal and MIP feasibility tolerance
 
 
 @dataclass
@@ -168,14 +170,18 @@ def _highs_solve(mip: MixedIntegerProgram, integral: bool, gap_tol: float = 0.0,
         constraints = optimize.LinearConstraint(
             sparse.csr_array((data, indices, indptr), shape=(m, n)),
             np.where(senses == "<=", -INF, rhs), np.where(senses == ">=", INF, rhs))
-    options = dict(disp=False, mip_rel_gap=gap_tol)
+    # HiGHS' default MIP feasibility tolerance, 1e-6, is looser than
+    # check_solution's 1e-7; scipy passes these HiGHS options on, with a warning
+    options = dict(disp=False, mip_rel_gap=gap_tol, mip_feasibility_tolerance=HIGHS_TOL,
+                   primal_feasibility_tolerance=HIGHS_TOL)
     if time_limit is not None:
         options["time_limit"] = time_limit
     # HiGHS writes some MIP messages to fd 1 even with disp=False
     sys.stdout.flush()
     saved_stdout = os.dup(1)
     try:
-        with open(os.devnull, "wb") as devnull:
+        with open(os.devnull, "wb") as devnull, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
             os.dup2(devnull.fileno(), 1)
             res = optimize.milp(c, integrality=integrality, bounds=optimize.Bounds(lb, ub),
                                 constraints=constraints, options=options)

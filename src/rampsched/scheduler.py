@@ -3,12 +3,16 @@
 Assembles the demand-response problem (production-rate dynamics under the
 fitted ramping envelope, convex heat demand, conversion units with minimum
 part load, storage, grid exchange, energy costs) on an orthogonal
-collocation grid, plus the as-fast-as-possible ramp problems.  The heat
-demand is the epigraph of the convex max-affine demand model, one row per
-plane and no binaries; the epigraph equals the model only while surplus
-heat never pays, which `extract_result` checks on every solution.  Powers
-are in kW, heat demand converted from the process model's kJ/h, prices in
-currency/kWh, time in hours.
+collocation grid, plus the as-fast-as-possible ramp problems.  Under the
+envelope, nu lies below every upper plane, with no binaries, and above one
+of the K lower planes; each hour (element in a ramp) selects that plane
+freely with ceil(log2 K) binaries, since every lower plane is conservative
+on the whole band.  The heat demand is the epigraph of the convex
+max-affine demand model, one row per plane and no binaries; the epigraph
+equals the model only while surplus heat never pays, which
+`extract_result` checks on every solution.  Powers are in kW, heat demand
+converted from the process model's kJ/h, prices in currency/kWh, time in
+hours.
 """
 
 from __future__ import annotations
@@ -149,8 +153,7 @@ class ScheduleLayout:
     dp: dict             # (e, j) -> grid exchange var
     q_dem: dict          # (e, j) -> process heat demand var
     z_on: dict           # (unit, hour) -> var
-    z_rho: list
-    z_rho_dot: list
+    z_sel: list          # per hour (ramp: element), the lower-plane code bits
 
 
 def _state_chain(mip: MixedIntegerProgram, grid: CollocationGrid, name: str,
@@ -216,58 +219,51 @@ def _select(coeffs: dict, rhs: float, mis: list, M: float) -> float:
     return rhs
 
 
-def _seg_big_m(env: RampingEnvelope, rho_box, rd_box, nu_box) -> dict:
-    """Per PWA segment, the big-M values (min side, max side) that relax
-    seg_min - nu <= 0 and nu - seg_max <= 0 over the variable box."""
+def _lower_big_m(env: RampingEnvelope, rho_box, rd_box, nu_box) -> list:
+    """Per lower nu plane, the big-M that relaxes plane - nu <= 0 over the
+    variable box."""
     corners = [(r, d) for r in rho_box for d in rd_box]
-    out = {}
-    for key, smin in env.nu_pwa.seg_min.items():
-        hi_min = max(smin(r, d) for r, d in corners)
-        lo_max = min(env.nu_pwa.seg_max[key](r, d) for r, d in corners)
-        out[key] = (max(hi_min - nu_box[0], 0.0) + 1.0,
-                    max(nu_box[1] - lo_max, 0.0) + 1.0)
-    return out
+    return [max(max(pl(r, d) for r, d in corners) - nu_box[0], 0.0) + 1.0
+            for pl in env.nu_pwa.lower]
 
 
-def _band_and_link_rows(mip: MixedIntegerProgram, env: RampingEnvelope, rho_box,
-                        rd_box, r_v: int, d_v: int, z_r: int, z_d: int,
-                        sfx: str) -> None:
-    """Linear rho_dot band at one point, and the links that put the segment
-    binaries on the point's quadrant: z_r = 1 for rho >= rho_nom, z_d = 1
-    for rho_dot >= 0."""
+def _selection_bits(mip: MixedIntegerProgram, env: RampingEnvelope, n: int) -> list:
+    """Per hour (element in a ramp), the ceil(log2 K) binaries whose code
+    selects one of the K lower nu planes."""
+    k = len(env.nu_pwa.lower)
+    if k & (k - 1):
+        raise ValueError(f"{k} lower nu planes: a code of binaries would leave "
+                         "some codes selecting none")
+    n_bits = (k - 1).bit_length()
+    return [[mip.add_variable(f"zs_{h}_{i}", 0, 1, integer=True) for i in range(n_bits)]
+            for h in range(n)]
+
+
+def _band_rows(mip: MixedIntegerProgram, env: RampingEnvelope, r_v: int, d_v: int,
+               sfx: str) -> None:
+    """Linear rho_dot band at one point."""
     rd_l, rd_u = env.rd_lower, env.rd_upper
     mip.add_constraint({d_v: 1.0, r_v: -rd_u.a1}, "<=", rd_u.a0, name=f"rdu{sfx}")
     mip.add_constraint({d_v: 1.0, r_v: -rd_l.a1}, ">=", rd_l.a0, name=f"rdl{sfx}")
-    (rho_lo, rho_hi), rho_nom = rho_box, env.rho_nom
-    mip.add_constraint({r_v: 1.0, z_r: -(rho_hi - rho_nom)},
-                       "<=", rho_nom, name=f"lzr1{sfx}")
-    mip.add_constraint({r_v: 1.0, z_r: -(rho_nom - rho_lo)},
-                       ">=", rho_lo, name=f"lzr2{sfx}")
-    mip.add_constraint({d_v: 1.0, z_d: -rd_box[1]}, "<=", 0.0, name=f"lzd1{sfx}")
-    mip.add_constraint({d_v: 1.0, z_d: -rd_box[0]}, ">=", rd_box[0], name=f"lzd2{sfx}")
 
 
-def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, seg_M: dict,
-                 nu_terms: list, r_v: int, d_v: int, z_r: int, z_d: int,
+def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, lower_M: list,
+                 nu_terms: list, r_v: int, d_v: int, z_sel: list,
                  prefix: str, sfx: str = "") -> None:
-    """seg_min(rho, rho_dot) <= nu <= seg_max(rho, rho_dot) for every PWA
-    segment, big-M relaxed unless (z_r, z_d) select the segment; nu is
-    given as (var, coefficient) terms."""
-    for key in env.nu_pwa.seg_min:
-        mis = [(z_r, key[0]), (z_d, key[1])] if env.nu_pwa.n_segments == 4 else []
-        smin, smax = env.nu_pwa.seg_min[key], env.nu_pwa.seg_max[key]
-        M_min, M_max = seg_M[key]
-        tag = f"{key[0]:d}{key[1]:d}{sfx}"
+    """nu <= every upper plane, and nu >= every lower plane, big-M relaxed
+    unless the bits `z_sel` encode the plane's index; nu is given as
+    (var, coefficient) terms."""
+    for k, pu in enumerate(env.nu_pwa.upper):
         coeffs = dict(nu_terms)
-        coeffs[r_v] = coeffs.get(r_v, 0.0) - smax.a_rho
-        coeffs[d_v] = coeffs.get(d_v, 0.0) - smax.a_rho_dot
-        rhs = _select(coeffs, smax.a0, mis, M_max)
-        mip.add_constraint(coeffs, "<=", rhs, name=f"{prefix}u_{tag}")
-        coeffs = {k: -c for k, c in nu_terms}
-        coeffs[r_v] = coeffs.get(r_v, 0.0) + smin.a_rho
-        coeffs[d_v] = coeffs.get(d_v, 0.0) + smin.a_rho_dot
-        rhs = _select(coeffs, -smin.a0, mis, M_min)
-        mip.add_constraint(coeffs, "<=", rhs, name=f"{prefix}l_{tag}")
+        coeffs[r_v] = coeffs.get(r_v, 0.0) - pu.a_rho
+        coeffs[d_v] = coeffs.get(d_v, 0.0) - pu.a_rho_dot
+        mip.add_constraint(coeffs, "<=", pu.a0, name=f"{prefix}u_{k}{sfx}")
+    for k, (pl, M) in enumerate(zip(env.nu_pwa.lower, lower_M)):
+        coeffs = {v: -c for v, c in nu_terms}
+        coeffs[r_v] = coeffs.get(r_v, 0.0) + pl.a_rho
+        coeffs[d_v] = coeffs.get(d_v, 0.0) + pl.a_rho_dot
+        rhs = _select(coeffs, -pl.a0, [(z, (k >> i) & 1) for i, z in enumerate(z_sel)], M)
+        mip.add_constraint(coeffs, "<=", rhs, name=f"{prefix}l_{k}{sfx}")
 
 
 def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, ScheduleLayout]:
@@ -312,10 +308,7 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
         for h in range(n_hours):
             z_on[(u.name, h)] = mip.add_variable(f"z_{u.name}_{h}", 0, 1,
                                                  integer=True)
-    z_rho = [mip.add_variable(f"zr_{h}", 0, 1, integer=True)
-             for h in range(n_hours)]
-    z_rd = [mip.add_variable(f"zd_{h}", 0, 1, integer=True)
-            for h in range(n_hours)]
+    z_sel = _selection_bits(mip, env, n_hours)
 
     def cost_rate(e, j):
         hour = min(e // sp.elems_per_hour, n_hours - 1)
@@ -333,10 +326,10 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
             for j in range(1, grid.pts + 1):
                 _collocation_row(mip, grid, chain, e, j, deriv(e, j), name)
 
-    # ramping envelope and PWA selection ------------------------------------
-    seg_M = _seg_big_m(env, (rho_lo, rho_hi), rd_box, nu_box)
-    _pwa_nu_rows(mip, env, seg_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
-                 z_rho[0], z_rd[0], "inu")
+    # ramping envelope and lower-plane selection -----------------------------
+    lower_M = _lower_big_m(env, (rho_lo, rho_hi), rd_box, nu_box)
+    _pwa_nu_rows(mip, env, lower_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
+                 z_sel[0], "inu")
 
     for e in range(grid.n_elem):
         hour = min(e // sp.elems_per_hour, n_hours - 1)
@@ -344,10 +337,8 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
             r_v, d_v = rho[e][j], rd[e][j]
             nu_expr = _nu_interp(grid, nu_nodes, 1, e, j)
             sfx = f"_{e}_{j}"
-            _band_and_link_rows(mip, env, (rho_lo, rho_hi), rd_box, r_v, d_v,
-                                z_rho[hour], z_rd[hour], sfx)
-            _pwa_nu_rows(mip, env, seg_M, nu_expr, r_v, d_v, z_rho[hour],
-                         z_rd[hour], "pwa", sfx)
+            _band_rows(mip, env, r_v, d_v, sfx)
+            _pwa_nu_rows(mip, env, lower_M, nu_expr, r_v, d_v, z_sel[hour], "pwa", sfx)
             # convex heat demand: q_dem on or above every plane
             for k, pl in enumerate(dm.planes):
                 coeffs = {q_dem[(e, j)]: 1.0, r_v: -pl.c_rho / KJH_PER_KW,
@@ -383,7 +374,7 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
     mip.set_objective({phi[-1][grid.pts]: 1.0})
 
     layout = ScheduleLayout(grid, rho, rd, S, phi, nu_nodes, q_in, dp, q_dem,
-                            z_on, z_rho, z_rd)
+                            z_on, z_sel)
     return mip, layout
 
 
@@ -512,7 +503,8 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
                  elem_h: float = 0.1, pts: int = 2
                  ) -> tuple[MixedIntegerProgram, ScheduleLayout]:
     """As-fast-as-possible ramp MILP: envelope rows only, objective is the
-    signed integral of the production rate, PWA binaries per element."""
+    signed integral of the production rate, ceil(log2 K) lower-plane
+    selection binaries per element."""
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     up = direction == "up"
@@ -529,10 +521,7 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
     _fix(mip, rd[0][0], 0.0)
     nu_nodes = [mip.add_variable(f"nu_{k}", *nu_box)
                 for k in range(grid.n_elem + 1)]
-    z_rho = [mip.add_variable(f"zr_{e}", 0, 1, integer=True)
-             for e in range(grid.n_elem)]
-    z_rd = [mip.add_variable(f"zd_{e}", 0, 1, integer=True)
-            for e in range(grid.n_elem)]
+    z_sel = _selection_bits(mip, env, grid.n_elem)
 
     nodes_per_hour = elems_per_hour   # nu breaks at element boundaries
     for e in range(grid.n_elem):
@@ -541,17 +530,16 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
             _collocation_row(mip, grid, rd, e, j,
                              _nu_interp(grid, nu_nodes, nodes_per_hour, e, j), "dC_rd")
 
-    seg_M = _seg_big_m(env, (rho_lo, rho_hi), rd_box, nu_box)
-    _pwa_nu_rows(mip, env, seg_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
-                 z_rho[0], z_rd[0], "inu")
+    lower_M = _lower_big_m(env, (rho_lo, rho_hi), rd_box, nu_box)
+    _pwa_nu_rows(mip, env, lower_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
+                 z_sel[0], "inu")
     for e in range(grid.n_elem):
         for j in range(1, grid.pts + 1):
             r_v, d_v = rho[e][j], rd[e][j]
             sfx = f"_{e}_{j}"
-            _band_and_link_rows(mip, env, (rho_lo, rho_hi), rd_box, r_v, d_v,
-                                z_rho[e], z_rd[e], sfx)
-            _pwa_nu_rows(mip, env, seg_M, _nu_interp(grid, nu_nodes, nodes_per_hour, e, j),
-                         r_v, d_v, z_rho[e], z_rd[e], "pwa", sfx)
+            _band_rows(mip, env, r_v, d_v, sfx)
+            _pwa_nu_rows(mip, env, lower_M, _nu_interp(grid, nu_nodes, nodes_per_hour, e, j),
+                         r_v, d_v, z_sel[e], "pwa", sfx)
 
     # objective: maximize (up) / minimize (down) the integral of rho
     w = grid.weights
@@ -561,8 +549,7 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
         for j in range(1, grid.pts + 1):
             obj[rho[e][j]] = obj.get(rho[e][j], 0.0) + sign * w[j - 1] * grid.h
     mip.set_objective(obj)
-    layout = ScheduleLayout(grid, rho, rd, [], [], nu_nodes, {}, {}, {}, {},
-                            z_rho, z_rd)
+    layout = ScheduleLayout(grid, rho, rd, [], [], nu_nodes, {}, {}, {}, {}, z_sel)
     return mip, layout
 
 

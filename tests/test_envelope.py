@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampsched.envelope import (EnvelopeFitError, LinearLimit, detect_regions,
+from rampsched.envelope import (N_LOWER, N_UPPER, EnvelopeFitError, LinearLimit,
+                                _magnani_boyd, detect_regions,
                                 envelope_from_json, envelope_to_json,
                                 demand_from_json, demand_to_json, fit_demand_pwa,
-                                fit_nu_pwa, fit_rho_dot_limits, im_input_u2,
+                                fit_rho_dot_limits, im_input_u2,
                                 max_tau, nu_limits_true, rho_dot_limit_from_bound,
                                 sbm_limits, true_rho_dot_limits)
 from rampsched.process import Trajectory, check_bounds
@@ -178,12 +179,6 @@ def test_pwa_coverage_mean(envelope):
     assert envelope.coverage.min >= 0.0
 
 
-def test_single_segment_coverage(strategy, params, bounds, envelope):
-    _, cov = fit_nu_pwa(strategy, params, bounds, envelope.rd_lower,
-                        envelope.rd_upper, segments=1)
-    assert 0.70 <= cov.mean <= 0.90
-
-
 def test_pwa_conservative_on_fit_grid(strategy, params, bounds, envelope):
     from rampsched.envelope import _nu_grid
     R, D = _nu_grid(strategy, params, bounds, envelope.rd_lower,
@@ -193,6 +188,9 @@ def test_pwa_conservative_on_fit_grid(strategy, params, bounds, envelope):
             tl, th = nu_limits_true(R[i, j], D[i, j], strategy, params, bounds)
             pl, ph = envelope.nu_range(R[i, j], D[i, j])
             assert tl - 1e-9 <= pl < ph <= th + 1e-9
+            # the vectorized coverage against point-by-point evaluation
+            assert envelope.coverage.values[i, j] == pytest.approx((ph - pl) / (th - tl),
+                                                                   rel=1e-9)
 
 
 def test_envelope_conservative_off_grid(strategy, params, bounds, envelope):
@@ -212,9 +210,25 @@ def test_envelope_conservative_off_grid(strategy, params, bounds, envelope):
     assert report.feasible, str(report)
 
 
+def test_nu_planes_hold_on_whole_band(strategy, params, bounds, envelope):
+    """Every lower plane lies on or above the true lower limit, and the
+    minimum of the upper planes on or below the true upper limit (to 1e-9,
+    as the upper planes touch it), at every node of the 51 x 51 band grid,
+    so any lower plane is a safe pick."""
+    from rampsched.envelope import _nu_grid
+    R, D = _nu_grid(strategy, params, bounds, envelope.rd_lower,
+                    envelope.rd_upper, 51)
+    tl, th = nu_limits_true(R, D, strategy, params, bounds)
+    pwa = envelope.nu_pwa
+    assert (len(pwa.lower), len(pwa.upper)) == (N_LOWER, N_UPPER)
+    for pl in pwa.lower:
+        assert np.all(pl(R, D) >= tl)
+    assert np.all(pwa.nu_range(R, D)[1] <= th + 1e-9)
+
+
 def test_envelope_coverage_pinned(envelope):
-    assert envelope.coverage.mean == pytest.approx(0.901612497, abs=1e-8)
-    assert envelope.coverage.min == pytest.approx(0.749151491, abs=1e-8)
+    assert envelope.coverage.mean == pytest.approx(0.918341416, abs=1e-8)
+    assert envelope.coverage.min == pytest.approx(0.846084040, abs=1e-8)
 
 
 def test_pwa_steady_point_admits_both_signs(envelope):
@@ -228,10 +242,43 @@ def test_envelope_json_roundtrip(tmp_path, envelope):
     back = envelope_from_json(path)
     assert back.rd_lower == envelope.rd_lower
     assert back.rd_upper == envelope.rd_upper
-    for key in envelope.nu_pwa.seg_min:
-        assert back.nu_pwa.seg_min[key] == envelope.nu_pwa.seg_min[key]
-        assert back.nu_pwa.seg_max[key] == envelope.nu_pwa.seg_max[key]
+    assert back.nu_pwa.lower == envelope.nu_pwa.lower
+    assert back.nu_pwa.upper == envelope.nu_pwa.upper
     assert back.coverage.mean == pytest.approx(envelope.coverage.mean)
+
+
+# --- Magnani-Boyd alternation ----------------------------------------------------
+
+def test_magnani_boyd_two_cycle_returns_best_iterate():
+    """Labellings that flip one point back and forth end the alternation
+    with the better of the two iterates instead of exhausting the cap."""
+    flip = [np.array([0, 0, 1]), np.array([0, 1, 1])]
+    values = {0: 90626.65, 1: 90629.62}
+    rounds = []
+
+    def fit(labels):
+        rounds.append(labels)
+        return np.full((2, 1), float(labels[1]))
+
+    def score(coef):
+        k = int(coef[0, 0])
+        return values[k], flip[1 - k]
+
+    coef = _magnani_boyd(fit, score, flip[0])
+    assert coef[0, 0] == 0.0
+    assert len(rounds) == 2
+
+
+def test_magnani_boyd_cap_raises():
+    state = {"value": 0.0, "label": 0}
+
+    def score(coef):
+        state["value"] -= 1.0
+        state["label"] += 1
+        return state["value"], np.array([state["label"]])
+
+    with pytest.raises(EnvelopeFitError, match="did not settle"):
+        _magnani_boyd(lambda labels: np.zeros((1, 1)), score, np.array([0]))
 
 
 # --- demand model ---------------------------------------------------------------

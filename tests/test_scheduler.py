@@ -1,9 +1,13 @@
+import dataclasses
+import math
+
 import pytest
 
+from rampsched.envelope import N_LOWER
 from rampsched.milp import check_solution
 from rampsched.scheduler import (KJH_PER_KW, ScheduleProblem, assemble_problem,
-                                 desk_components, solve_ramp, solve_schedule,
-                                 two_level_market)
+                                 desk_components, ramp_problem, solve_ramp,
+                                 solve_schedule, two_level_market)
 
 GAP_TOL = 0.02
 
@@ -82,13 +86,30 @@ def test_schedule_time_out_without_incumbent_raises(envelope, demand_model):
         solve_schedule(sp)
 
 
-@pytest.mark.parametrize("direction, elem_h", [("up", 0.25), ("down", 0.5)])
+@pytest.mark.parametrize("direction, elem_h", [("up", 0.25), ("up", 0.1), ("down", 0.5)])
 def test_ramp_reaches_target(envelope, direction, elem_h):
     res = solve_ramp(direction, envelope, elem_h=elem_h)
     assert res.ramp_time is not None
     assert 0.0 < res.ramp_time <= res.times[-1]
     target = envelope.rho_bounds[1] if direction == "up" else envelope.rho_bounds[0]
     assert res.rho[-1] == pytest.approx(target, rel=0.01)
+
+
+def test_ramp_problem_selects_lower_plane_by_code(envelope):
+    """ceil(log2 N_LOWER) binaries per element pick the lower nu plane, and
+    no row ties the pick to the point's quadrant."""
+    mip, layout = ramp_problem("up", envelope, 2.5, elem_h=0.25)
+    n_elem = layout.grid.n_elem
+    assert sum(v.integer for v in mip.variables) == n_elem * math.ceil(math.log2(N_LOWER))
+    assert [len(bits) for bits in layout.z_sel] == [math.ceil(math.log2(N_LOWER))] * n_elem
+    assert not [r.name for r in mip.rows if r.name.startswith("lz")]
+
+
+def test_lower_plane_count_off_a_power_of_two_raises(envelope):
+    pwa = envelope.nu_pwa
+    three = dataclasses.replace(pwa, lower=pwa.lower + pwa.lower[:1])
+    with pytest.raises(ValueError, match="3 lower nu planes"):
+        ramp_problem("up", dataclasses.replace(envelope, nu_pwa=three), 1.0)
 
 
 def test_ramp_solve_prints_nothing(envelope, capfd):
