@@ -586,25 +586,12 @@ def sbm_limits(rho: float, tau: float, rho_sp_min: float,
 def max_tau(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
             n_grid: int = 51) -> float:
     """Smallest time constant whose surrogate band stays inside the true
-    rate-derivative limits at every grid point (bisection on tau)."""
+    rate-derivative limits at every grid point.
+
+    The band (rho_min - rho)/tau .. (rho_max - rho)/tau lies inside
+    lower(rho) < 0 < upper(rho) exactly when tau is at least
+    (rho_min - rho)/lower(rho) and (rho_max - rho)/upper(rho), so tau is the
+    largest of those ratios over the grid."""
     rho = np.linspace(*b.rho, n_grid)
-    true = [true_rho_dot_limits(r, strat, p, b)[:2] for r in rho]
-    sp_lo, sp_hi = b.rho
-
-    def contained(tau: float) -> bool:
-        for r, (lo, hi) in zip(rho, true):
-            s_lo, s_hi = sbm_limits(r, tau, sp_lo, sp_hi)
-            if s_lo < lo - 1e-12 or s_hi > hi + 1e-12:
-                return False
-        return True
-
-    lo_t, hi_t = 1e-3, 1e4
-    if not contained(hi_t):
-        raise RuntimeError("no admissible time constant found")
-    for _ in range(200):
-        mid = 0.5 * (lo_t + hi_t)
-        if contained(mid):
-            hi_t = mid
-        else:
-            lo_t = mid
-    return hi_t
+    lower, upper = np.array([true_rho_dot_limits(r, strat, p, b)[:2] for r in rho]).T
+    return float(max(np.max((b.rho[0] - rho) / lower), np.max((b.rho[1] - rho) / upper)))

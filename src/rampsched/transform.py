@@ -41,6 +41,14 @@ array runs one safeguarded Newton/bisection over all its points at once,
 on the exact T1 partial; a grid of thousands of points costs about as
 much as a few brentq roots.  Both roots evaluate the same residual and
 stop at 1e-10 K.
+
+The strategy itself is fitted by steady-state optimization
+(fit_operating_strategy).  The heat demand Q1+Q2 rises with cA1, so its free
+optimum at each rho is the edge FB = FB_max of the feasible cA1 window.  That
+edge is concave in rho, so the best line that holds FB <= FB_max on the whole
+rho band is one of its tangents, and the fit is one bounded scalar search
+over the tangent point.  A cA1 scan checks the premise and a dense rho sweep
+the line's other bounds; the fit raises SteadyStateError where either fails.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, minimize_scalar
 
 from .flatness import OutputCandidate, SparsityModel
 from .process import (Bounds, InputVec, ProcessParams, StateVec, _rhs_array,
@@ -437,6 +445,9 @@ def scaled_residual(x: StateVec, u: InputVec, rho: float, p: ProcessParams) -> f
     return np.max(np.abs(rhs).T / _RES_SCALE, axis=-1).T
 
 
+_CA1_SLACK = 1e-12               # lift of the fitted strategy off the FB edge
+
+
 def _window(rho: float, strat: OperatingStrategy, p: ProcessParams,
             b: Bounds) -> tuple[float, float]:
     """cA1 interval with 0 <= FB <= FB_max at the given rho."""
@@ -469,77 +480,71 @@ def fit_operating_strategy(p: ProcessParams | None = None,
                            n_grid: int = 21) -> tuple[OperatingStrategy, StrategyFitReport]:
     """Fit the linear strategy cA1 = a0 + a1*rho by steady-state optimization.
 
-    Per grid rho, the free optimum of Q1+Q2 over cA1 is located by a coarse
-    scan plus golden-section refinement on the FB-feasible window (points
-    violating any variable bound are excluded).  The line is then fit by
-    Nelder-Mead on the summed objective, seeded by least squares through the
-    per-rho optima; the best constant strategy is fit the same way for the
-    degradation report.  Each scan, each golden-section round (all grid rho
-    at once) and each evaluation of the summed objective is one steady batch.
+    The objective is Q1+Q2 summed over n_grid rho.  Its free optimum at each
+    rho is the FB edge of _window, lo(rho) = xi1 + rho*k/(FB_max + rho) with
+    k = cAv - xi1, because Q1+Q2 rises with cA1 across the feasible window.
+    lo is concave, so every line that holds FB <= FB_max on the whole band
+    lies on or above a tangent to lo at some t in the band, and that tangent
+    costs no more.  The line is therefore the best tangent,
+    a1 = k*FB_max/(FB_max + t)**2, a0 = lo(t) - t*a1, found by one bounded
+    scalar search over t, each evaluation one steady batch over the grid.
+    lo rises with rho, so the best constant strategy is lo(rho_max).  Both
+    are lifted by _CA1_SLACK, so that FB rounds to at most FB_max where they
+    touch the edge.
+
+    One steady batch over a 161-point cA1 scan per grid rho checks the
+    premise: the edge is feasible, and Q1+Q2 never falls as cA1 rises over
+    the feasible scan points.  One steady batch over 2 001 rho then checks
+    that the line meets every bound (T1, Fp, Q1, Q2 as well as FB).  Either
+    failure raises SteadyStateError naming the rho: bounds that make an
+    interior cA1 optimal, or put the edge outside another bound, have no
+    tangent solution.
     """
     p = p or ProcessParams()
     b = bounds or Bounds()
     base = OperatingStrategy(a0_xi4=0.0, a1_xi4=0.0)
-    rho_lo, rho_hi = b.rho
-    rhos = np.linspace(rho_lo, rho_hi, n_grid)
+    rhos = np.linspace(*b.rho, n_grid)
+    k, fb_max = nominal_vapor(base, p)[0] - base.xi1_nom, b.FB[1]
 
     def objective(rho: np.ndarray, cA1: np.ndarray) -> np.ndarray:
-        lo, hi = _window(rho, base, p, b)
         x, u, fail = _steady_batch(rho, cA1, base, p, b)
-        ok = (lo - 1e-12 <= cA1) & (cA1 <= hi) & (fail == 0) & _steady_feasible(x, u, b)
-        return np.where(ok, u.Q1 + u.Q2, np.inf)
+        return np.where((fail == 0) & _steady_feasible(x, u, b), u.Q1 + u.Q2, np.inf)
+
+    def require(ok: np.ndarray, rho: np.ndarray, what: str) -> None:
+        if not np.all(ok):
+            raise SteadyStateError(f"{what} at rho={rho[np.argmin(ok)]:.4g}")
 
     lo, hi = _window(rhos, base, p, b)
-    grid = np.linspace(lo, hi, 161, axis=1)
+    grid = np.linspace(lo + _CA1_SLACK, hi, 161, axis=1)
     vals = objective(np.repeat(rhos, 161), grid.ravel()).reshape(grid.shape)
-    idx = np.argmin(vals, axis=1)
-    rows = np.arange(n_grid)
-    if not np.all(np.isfinite(vals[rows, idx])):
-        bad = rhos[np.argmin(np.isfinite(vals[rows, idx]))]
-        raise SteadyStateError(f"empty feasible window at rho={bad:.4g}")
-    a, c = grid[rows, np.maximum(idx - 1, 0)], grid[rows, np.minimum(idx + 1, 160)]
-    both = np.concatenate([rhos, rhos])
-    for _ in range(60):
-        m1, m2 = a + 0.382 * (c - a), a + 0.618 * (c - a)
-        v1, v2 = np.split(objective(both, np.concatenate([m1, m2])), 2)
-        # shrink from above where m1 is better, or the only finite one
-        move_c = np.isfinite(v1) & (~np.isfinite(v2) | (v1 < v2))
-        a, c = np.where(move_c, a, m1), np.where(move_c, m2, c)
-    cand = 0.5 * (a + c)
-    val = objective(rhos, cand)
-    bad = ~np.isfinite(val)
-    cand[bad], val[bad] = grid[rows, idx][bad], vals[rows, idx][bad]
-    free_ca1 = [float(v) for v in cand]
-    free_total = float(sum(val.tolist()))
+    # feasible at the edge, and never below a feasible value nearer to it
+    q = np.where(np.isfinite(vals), vals, np.nan)
+    require(np.isfinite(q[:, 0]) & ~np.any(q < np.fmax.accumulate(q, axis=1), axis=1),
+            rhos, "the FB edge is not the feasible minimum of Q1+Q2")
+    free_total = float(np.sum(vals[:, 0]))
 
     def total(a0: float, a1: float) -> float:
-        v = objective(rhos, a0 + a1 * rhos)
-        # cumsum adds in grid order, as a running sum does
-        return float(np.cumsum(v)[-1]) if np.all(np.isfinite(v)) else np.inf
+        return float(np.sum(objective(rhos, a0 + a1 * rhos)))
 
-    A = np.vstack([np.ones_like(rhos), rhos]).T
-    seed, *_ = np.linalg.lstsq(A, np.array(free_ca1), rcond=None)
-    best = None
-    for shift in (0.0, 1e-3, -1e-3):
-        res = minimize(lambda q: total(q[0], q[1]), seed + np.array([shift, 0.0]),
-                       method="Nelder-Mead",
-                       options=dict(xatol=1e-9, fatol=1e-2, maxiter=4000))
-        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
-        raise SteadyStateError("no feasible linear strategy found")
-    res_c = minimize(lambda q: total(q[0], 0.0), [float(np.mean(free_ca1))],
-                     method="Nelder-Mead", options=dict(xatol=1e-9, fatol=1e-2))
-    strat = OperatingStrategy(a0_xi4=float(best.x[0]), a1_xi4=float(best.x[1]))
+    def tangent(t: float) -> tuple[float, float]:
+        a1 = k * fb_max / (fb_max + t) ** 2
+        return _window(t, base, p, b)[0] - t * a1 + _CA1_SLACK, a1
+
+    res = minimize_scalar(lambda t: total(*tangent(t)), bounds=b.rho, method="bounded")
+    a0, a1 = (float(v) for v in tangent(res.x))
+    dense = np.linspace(*b.rho, 2001)
+    require(np.isfinite(objective(dense, a0 + a1 * dense)), dense,
+            "the tangent strategy violates a bound")
+    const = _window(b.rho[1], base, p, b)[0] + _CA1_SLACK
     report = StrategyFitReport(
         rho_grid=[float(r) for r in rhos],
-        free_ca1=free_ca1,
+        free_ca1=[float(v) for v in grid[:, 0]],
         free_objective=free_total,
-        const_value=float(res_c.x[0]),
-        const_degradation_pct=100.0 * (float(res_c.fun) - free_total) / free_total,
-        linear_degradation_pct=100.0 * (float(best.fun) - free_total) / free_total,
+        const_value=float(const),
+        const_degradation_pct=100.0 * (total(const, 0.0) - free_total) / free_total,
+        linear_degradation_pct=100.0 * (float(res.fun) - free_total) / free_total,
     )
-    return strat, report
+    return OperatingStrategy(a0_xi4=a0, a1_xi4=a1), report
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module imports is used in it, and every
+private module-level function or constant of the package is read somewhere
+in the package or its tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rampsched"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rampsched"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -30,6 +33,44 @@ def unused_imports(tree: ast.Module) -> list[str]:
                   if name not in used)
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and constants whose name starts with one
+    underscore, with the line that defines them."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defs.update({n: node.lineno for n in names
+                     if n.startswith("_") and not n.startswith("__")})
+    return defs
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as attributes or imports from another."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def unused_privates(modules: dict[str, ast.Module],
+                    readers: list[ast.Module]) -> list[str]:
+    """Private definitions of `modules` that no tree in `readers` reads."""
+    read = set().union(*map(names_read, readers))
+    return sorted(f"{mod} line {line}: {name}" for mod, tree in modules.items()
+                  for name, line in private_definitions(tree).items() if name not in read)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -39,3 +80,18 @@ def test_unused_import_detected():
     tree = ast.parse("import os\nfrom math import exp, log\nprint(exp(1))\n"
                      "__all__ = ['missing']\n")
     assert unused_imports(tree) == ["line 1: os", "line 2: log"]
+
+
+def test_no_unused_private_names():
+    modules = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    tests = [ast.parse(p.read_text()) for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert unused_privates(modules, [*modules.values(), *tests]) == []
+
+
+def test_unused_private_detected():
+    mod = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\n\n"
+                    "def _f():\n    return _A\n\n\ndef _g():\n    pass\n\n\n"
+                    "def pub():\n    pass\n")
+    user = ast.parse("from m import _B\nimport m\nm._unused_attr\n")
+    assert unused_privates({"m.py": mod}, [mod, user]) == [
+        "m.py line 5: _f", "m.py line 9: _g"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from rampsched.process import (Bounds, ControlSchedule, InputVec,
 from rampsched.transform import (OperatingStrategy, OutsideFlatRegionError,
                                  RampingPoint, SteadyStateError, _flat_rate,
                                  _psi_partials, _steady_batch, _steady_feasible,
-                                 _window, backtransform, nominal_vapor, psi_Fp,
-                                 q1_affine_in_nu, scaled_residual, solve_T1,
-                                 steady_state_point, strategy_outputs)
+                                 _window, backtransform, fit_operating_strategy,
+                                 nominal_vapor, psi_Fp, q1_affine_in_nu,
+                                 scaled_residual, solve_T1, steady_state_point,
+                                 strategy_outputs)
 
 RHO_NOM = 5.25
 
@@ -53,8 +56,25 @@ def test_linear_strategy_degradation(strategy_fit):
 
 
 def test_fitted_strategy_pinned(strategy):
-    assert strategy.a0_xi4 == pytest.approx(0.4572912159075695, rel=1e-8)
-    assert strategy.a1_xi4 == pytest.approx(0.0024124966017676453, rel=1e-8)
+    assert strategy.a0_xi4 == pytest.approx(0.45730593775063044, rel=1e-8)
+    assert strategy.a1_xi4 == pytest.approx(0.0024097734062321187, rel=1e-8)
+
+
+def test_fitted_strategy_holds_fb_on_whole_band(strategy, params, bounds):
+    """The line is a tangent to the FB edge lifted off it, so FB stays within
+    FB_max between grid points as well, at 2 001 rho."""
+    rho = np.linspace(*bounds.rho, 2001)
+    _, u, fail = _steady_batch(rho, strategy.pi4(rho), OperatingStrategy(0.0, 0.0),
+                               params, bounds)
+    assert np.all(fail == 0)
+    assert np.max(u.FB) <= bounds.FB[1]
+
+
+def test_fit_raises_off_the_fb_edge(params, bounds):
+    """A T1 minimum of 428 K cuts the FB edge out of the feasible window, so
+    the free optimum is no longer on it and no tangent line is the best fit."""
+    with pytest.raises(SteadyStateError, match="FB edge"):
+        fit_operating_strategy(params, replace(bounds, T1=(428.0, 460.0)))
 
 
 def test_steady_batch_mask_matches_scalar(params, bounds):
@@ -81,7 +101,6 @@ def test_steady_batch_mask_matches_scalar(params, bounds):
 
 
 def test_single_point_grid_degenerates_to_constant(params, bounds):
-    from rampsched.transform import fit_operating_strategy
     strat, report = fit_operating_strategy(params, bounds, n_grid=1)
     # with one grid point the linear fit can do no better than the free optimum
     assert report.linear_degradation_pct == pytest.approx(0.0, abs=1e-6)
