@@ -10,6 +10,7 @@ integrate polynomials of degree 2K-2 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -51,16 +52,8 @@ def diff_matrix(pts: int) -> np.ndarray:
 def quad_weights(pts: int) -> np.ndarray:
     """Weights over the collocation points with int_0^1 f = sum w_j f(tau_j)."""
     tau = radau_points(pts)
-    w = np.empty(pts)
-    for j in range(pts):
-        c = np.array([1.0])
-        for k, xk in enumerate(tau):
-            if k == j:
-                continue
-            c = P.polymul(c, np.array([-xk, 1.0]))
-            c /= (tau[j] - xk)
-        w[j] = P.polyval(1.0, P.polyint(c)) - P.polyval(0.0, P.polyint(c))
-    return w
+    return np.array([P.polyval(1.0, P.polyint(_lagrange_coeffs(tau, j)))
+                     for j in range(pts)])
 
 
 @dataclass(frozen=True)
@@ -77,22 +70,18 @@ class CollocationGrid:
     def h(self) -> float:
         return 1.0 / self.elems_per_hour
 
-    @property
+    # built once per grid: every collocation row reads D
+    @cached_property
     def tau(self) -> np.ndarray:
         return radau_points(self.pts)
 
-    @property
+    @cached_property
     def D(self) -> np.ndarray:
         return diff_matrix(self.pts)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         return quad_weights(self.pts)
-
-    @property
-    def n_points(self) -> int:
-        """Collocation points over the horizon (element starts excluded)."""
-        return self.n_elem * self.pts
 
     def t_point(self, e: int, j: int) -> float:
         """Time of collocation point j (1-based within element e)."""

@@ -57,11 +57,6 @@ class SparsityModel:
         """Vertices feeding the derivative of `state` (its dependency set)."""
         return sorted(s for s, t in self.edges if t == state)
 
-    def unreachable_states(self) -> list[str]:
-        """States with no incoming edge from another vertex (uncontrollable)."""
-        return [x for x in self.states
-                if not any(t == x and s != x for s, t in self.edges)]
-
 
 @dataclass(frozen=True)
 class OutputCandidate:

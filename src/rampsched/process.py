@@ -199,9 +199,6 @@ class Trajectory:
     inputs: np.ndarray             # (M, 4)
     rho: np.ndarray                # (M,)
 
-    def state_at(self, i: int) -> StateVec:
-        return StateVec.from_array(self.states[i])
-
 
 def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
              step: float = 0.01, p: ProcessParams | None = None) -> Trajectory:

@@ -1,18 +1,20 @@
 """Simultaneous process / multi-energy-system scheduling as a MILP.
 
-Assembles the demand-response problem (production-rate dynamics under the
-fitted ramping envelope, convex heat demand, conversion units with minimum
-part load, storage, grid exchange, energy costs) on an orthogonal
-collocation grid, plus the as-fast-as-possible ramp problems.  Under the
-envelope, nu lies below every upper plane, with no binaries, and above one
-of the K lower planes; each hour (element in a ramp) selects that plane
-freely with ceil(log2 K) binaries, since every lower plane is conservative
-on the whole band.  The heat demand is the epigraph of the convex
-max-affine demand model, one row per plane and no binaries; the epigraph
-equals the model only while surplus heat never pays, which
-`extract_result` checks on every solution.  Powers are in kW, heat demand
-converted from the process model's kJ/h, prices in currency/kWh, time in
-hours.
+One collocated rate model serves both problems: the production rate rho,
+its rate rho_dot and the piecewise-linear ramping degree of freedom
+nu = d2 rho / dt2, held inside the fitted ramping envelope at every
+collocation point (`_rate_model`).  Under the envelope, nu lies below every
+upper plane, with no binaries, and above one of the K lower planes; each nu
+interval selects that plane freely with ceil(log2 K) binaries, since every
+lower plane is conservative on the whole band.  The as-fast-as-possible
+ramp breaks nu at every element and adds only its objective.  The
+demand-response schedule breaks nu hourly and adds the convex heat demand,
+conversion units with minimum part load, storage, grid exchange and energy
+costs.  The heat demand is the epigraph of the convex max-affine demand
+model, one row per plane and no binaries; the epigraph equals the model
+only while surplus heat never pays, which `extract_result` checks on every
+solution.  Powers are in kW, heat demand converted from the process
+model's kJ/h, prices in currency/kWh, time in hours.
 """
 
 from __future__ import annotations
@@ -148,12 +150,13 @@ class ScheduleLayout:
     rho_dot: list
     S: list
     phi: list
-    nu_nodes: list       # hourly nu breakpoints
+    nu_nodes: list       # nu breakpoints, nu_per_hour per hour
+    nu_per_hour: int
     q_in: dict           # (unit, e, j) -> var
     dp: dict             # (e, j) -> grid exchange var
     q_dem: dict          # (e, j) -> process heat demand var
     z_on: dict           # (unit, hour) -> var
-    z_sel: list          # per hour (ramp: element), the lower-plane code bits
+    z_sel: list          # per nu interval, the lower-plane code bits
 
 
 def _state_chain(mip: MixedIntegerProgram, grid: CollocationGrid, name: str,
@@ -183,13 +186,13 @@ def _fix(mip: MixedIntegerProgram, var: int, value: float) -> None:
     mip.variables[var].ub = value
 
 
-def _nu_interp(grid: CollocationGrid, nu_nodes: list, nodes_per_hour: int,
+def _nu_interp(grid: CollocationGrid, nu_nodes: list, nu_per_hour: int,
                e: int, j: int) -> list:
     """Coefficients expressing nu at collocation point (e, j) from the
     piecewise-linear breakpoint variables."""
     t = grid.t_point(e, j)
-    seg = min(int(t * nodes_per_hour), len(nu_nodes) - 2)
-    frac = t * nodes_per_hour - seg
+    seg = min(int(t * nu_per_hour), len(nu_nodes) - 2)
+    frac = t * nu_per_hour - seg
     return [(nu_nodes[seg], 1.0 - frac), (nu_nodes[seg + 1], frac)]
 
 
@@ -266,34 +269,76 @@ def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, lower_M: list,
         mip.add_constraint(coeffs, "<=", rhs, name=f"{prefix}l_{k}{sfx}")
 
 
+def _rate_model(mip: MixedIntegerProgram, env: RampingEnvelope, grid: CollocationGrid,
+                nu_per_hour: int, rho_box: tuple, rd_box: tuple, nu_box: tuple,
+                rho_start: float) -> tuple:
+    """The collocated rate model under the ramping envelope.
+
+    rho and rho_dot chains starting at rho_start and 0, nu breakpoints
+    nu_per_hour per hour, ceil(log2 K) lower-plane bits per nu interval, the
+    rows rho' = rho_dot and rho_dot' = nu, the initial-nu rows, and the band
+    and plane rows at every point, whose bits are those of the nu interval
+    holding its element.  Returns (rho, rho_dot, nu breakpoints, bits, nu
+    terms per point (e, j))."""
+    rho = _state_chain(mip, grid, "rho", *rho_box)
+    rd = _state_chain(mip, grid, "rd", *rd_box)
+    _fix(mip, rho[0][0], rho_start)
+    _fix(mip, rd[0][0], 0.0)
+    n_nu = grid.n_elem * nu_per_hour // grid.elems_per_hour
+    nu_nodes = [mip.add_variable(f"nu_{k}", *nu_box) for k in range(n_nu + 1)]
+    z_sel = _selection_bits(mip, env, n_nu)
+
+    nu_terms = {}
+    for e in range(grid.n_elem):
+        for j in range(1, grid.pts + 1):
+            nu_terms[(e, j)] = _nu_interp(grid, nu_nodes, nu_per_hour, e, j)
+            _collocation_row(mip, grid, rho, e, j, [(rd[e][j], 1.0)], "dC_rho")
+            _collocation_row(mip, grid, rd, e, j, nu_terms[(e, j)], "dC_rd")
+
+    lower_M = _lower_big_m(env, rho_box, rd_box, nu_box)
+    _pwa_nu_rows(mip, env, lower_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
+                 z_sel[0], "inu")
+    for e in range(grid.n_elem):
+        bits = z_sel[e * nu_per_hour // grid.elems_per_hour]
+        for j in range(1, grid.pts + 1):
+            sfx = f"_{e}_{j}"
+            _band_rows(mip, env, rho[e][j], rd[e][j], sfx)
+            _pwa_nu_rows(mip, env, lower_M, nu_terms[(e, j)], rho[e][j], rd[e][j],
+                         bits, "pwa", sfx)
+    return rho, rd, nu_nodes, z_sel, nu_terms
+
+
+def _rate_profile(layout: ScheduleLayout, x: np.ndarray) -> tuple:
+    """(times, rho, rho_dot, nu) at t = 0 and every collocation point; nu
+    interpolated between its breakpoints."""
+    grid = layout.grid
+    times = grid.all_times()
+    nu_nodes = x[layout.nu_nodes]
+    nu = np.interp(times, np.arange(len(nu_nodes)) / layout.nu_per_hour, nu_nodes)
+    return (times, _chain_values(x, grid, layout.rho),
+            _chain_values(x, grid, layout.rho_dot), nu)
+
+
 def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, ScheduleLayout]:
-    """Build the scheduling MILP: collocated rate dynamics under the PWA
-    ramping envelope, the epigraph of the convex heat demand, unit
-    commitment with part load, storage balance and energy costs."""
+    """Build the scheduling MILP: the rate model with hourly nu breakpoints,
+    the epigraph of the convex heat demand, unit commitment with part load,
+    storage balance and energy costs."""
     env, dm = sp.envelope, sp.demand
     grid = collocation_grid(sp.horizon_h, sp.elems_per_hour, sp.pts)
     mip = MixedIntegerProgram(f"DR{sp.horizon_h}H")
-    rho_lo, rho_hi = env.rho_bounds
     rho_nom = env.rho_nom
-    rd_box = env.rho_dot_box()
-    nu_box = env.nu_box()
     if sp.fix_steady:
-        rho_lo = rho_hi = rho_nom
-        rd_box = (0.0, 0.0)
-        nu_box = (0.0, 0.0)
+        boxes = (rho_nom, rho_nom), (0.0, 0.0), (0.0, 0.0)
+    else:
+        boxes = env.rho_bounds, env.rho_dot_box(), env.nu_box()
+    rho, rd, nu_nodes, z_sel, nu_terms = _rate_model(mip, env, grid, 1, *boxes, rho_nom)
 
-    rho = _state_chain(mip, grid, "rho", rho_lo, rho_hi)
-    rd = _state_chain(mip, grid, "rd", *rd_box)
     S = _state_chain(mip, grid, "S", *sp.storage)
     phi = _state_chain(mip, grid, "phi", -float("inf"), float("inf"))
-    _fix(mip, rho[0][0], rho_nom)
-    _fix(mip, rd[0][0], 0.0)
     _fix(mip, S[0][0], 0.0)
     _fix(mip, phi[0][0], 0.0)
 
     n_hours = sp.horizon_h
-    nu_nodes = [mip.add_variable(f"nu_{k}", *nu_box) for k in range(n_hours + 1)]
-
     q_in, dp, q_dem = {}, {}, {}
     for e in range(grid.n_elem):
         for j in range(1, grid.pts + 1):
@@ -308,72 +353,50 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
         for h in range(n_hours):
             z_on[(u.name, h)] = mip.add_variable(f"z_{u.name}_{h}", 0, 1,
                                                  integer=True)
-    z_sel = _selection_bits(mip, env, n_hours)
-
-    def cost_rate(e, j):
-        hour = min(e // sp.elems_per_hour, n_hours - 1)
-        out = [(q_in[(u.name, e, j)], sp.market.gas_price)
-               for u in sp.components]
-        out.append((dp[(e, j)], sp.market.el_price[hour]))
-        return out
-
-    for name, chain, deriv in (
-            ("dC_rho", rho, lambda e, j: [(rd[e][j], 1.0)]),
-            ("dC_rd", rd, lambda e, j: _nu_interp(grid, nu_nodes, 1, e, j)),
-            ("dC_S", S, lambda e, j: [(rho[e][j], 1.0), (None, -rho_nom)]),
-            ("dC_phi", phi, cost_rate)):
-        for e in range(grid.n_elem):
-            for j in range(1, grid.pts + 1):
-                _collocation_row(mip, grid, chain, e, j, deriv(e, j), name)
-
-    # ramping envelope and lower-plane selection -----------------------------
-    lower_M = _lower_big_m(env, (rho_lo, rho_hi), rd_box, nu_box)
-    _pwa_nu_rows(mip, env, lower_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
-                 z_sel[0], "inu")
 
     for e in range(grid.n_elem):
-        hour = min(e // sp.elems_per_hour, n_hours - 1)
+        hour = e // sp.elems_per_hour
         for j in range(1, grid.pts + 1):
-            r_v, d_v = rho[e][j], rd[e][j]
-            nu_expr = _nu_interp(grid, nu_nodes, 1, e, j)
             sfx = f"_{e}_{j}"
-            _band_rows(mip, env, r_v, d_v, sfx)
-            _pwa_nu_rows(mip, env, lower_M, nu_expr, r_v, d_v, z_sel[hour], "pwa", sfx)
+            _collocation_row(mip, grid, S, e, j, [(rho[e][j], 1.0), (None, -rho_nom)],
+                             "dC_S")
+            cost_rate = [(q_in[(u.name, e, j)], sp.market.gas_price)
+                         for u in sp.components]
+            cost_rate.append((dp[(e, j)], sp.market.el_price[hour]))
+            _collocation_row(mip, grid, phi, e, j, cost_rate, "dC_phi")
+
             # convex heat demand: q_dem on or above every plane
             for k, pl in enumerate(dm.planes):
-                coeffs = {q_dem[(e, j)]: 1.0, r_v: -pl.c_rho / KJH_PER_KW,
-                          d_v: -pl.c_rho_dot / KJH_PER_KW}
-                for var, c in nu_expr:
+                coeffs = {q_dem[(e, j)]: 1.0, rho[e][j]: -pl.c_rho / KJH_PER_KW,
+                          rd[e][j]: -pl.c_rho_dot / KJH_PER_KW}
+                for var, c in nu_terms[(e, j)]:
                     coeffs[var] = -c * pl.c_nu / KJH_PER_KW
                 mip.add_constraint(coeffs, ">=", pl.c0 / KJH_PER_KW, name=f"dem_{k}{sfx}")
 
-    # conversion units, balances ---------------------------------------------
-    for e in range(grid.n_elem):
-        hour = min(e // sp.elems_per_hour, n_hours - 1)
-        for j in range(1, grid.pts + 1):
+            # conversion units, balances
             heat = {}
             elec = {dp[(e, j)]: 1.0}
             for u in sp.components:
                 qi = q_in[(u.name, e, j)]
                 z = z_on[(u.name, hour)]
                 mip.add_constraint({qi: u.th_eff, z: -u.q_nom_kw}, "<=", 0.0,
-                                   name=f"pl_u_{u.name}_{e}_{j}")
+                                   name=f"pl_u_{u.name}{sfx}")
                 mip.add_constraint({qi: u.th_eff, z: -u.q_min_kw}, ">=", 0.0,
-                                   name=f"pl_l_{u.name}_{e}_{j}")
+                                   name=f"pl_l_{u.name}{sfx}")
                 heat[qi] = u.th_eff
                 if u.el_eff is not None:
                     elec[qi] = u.el_eff
             heat[q_dem[(e, j)]] = -1.0
             mip.add_constraint(heat, "=", sp.market.heat_demand_kw[hour],
-                               name=f"bal_h_{e}_{j}")
+                               name=f"bal_h{sfx}")
             mip.add_constraint(elec, "=", sp.market.el_demand_kw[hour],
-                               name=f"bal_e_{e}_{j}")
+                               name=f"bal_e{sfx}")
 
     # terminal storage and objective ------------------------------------------
     mip.add_constraint({S[-1][grid.pts]: 1.0}, ">=", 0.0, name="S_final")
     mip.set_objective({phi[-1][grid.pts]: 1.0})
 
-    layout = ScheduleLayout(grid, rho, rd, S, phi, nu_nodes, q_in, dp, q_dem,
+    layout = ScheduleLayout(grid, rho, rd, S, phi, nu_nodes, 1, q_in, dp, q_dem,
                             z_on, z_sel)
     return mip, layout
 
@@ -417,12 +440,8 @@ def extract_result(sp: ScheduleProblem, layout: ScheduleLayout,
                    sol: Solution) -> ScheduleResult:
     grid = layout.grid
     x = sol.x
-    times = grid.all_times()
-    rho = _chain_values(x, grid, layout.rho)
-    rd = _chain_values(x, grid, layout.rho_dot)
+    times, rho, rd, nu = _rate_profile(layout, x)
     S = _chain_values(x, grid, layout.S)
-    nu_nodes = np.array([x[v] for v in layout.nu_nodes])
-    nu = np.interp(times, np.arange(len(nu_nodes)), nu_nodes)
 
     pts_list = [(e, j) for e in range(grid.n_elem)
                 for j in range(1, grid.pts + 1)]
@@ -446,7 +465,7 @@ def extract_result(sp: ScheduleProblem, layout: ScheduleLayout,
     w, h_el = grid.weights, grid.h
     cost_gas = cost_buy = rev_sell = 0.0
     for k, (e, j) in enumerate(pts_list):
-        hour = min(e // sp.elems_per_hour, sp.horizon_h - 1)
+        hour = e // sp.elems_per_hour
         wk = w[j - 1] * h_el
         gas_kw = sum(x[layout.q_in[(u.name, e, j)]] for u in sp.components)
         cost_gas += wk * sp.market.gas_price * gas_kw
@@ -502,44 +521,20 @@ class RampResult:
 def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
                  elem_h: float = 0.1, pts: int = 2
                  ) -> tuple[MixedIntegerProgram, ScheduleLayout]:
-    """As-fast-as-possible ramp MILP: envelope rows only, objective is the
-    signed integral of the production rate, ceil(log2 K) lower-plane
-    selection binaries per element."""
+    """As-fast-as-possible ramp MILP: the rate model with nu broken at every
+    element, objective the signed integral of the production rate."""
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
+    if not elem_h > 0 or abs(1.0 / elem_h - round(1.0 / elem_h)) > 1e-9:
+        raise ValueError(f"elem_h = {elem_h} h is not a whole fraction 1/n of an hour")
     up = direction == "up"
-    elems_per_hour = int(round(1.0 / elem_h))
+    elems_per_hour = round(1.0 / elem_h)
     grid = collocation_grid(horizon, elems_per_hour, pts)
     mip = MixedIntegerProgram(f"RAMP{direction.upper()}")
     rho_lo, rho_hi = env.rho_bounds
-    rd_box = env.rho_dot_box()
-    nu_box = env.nu_box()
-
-    rho = _state_chain(mip, grid, "rho", rho_lo, rho_hi)
-    rd = _state_chain(mip, grid, "rd", *rd_box)
-    _fix(mip, rho[0][0], rho_lo if up else rho_hi)
-    _fix(mip, rd[0][0], 0.0)
-    nu_nodes = [mip.add_variable(f"nu_{k}", *nu_box)
-                for k in range(grid.n_elem + 1)]
-    z_sel = _selection_bits(mip, env, grid.n_elem)
-
-    nodes_per_hour = elems_per_hour   # nu breaks at element boundaries
-    for e in range(grid.n_elem):
-        for j in range(1, grid.pts + 1):
-            _collocation_row(mip, grid, rho, e, j, [(rd[e][j], 1.0)], "dC_rho")
-            _collocation_row(mip, grid, rd, e, j,
-                             _nu_interp(grid, nu_nodes, nodes_per_hour, e, j), "dC_rd")
-
-    lower_M = _lower_big_m(env, (rho_lo, rho_hi), rd_box, nu_box)
-    _pwa_nu_rows(mip, env, lower_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
-                 z_sel[0], "inu")
-    for e in range(grid.n_elem):
-        for j in range(1, grid.pts + 1):
-            r_v, d_v = rho[e][j], rd[e][j]
-            sfx = f"_{e}_{j}"
-            _band_rows(mip, env, r_v, d_v, sfx)
-            _pwa_nu_rows(mip, env, lower_M, _nu_interp(grid, nu_nodes, nodes_per_hour, e, j),
-                         r_v, d_v, z_sel[e], "pwa", sfx)
+    rho, rd, nu_nodes, z_sel, _ = _rate_model(
+        mip, env, grid, elems_per_hour, env.rho_bounds, env.rho_dot_box(),
+        env.nu_box(), rho_lo if up else rho_hi)
 
     # objective: maximize (up) / minimize (down) the integral of rho
     w = grid.weights
@@ -549,7 +544,8 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
         for j in range(1, grid.pts + 1):
             obj[rho[e][j]] = obj.get(rho[e][j], 0.0) + sign * w[j - 1] * grid.h
     mip.set_objective(obj)
-    layout = ScheduleLayout(grid, rho, rd, [], [], nu_nodes, {}, {}, {}, {}, z_sel)
+    layout = ScheduleLayout(grid, rho, rd, [], [], nu_nodes, elems_per_hour,
+                            {}, {}, {}, {}, z_sel)
     return mip, layout
 
 
@@ -568,13 +564,7 @@ def solve_ramp(direction: str, env: RampingEnvelope, horizon: float | None = Non
     mip, layout = ramp_problem(direction, env, horizon, elem_h, pts)
     sol = branch_and_bound(mip, gap_tol, time_limit_s)
     _require_incumbent(sol, "ramp")
-    grid = layout.grid
-    times = grid.all_times()
-    x = sol.x
-    rho = _chain_values(x, grid, layout.rho)
-    rd = _chain_values(x, grid, layout.rho_dot)
-    nu_nodes = np.array([x[v] for v in layout.nu_nodes])
-    nu = np.interp(times, np.arange(len(nu_nodes)) * grid.h, nu_nodes)
+    times, rho, rd, nu = _rate_profile(layout, sol.x)
     target = env.rho_bounds[1] if up else env.rho_bounds[0]
     ramp_time = _first_within(times, rho, target, rel=0.01)
     return RampResult(times, rho, rd, nu, ramp_time, sol.status, sol.gap)

@@ -1,6 +1,7 @@
-"""Source hygiene: every name a module imports is used in it, and every
+"""Source hygiene: every name a module imports is used in it, every
 private module-level function or constant of the package is read somewhere
-in the package or its tests."""
+in the package or its tests, and every method and property of a package
+class is read somewhere in the package, its tests or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rampsched"
+READERS = (SRC, ROOT / "tests", ROOT / "benchmark")
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -71,6 +73,26 @@ def unused_privates(modules: dict[str, ast.Module],
                   for name, line in private_definitions(tree).items() if name not in read)
 
 
+def class_members(tree: ast.Module) -> dict[str, tuple[str, int]]:
+    """Methods and properties of every class in a module, dunders left out:
+    name -> (class, line)."""
+    members = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            members.update({f.name: (cls.name, f.lineno) for f in cls.body
+                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (f.name.startswith("__") and f.name.endswith("__"))})
+    return members
+
+
+def unread_members(modules: dict[str, ast.Module],
+                   readers: list[ast.Module]) -> list[str]:
+    """Class members of `modules` that no tree in `readers` reads."""
+    read = set().union(*map(names_read, readers))
+    return sorted(f"{mod} line {line}: {cls}.{name}" for mod, tree in modules.items()
+                  for name, (cls, line) in class_members(tree).items() if name not in read)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -95,3 +117,20 @@ def test_unused_private_detected():
     user = ast.parse("from m import _B\nimport m\nm._unused_attr\n")
     assert unused_privates({"m.py": mod}, [mod, user]) == [
         "m.py line 5: _f", "m.py line 9: _g"]
+
+
+def test_no_unread_class_members():
+    modules = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    readers = [ast.parse(p.read_text()) for d in READERS for p in sorted(d.glob("*.py"))]
+    assert unread_members(modules, readers) == []
+
+
+def test_unread_member_detected():
+    mod = ast.parse("class A:\n    def __init__(self):\n        self.used()\n\n"
+                    "    def used(self):\n        pass\n\n    @property\n"
+                    "    def dead(self):\n        return 1\n\n\n"
+                    "class B:\n    @classmethod\n    def make(cls):\n        pass\n\n"
+                    "    def spare(self):\n        pass\n")
+    user = ast.parse("from m import B\nB.make()\n")
+    assert unread_members({"m.py": mod}, [mod, user]) == [
+        "m.py line 18: B.spare", "m.py line 9: A.dead"]

@@ -86,6 +86,56 @@ def test_schedule_time_out_without_incumbent_raises(envelope, demand_model):
         solve_schedule(sp)
 
 
+def test_two_elements_per_hour_market(envelope, demand_model):
+    """Each hour keeps one lower-plane code and one nu interval; both
+    elements of an hour select with that hour's bits."""
+    sp = problem(envelope, demand_model, False, elems_per_hour=2)
+    mip, layout = assemble_problem(sp)
+    res, sol = solve_schedule(sp)
+    assert check_solution(mip, sol.x) == []
+    assert sol.status == "optimal" or \
+        (sol.status == "feasible-with-gap" and sol.gap <= GAP_TOL)
+    assert len(layout.z_sel) == sp.horizon_h
+    assert len(layout.nu_nodes) == sp.horizon_h + 1
+    names = [v.name for v in mip.variables]
+    integer = {j for j, v in enumerate(mip.variables) if v.integer}
+    lower = [r for r in mip.rows if r.name.startswith("pwal_")]
+    assert len(lower) == N_LOWER * layout.grid.n_elem * sp.pts
+    for row in lower:
+        e = int(row.name.split("_")[2])
+        bits = {names[j] for j, _ in row.coeffs if j in integer}
+        assert bits == {names[z] for z in layout.z_sel[e // 2]}
+    model = [demand_model.predict(res.rho[k], res.rho_dot[k], res.nu[k]) / KJH_PER_KW
+             for k in range(1, len(res.times))]
+    assert res.q_dem_kw == pytest.approx(model, rel=1e-6)
+
+
+@pytest.mark.parametrize("fix", [True, False], ids=["steady", "flexible"])
+def test_schedule_milp_size_pinned(envelope, demand_model, fix):
+    """vars, binaries and rows of the 2 h desk market: the rate model the
+    schedule shares with the ramps adds and drops nothing."""
+    mip, _ = assemble_problem(problem(envelope, demand_model, fix))
+    assert (mip.n_vars, mip.n_integer, len(mip.rows)) == (51, 8, 103)
+
+
+def test_ramp_milp_size_pinned(envelope):
+    """vars, binaries and rows of the default up-ramp (25 elements)."""
+    mip, _ = ramp_problem("up", envelope, 2.5)
+    assert (mip.n_vars, mip.n_integer, len(mip.rows)) == (153, 25, 506)
+
+
+@pytest.mark.parametrize("elem_h", [0.4, 0.3, 0.0, -0.5])
+def test_ramp_element_off_a_whole_fraction_of_an_hour_raises(envelope, elem_h):
+    with pytest.raises(ValueError, match="whole fraction"):
+        ramp_problem("up", envelope, 2.0, elem_h=elem_h)
+
+
+@pytest.mark.parametrize("elem_h", [0.1, 0.2, 0.25, 0.5, 1.0 / 3.0])
+def test_ramp_element_of_a_whole_fraction_builds(envelope, elem_h):
+    _, layout = ramp_problem("up", envelope, 1.0, elem_h=elem_h)
+    assert layout.grid.elems_per_hour == round(1.0 / elem_h)
+
+
 @pytest.mark.parametrize("direction, elem_h", [("up", 0.25), ("up", 0.1), ("down", 0.5)])
 def test_ramp_reaches_target(envelope, direction, elem_h):
     res = solve_ramp(direction, envelope, elem_h=elem_h)
