@@ -18,7 +18,6 @@ alternation.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -144,8 +143,7 @@ class LinearLimit:
         return self.a0 + self.a1 * np.asarray(rho)
 
 
-def _curvature_margin(values: np.ndarray, side: str, axis: int | None = None,
-                      safety: float = 1.5) -> float:
+def _curvature_margin(values: np.ndarray, side: str, safety: float = 1.5) -> float:
     """Margin covering the sagitta between grid points: midpoint deviation of
     a smooth function from its chord is bounded by the second difference / 8.
     Only curvature toward the feasible side needs a margin."""
@@ -393,7 +391,7 @@ class RampingEnvelope:
     rd_upper: LinearLimit
     nu_pwa: PwaEnvelope
     coverage: CoverageReport
-    fingerprint: str = ""
+    fingerprint: str
 
     def rho_dot_range(self, rho: float) -> tuple[float, float]:
         return float(self.rd_lower(rho)), float(self.rd_upper(rho))
@@ -424,41 +422,9 @@ class RampingEnvelope:
         return nl - tol <= nu <= nh + tol
 
 
-def _side_doc(s: PwaSide) -> dict:
-    return {"a0": s.a0, "a_rho": s.a_rho, "a_rho_dot": s.a_rho_dot}
-
-
-def envelope_to_json(env: RampingEnvelope, path) -> None:
-    doc = {
-        "rho_bounds": list(env.rho_bounds),
-        "rho_nom": env.rho_nom,
-        "rd_lower": vars(env.rd_lower).copy(),
-        "rd_upper": vars(env.rd_upper).copy(),
-        "nu_lower": [_side_doc(pl) for pl in env.nu_pwa.lower],
-        "nu_upper": [_side_doc(pu) for pu in env.nu_pwa.upper],
-        "coverage_mean": env.coverage.mean,
-        "coverage_min": env.coverage.min,
-        "fingerprint": env.fingerprint,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def envelope_from_json(path) -> RampingEnvelope:
-    with open(path) as fh:
-        doc = json.load(fh)
-    pwa = PwaEnvelope(lower=tuple(PwaSide(**d) for d in doc["nu_lower"]),
-                      upper=tuple(PwaSide(**d) for d in doc["nu_upper"]))
-    cov = CoverageReport(np.zeros((0, 0)), doc["coverage_mean"], doc["coverage_min"])
-    return RampingEnvelope(tuple(doc["rho_bounds"]), doc["rho_nom"],
-                           LinearLimit(**doc["rd_lower"]),
-                           LinearLimit(**doc["rd_upper"]),
-                           pwa, cov, doc.get("fingerprint", ""))
-
-
-def strategy_fingerprint(strat: OperatingStrategy, p: ProcessParams) -> str:
-    blob = repr(strat) + repr(p)
+def _fingerprint(strat: OperatingStrategy, p: ProcessParams, b: Bounds) -> str:
+    """Digest of the strategy, plant and bounds an envelope is fitted from."""
+    blob = repr(strat) + repr(p) + repr(b)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -467,7 +433,7 @@ def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     lower, upper, _ = fit_rho_dot_limits(strat, p, b, n_grid)
     pwa, cov = fit_nu_pwa(strat, p, b, lower, upper, n_grid)
     return RampingEnvelope(b.rho, b.rho_nom, lower, upper, pwa, cov,
-                           strategy_fingerprint(strat, p))
+                           _fingerprint(strat, p, b))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +468,7 @@ class PwaDemandModel:
     q_nominal: float
     mae_single_rel: float
     mae_pwa_rel: float
-    fingerprint: str = ""
+    fingerprint: str
 
     def predict(self, rho, rho_dot, nu):
         """Maximum plane value; broadcasts over array arguments."""
@@ -547,28 +513,6 @@ def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     return PwaDemandModel(planes=tuple(DemandSide(*[float(c) for c in row]) for row in coef),
                           q_nominal=float(q_nom), mae_single_rel=mae_single,
                           mae_pwa_rel=mae_pwa, fingerprint=env.fingerprint)
-
-
-def demand_to_json(model: PwaDemandModel, path) -> None:
-    doc = {
-        "planes": [vars(s).copy() for s in model.planes],
-        "q_nominal": model.q_nominal,
-        "mae_single_rel": model.mae_single_rel,
-        "mae_pwa_rel": model.mae_pwa_rel,
-        "fingerprint": model.fingerprint,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def demand_from_json(path) -> PwaDemandModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return PwaDemandModel(
-        planes=tuple(DemandSide(**v) for v in doc["planes"]),
-        q_nominal=doc["q_nominal"], mae_single_rel=doc["mae_single_rel"],
-        mae_pwa_rel=doc["mae_pwa_rel"], fingerprint=doc.get("fingerprint", ""))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ Both are necessary conditions only; a passing candidate is reported as
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,50 +90,6 @@ class DisjointCoverResult:
         return f"fail ({self.note})"
 
 
-def _max_flow_bound(g: SparsityModel, sources: list[str], targets: set[str]) -> int:
-    """Max number of vertex-disjoint paths from `sources` into `targets`
-    (unit vertex capacities, BFS augmentation on the split graph)."""
-    verts = list(g.states) + list(g.inputs) + ([g.rho] if g.rho else [])
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    # node i split into 2i (in) and 2i+1 (out); super source 2n, sink 2n+1
-    N = 2 * n + 2
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(a, b):
-        cap[(a, b)] = cap.get((a, b), 0) + 1
-
-    for v in verts:
-        add(2 * idx[v], 2 * idx[v] + 1)
-    for s, t in sorted(g.edges):
-        if s == t:
-            continue
-        add(2 * idx[s] + 1, 2 * idx[t])
-    for s in sources:
-        add(2 * n, 2 * idx[s])
-    for t in sorted(targets):
-        add(2 * idx[t] + 1, 2 * n + 1)
-    flow = 0
-    while True:
-        prev = {2 * n: None}
-        queue = [2 * n]
-        while queue and (2 * n + 1) not in prev:
-            a = queue.pop(0)
-            for (u, v), c in sorted(cap.items()):
-                if u == a and c > 0 and v not in prev:
-                    prev[v] = a
-                    queue.append(v)
-        if (2 * n + 1) not in prev:
-            return flow
-        v = 2 * n + 1
-        while prev[v] is not None:
-            u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] = cap.get((v, u), 0) + 1
-            v = u
-        flow += 1
-
-
 def check_disjoint_cover(g: SparsityModel,
                          pairing: list[tuple[str, tuple[str, ...]]]) -> DisjointCoverResult:
     """Search for vertex-disjoint input-to-output paths covering all states.
@@ -142,9 +97,9 @@ def check_disjoint_cover(g: SparsityModel,
     `pairing` lists (input name, states read by the paired output component).
     Passes iff there are m vertex-disjoint directed paths, one per pair, from
     each input to a state its paired output reads, whose union visits every
-    state.  A unit-vertex-capacity max-flow provides a quick upper bound; an
-    exact depth-first search then certifies the cover and returns witness
-    paths (deterministic order).
+    state.  An exact depth-first search certifies the cover and returns
+    witness paths (deterministic order); on failure it reports the states
+    left uncovered by the best partial cover.
     """
     if len(pairing) != g.m:
         raise ValueError(f"pairing has {len(pairing)} pairs, expected m={g.m}")
@@ -154,10 +109,6 @@ def check_disjoint_cover(g: SparsityModel,
         for x in reads:
             if x not in g.states:
                 raise ValueError(f"output read {x!r} is not a state")
-
-    all_targets = {x for _, reads in pairing for x in reads}
-    if _max_flow_bound(g, [u for u, _ in pairing], all_targets) < g.m:
-        return DisjointCoverResult(False, note="no disjoint path system exists")
 
     best_cover: tuple[int, list[list[str]]] = (-1, [])
 
@@ -380,39 +331,12 @@ def search_orders(g: SparsityModel, components: tuple[tuple[str, ...], ...],
 
 
 # ---------------------------------------------------------------------------
-# JSON config and bundled example models
+# Bundled example models
 # ---------------------------------------------------------------------------
 
-def model_to_config(g: SparsityModel,
-                    candidates: list[dict] | None = None) -> dict:
-    return {
-        "states": list(g.states),
-        "inputs": list(g.inputs),
-        "rho": g.rho,
-        "edges": sorted([list(e) for e in g.edges]),
-        "candidates": candidates or [],
-    }
-
-
-def load_config(source) -> tuple[SparsityModel, list[dict]]:
-    """Read a SparsityModel plus candidate definitions from JSON.
-
-    Accepts a path or a parsed dict.  Candidate entries carry `components`
-    (lists of read states), optional `orders`, and optional `pairing` as
-    [[input, component_index], ...].
-    """
-    if isinstance(source, dict):
-        cfg = source
-    else:
-        with open(source) as fh:
-            cfg = json.load(fh)
-    g = SparsityModel(tuple(cfg["states"]), tuple(cfg["inputs"]),
-                      frozenset(tuple(e) for e in cfg["edges"]),
-                      rho=cfg.get("rho"))
-    return g, list(cfg.get("candidates", []))
-
-
 def pairing_from_config(cand_cfg: dict) -> list[tuple[str, tuple[str, ...]]]:
+    """(input, states its output component reads) pairs of a bundled
+    example's candidate."""
     comps = [tuple(c) for c in cand_cfg["components"]]
     return [(u, comps[k]) for u, k in cand_cfg["pairing"]]
 

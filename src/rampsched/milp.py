@@ -1,19 +1,16 @@
-"""MILP container, HiGHS solves with an independent check, and MPS I/O.
+"""MILP container and HiGHS solves with an independent check.
 
 `MixedIntegerProgram` holds a minimization problem as sparse rows.
 `branch_and_bound` solves it with HiGHS (`scipy.optimize.milp`) and
 `simplex_solve` solves its LP relaxation; both map the HiGHS result to a
 `Solution` and accept a point only after `check_solution`, which re-checks
-every bound, row and integrality independently of the solver.  MPS export
-and import round-trip byte-identically.
+every bound, row and integrality independently of the solver.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -51,7 +48,6 @@ class MixedIntegerProgram:
         self.variables: list[Variable] = []
         self.rows: list[Row] = []
         self.objective: list = []          # sorted [(var_index, coefficient)]
-        self.obj_constant: float = 0.0
 
     # -- construction -------------------------------------------------------
     def add_variable(self, name: str, lb: float = 0.0, ub: float = INF,
@@ -86,9 +82,8 @@ class MixedIntegerProgram:
         self.rows.append(row)
         return len(self.rows) - 1
 
-    def set_objective(self, coeffs, constant: float = 0.0) -> None:
+    def set_objective(self, coeffs) -> None:
         self.objective = self._normalize(coeffs)
-        self.obj_constant = float(constant)
 
     @property
     def n_vars(self) -> int:
@@ -103,7 +98,7 @@ class MixedIntegerProgram:
         return float(sum(c * x[j] for j, c in row.coeffs))
 
     def objective_value(self, x: np.ndarray) -> float:
-        return float(sum(c * x[j] for j, c in self.objective)) + self.obj_constant
+        return float(sum(c * x[j] for j, c in self.objective))
 
 
 def check_solution(mip: MixedIntegerProgram, x: np.ndarray,
@@ -198,7 +193,7 @@ def _highs_solve(mip: MixedIntegerProgram, integral: bool, gap_tol: float = 0.0,
         dual = res.mip_dual_bound
         return Solution(np.full(n, np.nan), -INF if status == "unbounded" else INF,
                         status, gap=INF, node_count=nodes,
-                        best_bound=-INF if dual is None else dual + mip.obj_constant)
+                        best_bound=-INF if dual is None else dual)
     x = np.asarray(res.x, dtype=float)
     violations = check_solution(mip, x, int_tol=INT_TOL if integral else INF)
     if violations:
@@ -210,8 +205,7 @@ def _highs_solve(mip: MixedIntegerProgram, integral: bool, gap_tol: float = 0.0,
         status = "time-limit"
     else:
         status = "optimal" if gap == 0 else "feasible-with-gap"
-    bound = objective if res.mip_dual_bound is None else \
-        res.mip_dual_bound + mip.obj_constant
+    bound = objective if res.mip_dual_bound is None else res.mip_dual_bound
     return Solution(x, objective, status, gap=gap, node_count=nodes,
                     best_bound=bound, bound_history=[bound])
 
@@ -232,183 +226,3 @@ def branch_and_bound(mip: MixedIntegerProgram, gap_tol: float = 1e-6,
     returned point has passed `check_solution`; a violation raises.
     """
     return _highs_solve(mip, integral=True, gap_tol=gap_tol, time_limit=time_limit)
-
-
-# ---------------------------------------------------------------------------
-# MPS export / import
-# ---------------------------------------------------------------------------
-
-def _sanitize(names: list[str]) -> list[str]:
-    out, seen = [], set()
-    for name in names:
-        clean = re.sub(r"[^A-Za-z0-9_]", "_", name)
-        if len(clean) > 8:
-            digest = hashlib.sha1(name.encode()).hexdigest()[:5].upper()
-            clean = clean[:3] + digest
-        cand, k = clean, 0
-        while cand in seen:
-            k += 1
-            suffix = str(k)
-            cand = clean[:8 - len(suffix)] + suffix
-        seen.add(cand)
-        out.append(cand)
-    return out
-
-
-def _num(v: float) -> str:
-    return f"{v:.12g}"
-
-
-def export_mps(mip: MixedIntegerProgram) -> str:
-    """Fixed-layout MPS text with MARKER records for integer variables.
-
-    Field columns follow the classic template (start columns 2/5/15/25);
-    numeric fields may extend past the historical widths to keep full
-    precision.  Names longer than 8 characters are deterministically hashed.
-    """
-    vnames = _sanitize([v.name for v in mip.variables])
-    rnames = _sanitize([r.name for r in mip.rows])
-    sense_code = {"<=": "L", ">=": "G", "=": "E"}
-    lines = [f"NAME          {re.sub(r'[^A-Za-z0-9_]', '_', mip.name)[:8]}"]
-    lines.append("ROWS")
-    lines.append(" N  COST")
-    for r, row in zip(rnames, mip.rows):
-        lines.append(f" {sense_code[row.sense]}  {r}")
-    lines.append("COLUMNS")
-    obj = {j: c for j, c in mip.objective}
-    col_rows: list[list[tuple[str, float]]] = [[] for _ in mip.variables]
-    for r, row in zip(rnames, mip.rows):
-        for j, c in row.coeffs:
-            col_rows[j].append((r, c))
-    in_int = False
-    marker_id = 0
-    for j, v in enumerate(mip.variables):
-        if v.integer != in_int:
-            tag = "INTORG" if v.integer else "INTEND"
-            lines.append(f"    MARK{marker_id:<4}  'MARKER'                 '{tag}'")
-            marker_id += 1
-            in_int = v.integer
-        entries = ([("COST", obj[j])] if j in obj else []) + col_rows[j]
-        if not entries:
-            entries = [("COST", 0.0)]
-        for rname, c in entries:
-            lines.append(f"    {vnames[j]:<8}  {rname:<8}  {_num(c)}")
-    if in_int:
-        lines.append(f"    MARK{marker_id:<4}  'MARKER'                 'INTEND'")
-    lines.append("RHS")
-    if mip.obj_constant != 0.0:
-        lines.append(f"    RHS       COST      {_num(-mip.obj_constant)}")
-    for r, row in zip(rnames, mip.rows):
-        if row.rhs != 0.0:
-            lines.append(f"    RHS       {r:<8}  {_num(row.rhs)}")
-    lines.append("RANGES")
-    lines.append("BOUNDS")
-    for j, v in enumerate(mip.variables):
-        name = vnames[j]
-        if v.lb == v.ub:
-            lines.append(f" FX BND       {name:<8}  {_num(v.lb)}")
-            continue
-        if v.lb == 0.0 and v.ub == INF and not v.integer:
-            continue
-        if not math.isfinite(v.lb) and not math.isfinite(v.ub):
-            lines.append(f" FR BND       {name:<8}")
-            continue
-        if not math.isfinite(v.lb):
-            lines.append(f" MI BND       {name:<8}")
-        elif v.lb != 0.0 or v.integer:
-            lines.append(f" LO BND       {name:<8}  {_num(v.lb)}")
-        if math.isfinite(v.ub):
-            lines.append(f" UP BND       {name:<8}  {_num(v.ub)}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
-
-
-def import_mps(text: str) -> MixedIntegerProgram:
-    """Parse MPS text produced by export_mps (whitespace-tokenized fields)."""
-    mip = MixedIntegerProgram()
-    section = None
-    senses: dict[str, str] = {}
-    order: list[str] = []
-    rows_coeffs: dict[str, dict[int, float]] = {}
-    rhs: dict[str, float] = {}
-    obj: dict[int, float] = {}
-    obj_const = 0.0
-    var_idx: dict[str, int] = {}
-    integer_flags: dict[int, bool] = {}
-    integer_mode = False
-    explicit_lo: set[int] = set()
-
-    for raw in text.splitlines():
-        if not raw.strip() or raw.startswith("*"):
-            continue
-        if not raw.startswith(" "):
-            head = raw.split()
-            section = head[0]
-            if section == "NAME" and len(head) > 1:
-                mip.name = head[1]
-            continue
-        tk = raw.split()
-        if section == "ROWS":
-            code, rname = tk[0], tk[1]
-            if code == "N":
-                senses[rname] = "N"
-            else:
-                senses[rname] = {"L": "<=", "G": ">=", "E": "="}[code]
-                order.append(rname)
-                rows_coeffs[rname] = {}
-        elif section == "COLUMNS":
-            if len(tk) >= 3 and tk[1] == "'MARKER'":
-                integer_mode = tk[2].strip("'") == "INTORG"
-                continue
-            cname = tk[0]
-            if cname not in var_idx:
-                var_idx[cname] = mip.add_variable(cname, 0.0, INF)
-                integer_flags[var_idx[cname]] = integer_mode
-            j = var_idx[cname]
-            for rname, val in zip(tk[1::2], tk[2::2]):
-                v = float(val)
-                if senses.get(rname) == "N":
-                    obj[j] = obj.get(j, 0.0) + v
-                else:
-                    rows_coeffs[rname][j] = rows_coeffs[rname].get(j, 0.0) + v
-        elif section == "RHS":
-            for rname, val in zip(tk[1::2], tk[2::2]):
-                if senses.get(rname) == "N":
-                    obj_const = -float(val)
-                else:
-                    rhs[rname] = float(val)
-        elif section == "RANGES":
-            raise ValueError("RANGES entries are not supported")
-        elif section == "BOUNDS":
-            btype, cname = tk[0], tk[2]
-            j = var_idx[cname]
-            v = mip.variables[j]
-            val = float(tk[3]) if len(tk) > 3 else 0.0
-            if btype == "UP":
-                v.ub = val
-                if val < 0 and j not in explicit_lo:
-                    v.lb = -INF
-            elif btype == "LO":
-                v.lb = val
-                explicit_lo.add(j)
-            elif btype == "FX":
-                v.lb = v.ub = val
-            elif btype == "FR":
-                v.lb, v.ub = -INF, INF
-            elif btype == "MI":
-                v.lb = -INF
-            elif btype == "PL":
-                v.ub = INF
-            elif btype == "BV":
-                v.lb, v.ub = 0.0, 1.0
-                integer_flags[j] = True
-            else:
-                raise ValueError(f"unsupported bound type {btype}")
-    for j, flag in integer_flags.items():
-        mip.variables[j].integer = flag
-    for rname in order:
-        mip.add_constraint(rows_coeffs[rname], senses[rname],
-                           rhs.get(rname, 0.0), name=rname)
-    mip.set_objective(obj, obj_const)
-    return mip
-

@@ -138,8 +138,7 @@ class ScheduleProblem:
                             2.0 * self.envelope.rho_nom)
         if self.market.n_hours != self.horizon_h:
             raise ValueError("market series does not match the horizon")
-        if self.envelope.fingerprint and self.demand.fingerprint and \
-                self.envelope.fingerprint != self.demand.fingerprint:
+        if self.envelope.fingerprint != self.demand.fingerprint:
             raise ValueError("demand model was fitted against a different envelope")
 
 
@@ -189,10 +188,11 @@ def _fix(mip: MixedIntegerProgram, var: int, value: float) -> None:
 def _nu_interp(grid: CollocationGrid, nu_nodes: list, nu_per_hour: int,
                e: int, j: int) -> list:
     """Coefficients expressing nu at collocation point (e, j) from the
-    piecewise-linear breakpoint variables."""
-    t = grid.t_point(e, j)
-    seg = min(int(t * nu_per_hour), len(nu_nodes) - 2)
-    frac = t * nu_per_hour - seg
+    piecewise-linear breakpoint variables.  The interval is the element's,
+    e * nu_per_hour // elems_per_hour, found in integers: a point on the
+    interval's right end weighs its right breakpoint by exactly 1."""
+    seg = e * nu_per_hour // grid.elems_per_hour
+    frac = (e + grid.tau[j - 1]) * nu_per_hour / grid.elems_per_hour - seg
     return [(nu_nodes[seg], 1.0 - frac), (nu_nodes[seg + 1], frac)]
 
 

@@ -53,8 +53,7 @@ the line's other bounds; the fit raises SteadyStateError where either fails.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -82,18 +81,6 @@ class OperatingStrategy:
 
     def pi4(self, rho: float) -> float:
         return self.a0_xi4 + self.a1_xi4 * rho
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "OperatingStrategy":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(**{k: doc[k] for k in
-                      ("a0_xi4", "a1_xi4", "xi1_nom", "xi2_nom", "xi3_nom")})
 
 
 @dataclass(frozen=True)
@@ -214,9 +201,8 @@ T1_XTOL = 1e-10                 # K, both root paths
 _NEWTON_MAX_ITER = 100          # bisection alone needs 42 halvings of 300 K
 
 
-def _flat_root(rate, rho, strat: OperatingStrategy, p: ProcessParams,
-               bracket: tuple[float, float]):
-    """T1 in the bracket with _flat_rate(rho, T1) = rate; NaN where there is
+def _flat_root(rate, rho, strat: OperatingStrategy, p: ProcessParams):
+    """T1 in T1_BRACKET with _flat_rate(rho, T1) = rate; NaN where there is
     none.
 
     Scalar rate and rho take one brentq, the fast path for the hundreds of
@@ -227,7 +213,7 @@ def _flat_root(rate, rho, strat: OperatingStrategy, p: ProcessParams,
     [T_neg, T_pos] on which the residual changes sign and falls back to its
     midpoint when the Newton step leaves it.  Both stop at T1_XTOL.
     """
-    lo, hi = bracket
+    lo, hi = T1_BRACKET
     # T1 enters A0 and B0 only through r1 and r2 (A0 - r1, B0 + r1 - r2), so
     # the flow terms are evaluated once, the rates at every iterate; the
     # residual is bitwise _flat_rate - rate
@@ -267,24 +253,24 @@ def _flat_root(rate, rho, strat: OperatingStrategy, p: ProcessParams,
 
 
 def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
-             p: ProcessParams, bracket: tuple[float, float] = T1_BRACKET) -> float:
+             p: ProcessParams) -> float:
     """Reactor temperature along the strategy at (rho, rho_dot).
 
-    Bracketed root of _flat_rate(rho, .) = a1*rho_dot; the bracket is wider
+    Root of _flat_rate(rho, .) = a1*rho_dot on T1_BRACKET, which is wider
     than the temperature operating bounds so that bound-violating points are
     detected by value rather than by solver failure.  Broadcasts over
     arrays; one point outside the flat region fails the whole call.
     """
     if strat.a1_xi4 == 0:
         raise SingularTransformError("solve_T1: strategy slope a1 is zero")
-    T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, strat, p, bracket)
+    T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, strat, p)
     miss = np.isnan(T1)
     if _any(miss):
         i = np.argmax(miss)
         r, rd = (float(np.ravel(np.broadcast_to(v, np.shape(T1)))[i])
                  for v in (rho, rho_dot))
         raise OutsideFlatRegionError(
-            f"no reactor temperature in [{bracket[0]}, {bracket[1]}] K for "
+            f"no reactor temperature in {list(T1_BRACKET)} K for "
             f"rho={r:.4g}, rho_dot={rd:.4g}"
             + (f" ({np.count_nonzero(miss)} of {miss.size} points)" if np.ndim(T1) else ""))
     return T1
@@ -395,7 +381,7 @@ def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
     a0 = np.where(win_ok, cA1, cAv)
     # a scalar point stays on Python floats, on which brentq runs fastest
     const = replace(strat, a0_xi4=a0 if a0.ndim else float(a0), a1_xi4=0.0)
-    T1 = _flat_root(0.0, rho, const, p, T1_BRACKET)
+    T1 = _flat_root(0.0, rho, const, p)
     root_ok = ~np.isnan(T1)
     T1 = np.nan_to_num(T1, nan=T1_BRACKET[0])
     cA1 = const.pi4(rho)

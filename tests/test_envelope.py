@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rampsched.envelope import (N_LOWER, N_UPPER, EnvelopeFitError, LinearLimit,
-                                _magnani_boyd, detect_regions,
-                                envelope_from_json, envelope_to_json,
-                                demand_from_json, demand_to_json, fit_demand_pwa,
+                                _magnani_boyd, detect_regions, fit_demand_pwa,
                                 fit_rho_dot_limits, im_input_u2,
                                 max_tau, nu_limits_true, rho_dot_limit_from_bound,
                                 sbm_limits, true_rho_dot_limits)
@@ -237,17 +235,6 @@ def test_pwa_steady_point_admits_both_signs(envelope):
     assert nl < 0.0 < nh
 
 
-def test_envelope_json_roundtrip(tmp_path, envelope):
-    path = tmp_path / "env.json"
-    envelope_to_json(envelope, path)
-    back = envelope_from_json(path)
-    assert back.rd_lower == envelope.rd_lower
-    assert back.rd_upper == envelope.rd_upper
-    assert back.nu_pwa.lower == envelope.nu_pwa.lower
-    assert back.nu_pwa.upper == envelope.nu_pwa.upper
-    assert back.coverage.mean == pytest.approx(envelope.coverage.mean)
-
-
 # --- Magnani-Boyd alternation ----------------------------------------------------
 
 def test_magnani_boyd_two_cycle_returns_best_iterate():
@@ -312,14 +299,6 @@ def test_demand_fit_raises_outside_flat_region(strategy, params, bounds, envelop
     wide = dataclasses.replace(envelope, rd_upper=LinearLimit(1e3, 0.0, "upper", "test"))
     with pytest.raises(OutsideFlatRegionError):
         fit_demand_pwa(strategy, params, bounds, wide)
-
-
-def test_demand_json_roundtrip(tmp_path, demand_model):
-    path = tmp_path / "demand.json"
-    demand_to_json(demand_model, path)
-    back = demand_from_json(path)
-    assert back.q_nominal == pytest.approx(demand_model.q_nominal)
-    assert back.planes == demand_model.planes
 
 
 # --- set-point-filter comparison -------------------------------------------------

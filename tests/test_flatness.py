@@ -7,7 +7,6 @@ from rampsched.flatness import (OccurrenceMatrix, OutputCandidate,
                                 SparsityModel, check_disjoint_cover,
                                 check_structural_solvability, example_e,
                                 illustrative_model, input_rank_condition,
-                                load_config, model_to_config,
                                 pairing_from_config, propagate_occurrence,
                                 search_orders)
 from rampsched.transform import case_study_graph
@@ -207,18 +206,7 @@ def test_search_orders_requires_full_coverage():
     assert set(g.states) | set(g.inputs) <= set(M.col_labels)
 
 
-# --- config round trip and ASCII rendering ----------------------------------
-
-def test_config_roundtrip(tmp_path):
-    g, cands = example_e()
-    cfg = model_to_config(g, [dict(name=k, **v) for k, v in cands.items()])
-    path = tmp_path / "model.json"
-    import json
-    path.write_text(json.dumps(cfg))
-    g2, cand_list = load_config(path)
-    assert g2 == g
-    assert {c["name"] for c in cand_list} == set(cands)
-
+# --- ASCII rendering -------------------------------------------------------
 
 def test_ascii_table_contains_circles():
     g, cands = example_e()

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in it, every
 private module-level function or constant of the package is read somewhere
-in the package or its tests, and every method and property of a package
-class is read somewhere in the package, its tests or the benchmark."""
+in the package or its tests, every method and property of a package
+class is read somewhere in the package, its tests or the benchmark, and
+every package name the benchmark reads exists."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rampsched"
-READERS = (SRC, ROOT / "tests", ROOT / "benchmark")
+BENCHMARK = ROOT / "benchmark"
+READERS = (SRC, ROOT / "tests", BENCHMARK)
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -93,6 +95,63 @@ def unread_members(modules: dict[str, ast.Module],
                   for name, (cls, line) in class_members(tree).items() if name not in read)
 
 
+def bound_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: definitions, assignments and
+    imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def package_namespaces(src: Path) -> dict[str, set[str]]:
+    """Dotted module name -> names it binds, for the package under `src`;
+    the package itself also binds its submodules."""
+    pkg = src.name
+    spaces = {f"{pkg}.{p.stem}": bound_names(ast.parse(p.read_text()))
+              for p in sorted(src.glob("*.py")) if p.stem != "__init__"}
+    spaces[pkg] = bound_names(ast.parse((src / "__init__.py").read_text())) | \
+        {name.split(".")[1] for name in spaces}
+    return spaces
+
+
+def missing_package_names(spaces: dict[str, set[str]],
+                          readers: dict[str, ast.Module]) -> list[str]:
+    """Package names a reader takes that its module does not bind: names in
+    `from package... import` lines, attribute reads on an imported package
+    module, and the string in second place of a tuple led by such a module
+    (the tracer's (module, "name", ...) targets)."""
+    missing = []
+    for path, tree in readers.items():
+        modules, reads = {}, []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in spaces:
+                for a in node.names:
+                    sub = f"{node.module}.{a.name}"
+                    if sub in spaces:
+                        modules[a.asname or a.name] = sub
+                    else:
+                        reads.append((node.module, a.name, node.lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                reads.append((modules[node.value.id], node.attr, node.lineno))
+            elif isinstance(node, ast.Tuple) and len(node.elts) > 1 \
+                    and isinstance(node.elts[0], ast.Name) and node.elts[0].id in modules \
+                    and isinstance(node.elts[1], ast.Constant) \
+                    and isinstance(node.elts[1].value, str):
+                reads.append((modules[node.elts[0].id], node.elts[1].value, node.lineno))
+        missing += [f"{path} line {line}: {mod}.{name}" for mod, name, line in reads
+                    if name not in spaces[mod]]
+    return sorted(missing)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -134,3 +193,18 @@ def test_unread_member_detected():
     user = ast.parse("from m import B\nB.make()\n")
     assert unread_members({"m.py": mod}, [mod, user]) == [
         "m.py line 18: B.spare", "m.py line 9: A.dead"]
+
+
+def test_benchmark_reads_only_existing_package_names():
+    readers = {p.name: ast.parse(p.read_text()) for p in sorted(BENCHMARK.glob("*.py"))}
+    assert missing_package_names(package_namespaces(SRC), readers) == []
+
+
+def test_missing_package_name_detected():
+    spaces = {"pkg": {"a", "run", "Cls"}, "pkg.a": {"run", "LIMIT", "helper"}}
+    user = ast.parse("from pkg import a, Cls, gone\nfrom pkg.a import LIMIT, dropped\n"
+                     "TARGETS = ((a, 'run', 'x'), (a, 'vanished', 'y'), (Cls, 'z'))\n"
+                     "a.helper()\na.removed()\nCls.anything\n")
+    assert missing_package_names(spaces, {"user.py": user}) == [
+        "user.py line 1: pkg.gone", "user.py line 2: pkg.a.dropped",
+        "user.py line 3: pkg.a.vanished", "user.py line 5: pkg.a.removed"]

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from rampsched import milp as milp_module
 from rampsched.milp import (INF, MixedIntegerProgram, Solution,
-                            branch_and_bound, check_solution, export_mps,
-                            import_mps, simplex_solve)
+                            branch_and_bound, check_solution, simplex_solve)
 
 
 def small_lp(c, A, b, ub, senses=None):
@@ -290,91 +289,3 @@ def test_bnb_matches_enumeration_property(n, data):
     )
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(best, abs=1e-7)
-
-
-# --- MPS ---------------------------------------------------------------------
-
-def example_mip():
-    mip = MixedIntegerProgram("EXAMPLE")
-    mip.add_variable("x_continuous_long_name", 0.0, 4.5)
-    mip.add_variable("z1", 0.0, 1.0, integer=True)
-    mip.add_variable("free", -INF, INF)
-    mip.add_variable("neg", -3.0, -1.0)
-    mip.add_constraint({0: 1.25, 1: -2.0}, "<=", 3.5, name="cap#1")
-    mip.add_constraint({1: 1.0, 2: 1.0}, ">=", 0.25)
-    mip.add_constraint({0: 1.0, 2: -1.0, 3: 0.5}, "=", 1.0)
-    mip.set_objective({0: 2.0, 1: -1.0, 2: 0.125}, constant=7.5)
-    return mip
-
-
-def test_mps_roundtrip_byte_identical():
-    mip = example_mip()
-    text1 = export_mps(mip)
-    text2 = export_mps(import_mps(text1))
-    assert text1 == text2
-
-
-def test_mps_roundtrip_reproduces_program():
-    mip = example_mip()
-    back = import_mps(export_mps(mip))
-    assert back.n_vars == mip.n_vars
-    for v1, v2 in zip(mip.variables, back.variables):
-        assert (v1.lb, v1.ub, v1.integer) == (v2.lb, v2.ub, v2.integer)
-    assert len(back.rows) == len(mip.rows)
-    for r1, r2 in zip(mip.rows, back.rows):
-        assert r1.sense == r2.sense and r1.rhs == r2.rhs
-        assert r1.coeffs == r2.coeffs
-    assert back.objective == mip.objective
-    assert back.obj_constant == mip.obj_constant
-
-
-def test_mps_solutions_agree():
-    mip = example_mip()
-    s1 = branch_and_bound(mip, gap_tol=1e-9)
-    s2 = branch_and_bound(import_mps(export_mps(mip)), gap_tol=1e-9)
-    assert s1.objective == pytest.approx(s2.objective, abs=1e-9)
-
-
-def test_mps_empty_program():
-    mip = MixedIntegerProgram("EMPTY")
-    text = export_mps(mip)
-    for section in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"):
-        assert section in text
-    back = import_mps(text)
-    assert back.n_vars == 0 and len(back.rows) == 0
-
-
-def test_mps_long_names_hashed():
-    mip = MixedIntegerProgram()
-    mip.add_variable("averyveryverylongvariablename", 0.0, 1.0)
-    mip.add_variable("averyveryverylongvariablenam2", 0.0, 1.0)
-    text = export_mps(mip)
-    names = {ln.split()[0] for ln in text.splitlines()
-             if ln.startswith("    ave") or ln.startswith("    AVE")}
-    for line in text.splitlines():
-        for token in line.split():
-            if token not in ("'MARKER'", "'INTORG'", "'INTEND'"):
-                assert len(token) <= 14   # numbers; names are <= 8
-    assert text == export_mps(import_mps(text))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_mps_roundtrip_property(data):
-    mip = MixedIntegerProgram("RND")
-    n = data.draw(st.integers(1, 6))
-    for j in range(n):
-        integer = data.draw(st.booleans())
-        lb = data.draw(st.sampled_from([0.0, -1.0, -2.5, 1.5]))
-        ub = lb + data.draw(st.sampled_from([1.0, 2.0, 7.25]))
-        mip.add_variable(f"v{j}", lb, ub, integer=integer)
-    for i in range(data.draw(st.integers(0, 4))):
-        coeffs = {j: data.draw(st.sampled_from([-2.0, -1.0, 1.0, 0.5]))
-                  for j in range(n) if data.draw(st.booleans())}
-        if not coeffs:
-            continue
-        mip.add_constraint(coeffs, data.draw(st.sampled_from(["<=", ">=", "="])),
-                           data.draw(st.sampled_from([0.0, 1.0, -3.5])))
-    mip.set_objective({j: 1.0 for j in range(n)})
-    text = export_mps(mip)
-    assert export_mps(import_mps(text)) == text

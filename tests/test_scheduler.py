@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from rampsched.envelope import N_LOWER
+from rampsched.envelope import N_LOWER, derive_envelope, fit_demand_pwa
 from rampsched.milp import check_solution
 from rampsched.scheduler import (KJH_PER_KW, ScheduleProblem, assemble_problem,
                                  desk_components, ramp_problem, solve_ramp,
@@ -116,6 +116,26 @@ def test_schedule_milp_size_pinned(envelope, demand_model, fix):
     schedule shares with the ramps adds and drops nothing."""
     mip, _ = assemble_problem(problem(envelope, demand_model, fix))
     assert (mip.n_vars, mip.n_integer, len(mip.rows)) == (51, 8, 103)
+
+
+@pytest.mark.parametrize("build", [
+    lambda env, dem: ramp_problem("up", env, 2.5),
+    lambda env, dem: ramp_problem("up", env, 3.0, elem_h=1.0 / 3.0),
+    lambda env, dem: ramp_problem("down", env, 4.0, elem_h=0.2),
+    lambda env, dem: assemble_problem(problem(env, dem, False, elems_per_hour=2)),
+], ids=["up-0.1h", "up-1/3h", "down-0.2h", "market-2h-2/h"])
+def test_no_vanishing_coefficients(envelope, demand_model, build):
+    """A point on a nu breakpoint weighs it by exactly 1, leaving no rounding
+    residue on the neighbouring breakpoint."""
+    mip, _ = build(envelope, demand_model)
+    assert [r.name for r in mip.rows if any(abs(c) < 1e-9 for _, c in r.coeffs)] == []
+
+
+def test_demand_model_of_another_envelope_raises(strategy, params, bounds, envelope):
+    """An envelope fitted under other bounds has another fingerprint."""
+    other = derive_envelope(strategy, params, dataclasses.replace(bounds, Q1=(0.0, 5.5e6)))
+    with pytest.raises(ValueError, match="different envelope"):
+        problem(envelope, fit_demand_pwa(strategy, params, bounds, other), False)
 
 
 def test_ramp_milp_size_pinned(envelope):

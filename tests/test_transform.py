@@ -303,10 +303,3 @@ def test_backtransform_consistency_fd(strategy, params):
     fd = np.gradient(xs, t, axis=0)
     err = np.max(np.abs(fd[3:-3] - rhss[3:-3]) / scale)
     assert err <= 1e-4
-
-
-def test_strategy_json_roundtrip(tmp_path, strategy):
-    path = tmp_path / "strategy.json"
-    strategy.to_json(path)
-    back = OperatingStrategy.from_json(path)
-    assert back == strategy
