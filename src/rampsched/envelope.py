@@ -4,15 +4,19 @@ heat-demand model, and the linear closed-loop (set-point filter) comparison.
 The first rate derivative is limited by the bounds of the variables that
 respond to it (T1, Fp, Q2); the second derivative nu is limited by the
 reactor duty bounds through the affine relation Q1(nu).  True limits are
-evaluated by inverting the backtransformation; conservative linear and
-piecewise-affine approximations are fitted by linear programming with
-per-point conservativeness constraints plus a curvature margin so that the
-guarantee survives grid refinement.  Both true nu limits are concave on the
-rate-derivative band, so every nu plane holds on the whole band: the upper
-limit is the minimum of N_UPPER planes, and the lower limit is any one of
-N_LOWER planes, each above the true lower limit everywhere.  Piecewise-affine
-fits (nu planes and the heat-demand model) share one Magnani-Boyd
-alternation.
+evaluated by inverting the backtransformation over whole grids at once: the
+rate-derivative band in closed form for T1 and Q2 and by the one T1 root of
+transform._flat_root for Fp, the nu band by one q1_affine_in_nu call.  One
+conservative plane fitter, _fit_planes, fits both: a linear program per
+Magnani-Boyd round (Optim. Eng. 10, 2009) with per-point conservativeness
+constraints plus a curvature margin so that the guarantee survives grid
+refinement, on the design matrix [1, rho] of an n x 1 grid for the two
+rate-derivative lines and [1, rho, rho_dot] of the band grid for the nu
+planes.  Both true nu limits are concave on the rate-derivative band, so
+every nu plane holds on the whole band: the upper limit is the minimum of
+N_UPPER planes, and the lower limit is any one of N_LOWER planes, each above
+the true lower limit everywhere.  The heat-demand model shares the
+Magnani-Boyd alternation.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.optimize import brentq, linprog
+from scipy.optimize import linprog
 
 from .process import Bounds, ProcessParams
-from .transform import (T1_BRACKET, OperatingStrategy, RampingPoint,
-                        backtransform, bottom_flow, psi_Fp, q1_affine_in_nu,
-                        theta_T1)
+from .transform import (T1_BRACKET, OperatingStrategy, RampingPoint, _flat_root,
+                        _purge_weights, backtransform, bottom_flow, psi_Fp,
+                        q1_affine_in_nu, theta_T1)
 
 INF = float("inf")
 
@@ -39,12 +43,13 @@ INF = float("inf")
 
 def rho_dot_limit_from_bound(rho: float, variable: str, bound_value: float,
                              strat: OperatingStrategy, p: ProcessParams) -> float:
-    """Rate derivative at which `variable` sits exactly on `bound_value`.
+    """Rate derivative at which `variable` sits exactly on `bound_value`;
+    broadcasts over an array rho.
 
     T1 bounds evaluate the strategy's rate equation directly; Q2 bounds are
-    inverted for T1 (linear); Fp bounds require a numeric root solve.
-    Returns +/-inf when the bound cannot be attained at this rho (it does
-    not constrain there).
+    inverted for T1 (linear); Fp bounds are one T1 root of psi_Fp.  Returns
+    +/-inf where the bound cannot be attained at rho (it does not constrain
+    there).
     """
     if variable == "T1":
         return theta_T1(rho, bound_value, strat, p)
@@ -53,14 +58,12 @@ def rho_dot_limit_from_bound(rho: float, variable: str, bound_value: float,
         T1 = strat.xi3_nom + (p.dHV * rho - bound_value) / (p.rhoF * p.Cp * (rho + FB))
         return theta_T1(rho, T1, strat, p)
     if variable == "Fp":
-        def f(T1):
-            return psi_Fp(rho, T1, strat, p) - bound_value
-        lo, hi = T1_BRACKET
-        if f(lo) * f(hi) > 0:
-            # bound not reachable: report a non-constraining sentinel
-            return INF if f(lo) < 0 else -INF
-        T1 = brentq(f, lo, hi, xtol=1e-10, rtol=1e-14)
-        return theta_T1(rho, T1, strat, p)
+        T1 = _flat_root(bound_value, rho, _purge_weights(strat, p), strat, p)
+        miss, lo = np.isnan(T1), T1_BRACKET[0]
+        # out of reach: +inf where psi_Fp stays below the bound, -inf where
+        # above; neither constrains
+        unreached = np.where(psi_Fp(rho, lo, strat, p) < bound_value, INF, -INF)
+        return np.where(miss, unreached, theta_T1(rho, np.where(miss, lo, T1), strat, p))[()]
     raise ValueError(f"unsupported variable {variable!r}")
 
 
@@ -70,21 +73,22 @@ _RD_SOURCES = (("T1", 0), ("T1", 1), ("Fp", 0), ("Fp", 1), ("Q2", 0), ("Q2", 1))
 def true_rho_dot_limits(rho: float, strat: OperatingStrategy, p: ProcessParams,
                         b: Bounds) -> tuple[float, float, str, str]:
     """(lower, upper, lower_source, upper_source) of the feasible rate
-    derivative at `rho`.  Steady operation (rate derivative zero) is feasible
-    by construction of the strategy, so candidates below zero bound from
-    below and candidates above zero from above."""
-    lo, lo_src = -INF, "none"
-    hi, hi_src = INF, "none"
-    for var, side in _RD_SOURCES:
-        bound = getattr(b, var)[side]
-        cand = rho_dot_limit_from_bound(rho, var, bound, strat, p)
-        name = f"{var}_{'max' if side else 'min'}"
-        if 0 > cand > lo:
-            lo, lo_src = cand, name
-        elif 0 < cand < hi:
-            hi, hi_src = cand, name
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise RuntimeError(f"unbounded rate-derivative range at rho={rho}")
+    derivative at `rho`; an array rho gives arrays.  Steady operation (rate
+    derivative zero) is feasible by construction of the strategy, so
+    candidates below zero bound from below and candidates above zero from
+    above."""
+    cand = np.array([rho_dot_limit_from_bound(rho, var, getattr(b, var)[side], strat, p)
+                     for var, side in _RD_SOURCES])
+    neg, pos = np.where(cand < 0, cand, -INF), np.where(cand > 0, cand, INF)
+    lo, hi = neg.max(axis=0), pos.min(axis=0)
+    unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
+    if np.any(unbounded):
+        rho_bad = np.broadcast_to(rho, lo.shape)[unbounded][0]
+        raise RuntimeError(f"unbounded rate-derivative range at rho={rho_bad}")
+    names = np.array([f"{var}_{'max' if side else 'min'}" for var, side in _RD_SOURCES])
+    lo_src, hi_src = names[neg.argmax(axis=0)], names[pos.argmin(axis=0)]
+    if np.ndim(rho) == 0:
+        return float(lo), float(hi), str(lo_src), str(hi_src)
     return lo, hi, lo_src, hi_src
 
 
@@ -143,20 +147,14 @@ class LinearLimit:
         return self.a0 + self.a1 * np.asarray(rho)
 
 
-def _curvature_margin(values: np.ndarray, side: str, safety: float = 1.5) -> float:
-    """Margin covering the sagitta between grid points: midpoint deviation of
-    a smooth function from its chord is bounded by the second difference / 8.
-    Only curvature toward the feasible side needs a margin."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1:
-        d2 = np.diff(v, 2)
-        bad = np.maximum(0.0, d2 if side == "upper" else -d2)
-        return safety * float(bad.max(initial=0.0)) / 8.0
-    d2a = np.diff(v, 2, axis=0)
-    d2b = np.diff(v, 2, axis=1)
-    bad_a = np.maximum(0.0, d2a if side == "upper" else -d2a)
-    bad_b = np.maximum(0.0, d2b if side == "upper" else -d2b)
-    return safety * (float(bad_a.max(initial=0.0)) + float(bad_b.max(initial=0.0))) / 8.0
+def _curvature_margin(values: np.ndarray, side: str, safety: float) -> float:
+    """Margin covering the sagitta between nodes of a 2-D grid (an n x 1
+    grid for a 1-D scan): midpoint deviation of a smooth function from its
+    chord is bounded by the second difference / 8 along each axis.  Only
+    curvature toward the feasible side needs a margin."""
+    bad = [np.maximum(0.0, d2 if side == "upper" else -d2)
+           for d2 in (np.diff(values, 2, axis=0), np.diff(values, 2, axis=1))]
+    return safety * (float(bad[0].max(initial=0.0)) + float(bad[1].max(initial=0.0))) / 8.0
 
 
 class EnvelopeFitError(RuntimeError):
@@ -164,60 +162,30 @@ class EnvelopeFitError(RuntimeError):
 
 
 def fit_rho_dot_limits(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-                       n_grid: int = 51,
-                       dominate: tuple[np.ndarray, np.ndarray] | None = None
-                       ) -> tuple[LinearLimit, LinearLimit, dict]:
+                       n_grid: int = 51) -> tuple[LinearLimit, LinearLimit, dict]:
     """Conservative linear limits on the rate derivative.
 
-    Per side, a linear program minimizes the total gap to the true limit
-    subject to conservativeness (with curvature margin) at every grid point.
-    `dominate` optionally supplies per-grid-point (lower, upper) values the
-    fit must enclose, used to show the fit can cover a set-point-filter
-    parallelogram.
+    Per side, one line fitted by _fit_planes on the n_grid x 1 rho grid: as
+    close to the true limit in total as conservativeness (with curvature
+    margin) at every grid point allows.
     """
     rho = np.linspace(*b.rho, n_grid)
-    los, his, lo_srcs, hi_srcs = [], [], [], []
-    for r in rho:
-        lo, hi, ls, hs = true_rho_dot_limits(r, strat, p, b)
-        if lo >= hi:
-            raise EnvelopeFitError(f"true rate-derivative limits cross at rho={r}")
-        los.append(lo)
-        his.append(hi)
-        lo_srcs.append(ls)
-        hi_srcs.append(hs)
-    los, his = np.array(los), np.array(his)
-
-    def fit_side(vals: np.ndarray, side: str, extra: np.ndarray | None) -> tuple[float, float, float]:
-        margin = _curvature_margin(vals, side)
-        sign = 1.0 if side == "upper" else -1.0
-        # maximize sum(a0 + a1*rho_i) for the upper side (minimize negative),
-        # subject to a0 + a1*rho_i <= vals_i - margin
-        A = np.column_stack([np.ones_like(rho), rho])
-        c = -sign * A.sum(axis=0)
-        A_ub = sign * A
-        b_ub = sign * vals - margin
-        if extra is not None:
-            A_ub = np.vstack([A_ub, -sign * A])
-            b_ub = np.concatenate([b_ub, -sign * extra])
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 2,
-                      method="highs")
-        if not res.success:
-            raise EnvelopeFitError(f"{side} rate-limit fit infeasible: {res.message}")
-        return float(res.x[0]), float(res.x[1]), margin
-
-    dom_lo = dominate[0] if dominate else None
-    dom_hi = dominate[1] if dominate else None
-    a0l, a1l, ml = fit_side(los, "lower", dom_lo)
-    a0u, a1u, mu = fit_side(his, "upper", dom_hi)
-    fit_lo = a0l + a1l * rho
-    fit_hi = a0u + a1u * rho
-    src_lo = lo_srcs[int(np.argmin(fit_lo - los))]
-    src_hi = hi_srcs[int(np.argmin(his - fit_hi))]
-    lower = LinearLimit(a0l, a1l, "lower", src_lo, ml)
-    upper = LinearLimit(a0u, a1u, "upper", src_hi, mu)
+    los, his, lo_srcs, hi_srcs = true_rho_dot_limits(rho, strat, p, b)
+    if np.any(los >= his):
+        raise EnvelopeFitError("true rate-derivative limits cross at "
+                               f"rho={rho[np.argmax(los >= his)]}")
+    Z = np.column_stack([np.ones_like(rho), rho])[:, None]
+    labels = np.zeros((n_grid, 1), dtype=int)
+    limits = []
+    for vals, srcs, side, sign in ((los, lo_srcs, "lower", -1.0), (his, hi_srcs, "upper", 1.0)):
+        coef, margin = _fit_planes(Z, vals[:, None], side, labels, safety=1.5)
+        a0, a1 = map(float, coef[0])
+        # named after the bound it comes closest to
+        src = str(srcs[np.argmin(sign * (vals - (a0 + a1 * rho)))])
+        limits.append(LinearLimit(a0, a1, side, src, margin))
     grid = dict(rho=rho, true_lower=los, true_upper=his,
                 lower_sources=lo_srcs, upper_sources=hi_srcs)
-    return lower, upper, grid
+    return *limits, grid
 
 
 N_LOWER = 2   # lower nu planes; the MILP selects one per hour, ceil(log2 N_LOWER) binaries
@@ -269,7 +237,7 @@ class CoverageReport:
         return f"coverage mean={self.mean:.3f} min={self.min:.3f}"
 
 
-def _nu_grid(strat, p, b, lower: LinearLimit, upper: LinearLimit, n: int):
+def _nu_grid(b: Bounds, lower: LinearLimit, upper: LinearLimit, n: int):
     """n x n grid over the rate-derivative band: rho along axis 0, the
     fraction of the band at that rho along axis 1."""
     rho = np.linspace(*b.rho, n)[:, None]
@@ -321,10 +289,13 @@ def _blocks(m: int, k: int) -> np.ndarray:
     return (i * rows // m) * (k // rows) + j * (k // rows) // m
 
 
-def _fit_nu_side(R, D, limit: np.ndarray, side: str, labels: np.ndarray) -> tuple:
-    """Planes for one side, one per partition of the grid, fitted in one
-    block-diagonal LP per round that pushes each plane toward the limit on
-    its partition.
+def _fit_planes(Z: np.ndarray, limit: np.ndarray, side: str, labels: np.ndarray,
+                safety: float) -> tuple[np.ndarray, float]:
+    """Conservative planes for one side of a limit sampled on a 2-D grid:
+    one plane per label, coefficients on the columns of the design matrix
+    Z (grid shape + (k,)), fitted in one block-diagonal LP per
+    Magnani-Boyd round that pushes each plane toward the limit on its
+    partition.  Returns (coefficients, one row per plane; curvature margin).
 
     A lower plane is at least the limit plus the curvature margin at every
     node; an upper plane is at most the limit minus the margin at every node
@@ -332,29 +303,29 @@ def _fit_nu_side(R, D, limit: np.ndarray, side: str, labels: np.ndarray) -> tupl
     plane that holds at all four of its corners."""
     upper = side == "upper"
     sign = 1.0 if upper else -1.0
-    bound = (limit - sign * _curvature_margin(limit, side, safety=2.0)).ravel()
-    Z = np.column_stack([np.ones(R.size), R.ravel(), D.ravel()])
+    margin = _curvature_margin(limit, side, safety)
+    bound = (limit - sign * margin).ravel()
+    shape, Z = limit.shape, Z.reshape(limit.size, -1)
 
     def fit(labels):
         c, blocks, rhs = [], [], []
         for k in np.unique(labels):
             mask = labels == k
-            rows = _cells_touching(mask.reshape(R.shape)).ravel() if upper else slice(None)
+            rows = _cells_touching(mask.reshape(shape)).ravel() if upper else slice(None)
             c.append(-sign * Z[mask].sum(axis=0))
             blocks.append(sign * Z[rows])
             rhs.append(sign * bound[rows])
         res = linprog(np.concatenate(c), A_ub=block_diag(*blocks), b_ub=np.concatenate(rhs),
                       bounds=(None, None), method="highs")
         if not res.success:
-            raise EnvelopeFitError(f"nu {side} fit infeasible: {res.message}")
-        return res.x.reshape(-1, 3)
+            raise EnvelopeFitError(f"{side} limit fit infeasible: {res.message}")
+        return res.x.reshape(len(c), -1)
 
     def score(coef):
         v = Z @ coef.T
         return -sign * float(v.min(axis=1).sum()), np.argmin(v, axis=1)
 
-    coef = _magnani_boyd(fit, score, labels.ravel())
-    return tuple(PwaSide(*map(float, row)) for row in coef)
+    return _magnani_boyd(fit, score, labels.ravel()), margin
 
 
 def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
@@ -368,11 +339,14 @@ def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     its curvature margin guarding points between grid nodes; coverage, the
     fitted band width over the true one, is evaluated on the n_grid^2 grid."""
     m = n_grid // 2 + 1
-    R, D = _nu_grid(strat, p, b, lower, upper, m)
+    R, D = _nu_grid(b, lower, upper, m)
     NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
-    env = PwaEnvelope(lower=_fit_nu_side(R, D, NLO, "lower", _blocks(m, N_LOWER)),
-                      upper=_fit_nu_side(R, D, NHI, "upper", _blocks(m, N_UPPER)))
-    R, D = _nu_grid(strat, p, b, lower, upper, n_grid)
+    Z = np.stack([np.ones_like(R), R, D], axis=-1)
+    lower_coef, _ = _fit_planes(Z, NLO, "lower", _blocks(m, N_LOWER), safety=2.0)
+    upper_coef, _ = _fit_planes(Z, NHI, "upper", _blocks(m, N_UPPER), safety=2.0)
+    env = PwaEnvelope(lower=tuple(PwaSide(*map(float, row)) for row in lower_coef),
+                      upper=tuple(PwaSide(*map(float, row)) for row in upper_coef))
+    R, D = _nu_grid(b, lower, upper, n_grid)
     NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
     lo, hi = env.nu_range(R, D)
     cov = (hi - lo) / (NHI - NLO)
@@ -422,18 +396,19 @@ class RampingEnvelope:
         return nl - tol <= nu <= nh + tol
 
 
-def _fingerprint(strat: OperatingStrategy, p: ProcessParams, b: Bounds) -> str:
-    """Digest of the strategy, plant and bounds an envelope is fitted from."""
-    blob = repr(strat) + repr(p) + repr(b)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def _fingerprint(*parts) -> str:
+    """Digest of the reprs of `parts`."""
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
 def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
                     n_grid: int = 51) -> RampingEnvelope:
+    """Envelope fingerprinted by the strategy, plant and bounds it is fitted
+    from together with its own fitted limits and planes."""
     lower, upper, _ = fit_rho_dot_limits(strat, p, b, n_grid)
     pwa, cov = fit_nu_pwa(strat, p, b, lower, upper, n_grid)
     return RampingEnvelope(b.rho, b.rho_nom, lower, upper, pwa, cov,
-                           _fingerprint(strat, p, b))
+                           _fingerprint(strat, p, b, b.rho, b.rho_nom, lower, upper, pwa))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +459,7 @@ def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     Magnani-Boyd alternation (Optim. Eng. 10, 2009): starting from the split
     at rho_dot = 0 and nu = 0, fit each partition by least squares, then give
     each point to its largest plane, while the squared error falls."""
-    R, D = _nu_grid(strat, p, b, env.rd_lower, env.rd_upper, n)
+    R, D = _nu_grid(b, env.rd_lower, env.rd_upper, n)
     nl, nh = env.nu_range(R, D)
     keep = nl <= nh
     nu = nl[keep, None] + np.linspace(0.0, 1.0, n) * (nh - nl)[keep, None]
@@ -537,5 +512,5 @@ def max_tau(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     (rho_min - rho)/lower(rho) and (rho_max - rho)/upper(rho), so tau is the
     largest of those ratios over the grid."""
     rho = np.linspace(*b.rho, n_grid)
-    lower, upper = np.array([true_rho_dot_limits(r, strat, p, b)[:2] for r in rho]).T
+    lower, upper, *_ = true_rho_dot_limits(rho, strat, p, b)
     return float(max(np.max((b.rho[0] - rho) / lower), np.max((b.rho[1] - rho) / upper)))

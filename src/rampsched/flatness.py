@@ -16,6 +16,7 @@ Both are necessary conditions only; a passing candidate is reported as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -273,8 +274,7 @@ def check_structural_solvability(M: OccurrenceMatrix) -> SolvabilityResult:
         else:
             unmatched_rows.append(i)
     if matched == n:
-        return SolvabilityResult({match_col[j]: j for j in range(n)
-                                  if match_col[j] >= 0} | {})
+        return SolvabilityResult({match_col[j]: j for j in range(n) if match_col[j] >= 0})
     # alternating reachability from the unmatched rows gives the Hall violator
     reach_rows = set(unmatched_rows)
     frontier = list(unmatched_rows)
@@ -318,7 +318,6 @@ def search_orders(g: SparsityModel, components: tuple[tuple[str, ...], ...],
     differentiation count."""
     m = len(components)
     need = set(g.states) | set(g.inputs)
-    from itertools import product
     for total in range(m, max_total + 1):
         for orders in sorted(product(range(total + 1), repeat=m)):
             if sum(orders) != total:
@@ -334,15 +333,9 @@ def search_orders(g: SparsityModel, components: tuple[tuple[str, ...], ...],
 # Bundled example models
 # ---------------------------------------------------------------------------
 
-def pairing_from_config(cand_cfg: dict) -> list[tuple[str, tuple[str, ...]]]:
-    """(input, states its output component reads) pairs of a bundled
-    example's candidate."""
-    comps = [tuple(c) for c in cand_cfg["components"]]
-    return [(u, comps[k]) for u, k in cand_cfg["pairing"]]
-
-
-def example_e() -> tuple[SparsityModel, dict]:
-    """Three-state, two-input linear example used to illustrate both checks."""
+def example_e() -> tuple[SparsityModel, dict[str, tuple[OutputCandidate, list]]]:
+    """Three-state, two-input linear example used to illustrate both checks:
+    the graph and {name: (output candidate, input pairing)}."""
     g = SparsityModel(
         states=("x1", "x2", "x3"),
         inputs=("u1", "u2"),
@@ -352,17 +345,18 @@ def example_e() -> tuple[SparsityModel, dict]:
         rho=None,
     )
     candidates = {
-        "x1x2": {"components": [["x1"], ["x2"]], "orders": [2, 2],
-                 "pairing": [["u1", 0], ["u2", 1]]},
-        "x3x2": {"components": [["x3"], ["x2"]], "orders": [2, 2],
-                 "pairing": [["u1", 0], ["u2", 1]]},
+        "x1x2": (OutputCandidate((("x1",), ("x2",)), (2, 2)),
+                 [("u1", ("x1",)), ("u2", ("x2",))]),
+        "x3x2": (OutputCandidate((("x3",), ("x2",)), (2, 2)),
+                 [("u1", ("x3",)), ("u2", ("x2",))]),
     }
     return g, candidates
 
 
-def illustrative_model() -> tuple[SparsityModel, dict]:
+def illustrative_model() -> tuple[SparsityModel, dict[str, tuple[OutputCandidate, list]]]:
     """Three-state model whose second input is quadratic in the rate
-    derivative; used for the disconnected-feasible-region study."""
+    derivative; used for the disconnected-feasible-region study.  Returns
+    the graph and {name: (output candidate, input pairing)}."""
     g = SparsityModel(
         states=("x1", "x2", "x3"),
         inputs=("u1", "u2"),
@@ -372,7 +366,7 @@ def illustrative_model() -> tuple[SparsityModel, dict]:
         rho="rho",
     )
     candidates = {
-        "x1x3": {"components": [["x1"], ["x3"]], "orders": [2, 1],
-                 "pairing": [["u1", 0], ["u2", 1]]},
+        "x1x3": (OutputCandidate((("x1",), ("x3",)), (2, 1)),
+                 [("u1", ("x1",)), ("u2", ("x3",))]),
     }
     return g, candidates

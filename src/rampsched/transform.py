@@ -31,15 +31,21 @@ invertible from (rho, rho_dot, nu), nu being the second rate derivative:
   residual, in which both nu and Q1 enter affinely; its partials are closed
   form (the residual is affine in A0 and B0, which differentiate exactly).
 
+_flat_rate and psi_Fp = (B0 - s*A0) / (s*A1 - B1) are both fixed linear
+combinations of the Fp-intercepts (A0, B0), so every T1 root in the package
+is one function, _flat_root, solving "combination = target" for the weights
+of either: _rate_weights for solve_T1 and the steady states, _purge_weights
+for the envelope's Fp-bound limits (psi_Fp rises in T1 on T1_BRACKET).
+
 Every function here broadcasts over numpy arrays, so a whole set-up grid
-(the strategy fit's cA1 scan, the envelope's nu surfaces, the demand grid)
-is one call.  The root in T1 takes one of two paths, chosen by np.ndim of
-the input.  A scalar point is one scipy brentq: about 0.1 ms, and the
-per-point replays of a schedule make hundreds of such calls, where a
-size-1 array would cost ten times as much in numpy call overhead.  An
-array runs one safeguarded Newton/bisection over all its points at once,
-on the exact T1 partial; a grid of thousands of points costs about as
-much as a few brentq roots.  Both roots evaluate the same residual and
+(the strategy fit's cA1 scan, the envelope's rate-derivative band and nu
+surfaces, the demand grid) is one call.  The root in T1 takes one of two
+paths, chosen by np.ndim of the input.  A scalar point is one scipy
+brentq: about 0.1 ms, and the per-point replays of a schedule make
+hundreds of such calls, where a size-1 array would cost ten times as much
+in numpy call overhead.  An array runs one safeguarded Newton/bisection
+over all its points at once, on the exact T1 partial; a grid of thousands
+of points costs about as much as a few brentq roots.  Both roots evaluate the same residual and
 stop at 1e-10 K.
 
 The strategy itself is fitted by steady-state optimization
@@ -162,30 +168,47 @@ def _fp_intercepts(rho: float, terms: tuple, strat: OperatingStrategy,
     return A0, B0
 
 
+def _purge_weights(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
+    """Weights (wA, wB, den) of psi_Fp = (wA*A0 + wB*B0)/den."""
+    _, _, den = _fp_slopes(strat, p)
+    return -cb1_slope(strat, p), 1.0, den
+
+
+def _rate_weights(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
+    """Weights (wA, wB, den) of _flat_rate = (wA*A0 + wB*B0)/den."""
+    A1, B1, den = _fp_slopes(strat, p)
+    return -B1, A1, den
+
+
+def _combination(rho: float, T1: float, weights: tuple, strat: OperatingStrategy,
+                 p: ProcessParams) -> float:
+    """(wA*A0 + wB*B0)/den at (rho, T1)."""
+    wA, wB, den = weights
+    A0, B0 = _fp_intercepts(rho, _reactor_terms(rho, T1, strat, p), strat, p)
+    return (wB * B0 + wA * A0) / den
+
+
 def psi_Fp(rho: float, T1: float, strat: OperatingStrategy,
            p: ProcessParams) -> float:
     """Purge stream enforcing d2cB2/dt2 = 0, as a function of (rho, T1)."""
     if _any(T1 <= 0):
         raise ValueError("psi_Fp: T1 must be positive")
-    _, _, den = _fp_slopes(strat, p)
-    A0, B0 = _fp_intercepts(rho, _reactor_terms(rho, T1, strat, p), strat, p)
-    return (B0 - cb1_slope(strat, p) * A0) / den
+    return _combination(rho, T1, _purge_weights(strat, p), strat, p)
 
 
 def _flat_rate(rho: float, T1: float, strat: OperatingStrategy,
                p: ProcessParams) -> float:
     """dcA1/dt with the purge at psi_Fp: a1*rho_dot on the flat trajectory,
     0 at a steady state."""
-    A1, B1, den = _fp_slopes(strat, p)
-    A0, B0 = _fp_intercepts(rho, _reactor_terms(rho, T1, strat, p), strat, p)
-    return (A1 * B0 - B1 * A0) / den
+    return _combination(rho, T1, _rate_weights(strat, p), strat, p)
 
 
-def _t1_partial(T1, r1, r2, A1, B1, den, p: ProcessParams):
-    """d_flat_rate/dT1, through the Arrhenius factors only: dA0 = -dr1,
-    dB0 = dr1 - dr2."""
+def _t1_partial(T1, r1, r2, weights: tuple, p: ProcessParams):
+    """T1 partial of (wA*A0 + wB*B0)/den, through the Arrhenius factors
+    only: dA0 = -dr1, dB0 = dr1 - dr2."""
+    wA, wB, den = weights
     dr1_T, dr2_T = r1 * p.E1 / (p.R * T1 * T1), r2 * p.E2 / (p.R * T1 * T1)
-    return (A1 * (dr1_T - dr2_T) + B1 * dr1_T) / den
+    return (wB * (dr1_T - dr2_T) - wA * dr1_T) / den
 
 
 def theta_T1(rho: float, T1: float, strat: OperatingStrategy,
@@ -201,11 +224,13 @@ T1_XTOL = 1e-10                 # K, both root paths
 _NEWTON_MAX_ITER = 100          # bisection alone needs 42 halvings of 300 K
 
 
-def _flat_root(rate, rho, strat: OperatingStrategy, p: ProcessParams):
-    """T1 in T1_BRACKET with _flat_rate(rho, T1) = rate; NaN where there is
-    none.
+def _flat_root(target, rho, weights: tuple, strat: OperatingStrategy,
+               p: ProcessParams):
+    """T1 in T1_BRACKET with (wA*A0 + wB*B0)/den = target at rho, for
+    weights (wA, wB, den) such as _rate_weights (_flat_rate) or
+    _purge_weights (psi_Fp); NaN where there is none.
 
-    Scalar rate and rho take one brentq, the fast path for the hundreds of
+    Scalar target and rho take one brentq, the fast path for the hundreds of
     single points a schedule replay backtransforms (a size-1 array Newton
     costs about ten times as much).  Arrays broadcast (with any array fields
     of strat), and every point runs the same safeguarded Newton iteration at
@@ -214,18 +239,18 @@ def _flat_root(rate, rho, strat: OperatingStrategy, p: ProcessParams):
     midpoint when the Newton step leaves it.  Both stop at T1_XTOL.
     """
     lo, hi = T1_BRACKET
+    wA, wB, den = weights
     # T1 enters A0 and B0 only through r1 and r2 (A0 - r1, B0 + r1 - r2), so
     # the flow terms are evaluated once, the rates at every iterate; the
-    # residual is bitwise _flat_rate - rate
-    A1, B1, den = _fp_slopes(strat, p)
+    # residual is bitwise _combination - target
     cA1, cB1, FB = _reactor_terms(rho, lo, strat, p)[:3]
     A0f, B0f = _fp_intercepts(rho, (cA1, cB1, FB, 0.0, 0.0), strat, p)
 
     def residual(T1):
         r1, r2 = reaction_rates(cA1, cB1, T1, p)
-        return (A1 * (B0f + r1 - r2) - B1 * (A0f - r1)) / den - rate, r1, r2
+        return (wB * (B0f + r1 - r2) + wA * (A0f - r1)) / den - target, r1, r2
 
-    if not _is_batch(rate, rho):
+    if not _is_batch(target, rho):
         def f(T1):
             return residual(T1)[0]
 
@@ -241,7 +266,7 @@ def _flat_root(rate, rho, strat: OperatingStrategy, p: ProcessParams):
         f, r1, r2 = residual(T1)
         t_neg, t_pos = np.where(f < 0, T1, t_neg), np.where(f > 0, T1, t_pos)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = T1 - f / _t1_partial(T1, r1, r2, A1, B1, den, p)
+            nxt = T1 - f / _t1_partial(T1, r1, r2, weights, p)
         inside = (nxt >= np.minimum(t_neg, t_pos)) & (nxt <= np.maximum(t_neg, t_pos))
         nxt = np.where(inside, nxt, 0.5 * (t_neg + t_pos))
         converged = np.abs(nxt - T1) <= T1_XTOL
@@ -263,7 +288,7 @@ def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
     """
     if strat.a1_xi4 == 0:
         raise SingularTransformError("solve_T1: strategy slope a1 is zero")
-    T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, strat, p)
+    T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, _rate_weights(strat, p), strat, p)
     miss = np.isnan(T1)
     if _any(miss):
         i = np.argmax(miss)
@@ -290,9 +315,9 @@ def _psi_partials(rho: float, T1: float, strat: OperatingStrategy,
     """Closed-form partials of the residual _flat_rate(rho, T1) - a1*rho_dot
     w.r.t. (rho, rho_dot, T1)."""
     a1 = strat.a1_xi4
-    A1, B1, den = _fp_slopes(strat, p)
+    wA, wB, den = weights = _rate_weights(strat, p)
     cA1, cB1, FB, r1, r2 = _reactor_terms(rho, T1, strat, p)
-    P_T1 = _t1_partial(T1, r1, r2, A1, B1, den, p)
+    P_T1 = _t1_partial(T1, r1, r2, weights, p)
     # d/drho through cA1 = a0 + a1*rho, cB1 = xi2 + s*(cA1 - xi1) and FB
     dcA1, dcB1 = a1, cb1_slope(strat, p) * a1
     m = (nominal_vapor(strat, p)[0] - strat.xi1_nom) / (cA1 - strat.xi1_nom)
@@ -301,7 +326,7 @@ def _psi_partials(rho: float, T1: float, strat: OperatingStrategy,
     dA0 = ((p.cA0 - cA1) - rho * dcA1 + dFB * (strat.xi1_nom - cA1) - FB * dcA1) / p.V1 - dr1
     dB0 = (((p.cB0 - cB1) - rho * dcB1 + dFB * (strat.xi2_nom - cB1) - FB * dcB1) / p.V1
            + dr1 - dr2)
-    P_rho = (A1 * dB0 - B1 * dA0) / den
+    P_rho = (wB * dB0 + wA * dA0) / den
     return P_rho, -a1, P_T1
 
 
@@ -381,7 +406,7 @@ def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
     a0 = np.where(win_ok, cA1, cAv)
     # a scalar point stays on Python floats, on which brentq runs fastest
     const = replace(strat, a0_xi4=a0 if a0.ndim else float(a0), a1_xi4=0.0)
-    T1 = _flat_root(0.0, rho, const, p)
+    T1 = _flat_root(0.0, rho, _rate_weights(const, p), const, p)
     root_ok = ~np.isnan(T1)
     T1 = np.nan_to_num(T1, nan=T1_BRACKET[0])
     cA1 = const.pi4(rho)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from rampsched.envelope import derive_envelope, fit_demand_pwa

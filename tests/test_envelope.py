@@ -48,14 +48,39 @@ def test_rate_limit_crosscheck_backtransform(strategy, params, bounds):
                    strict=False)
 def test_rate_limit_source_pattern_matches_publication(strategy, params, bounds):
     rho = np.linspace(*bounds.rho, 51)
-    lo_srcs = []
-    hi_srcs = []
-    for r in rho:
-        _, _, ls, hs = true_rho_dot_limits(r, strategy, params, bounds)
-        lo_srcs.append(ls)
-        hi_srcs.append(hs)
+    _, _, lo_srcs, hi_srcs = true_rho_dot_limits(rho, strategy, params, bounds)
     assert all(s == "Fp_min" for s in lo_srcs)
     assert hi_srcs[0] == "Fp_max" and hi_srcs[-1] == "Q2_min"
+
+
+def test_true_band_batched_matches_scalar(strategy, params, bounds):
+    """The band over the 51-point rho array equals the per-point scalar
+    calls (brentq roots against one Newton batch) to 1e-9 relative, with the
+    same sources."""
+    rho = np.linspace(*bounds.rho, 51)
+    lo, hi, lo_src, hi_src = true_rho_dot_limits(rho, strategy, params, bounds)
+    scalar = [true_rho_dot_limits(r, strategy, params, bounds) for r in rho]
+    assert all(isinstance(s, str) for row in scalar for s in row[2:])
+    np.testing.assert_allclose(lo, [s[0] for s in scalar], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(hi, [s[1] for s in scalar], rtol=1e-9, atol=0)
+    assert list(lo_src) == [s[2] for s in scalar]
+    assert list(hi_src) == [s[3] for s in scalar]
+
+
+@pytest.mark.parametrize("var, bound, unreached", [
+    ("T1", 440.0, None), ("Q2", 3.0e6, None), ("Fp", 5.0, None),
+    ("Fp", -100.0, -np.inf), ("Fp", 1e9, np.inf)])
+def test_rate_limit_from_bound_broadcasts(strategy, params, bounds, var, bound, unreached):
+    """A 2-D rho array gives the scalar value at every point, including the
+    +/-inf of an Fp bound out of reach (below psi_Fp on the whole T1 bracket,
+    or above it)."""
+    rho = np.linspace(*bounds.rho, 6).reshape(2, 3)
+    batch = rho_dot_limit_from_bound(rho, var, bound, strategy, params)
+    scalar = [rho_dot_limit_from_bound(r, var, bound, strategy, params) for r in rho.ravel()]
+    assert batch.shape == rho.shape
+    np.testing.assert_allclose(batch.ravel(), scalar, rtol=1e-9, atol=0)
+    if unreached is not None:
+        assert np.all(batch == unreached)
 
 
 # --- linear rate-derivative fits ----------------------------------------------
@@ -82,20 +107,6 @@ def test_rd_sources_recorded(rd_fit):
     lower, upper, _ = rd_fit
     assert lower.source != "none" and upper.source != "none"
     assert lower.side == "lower" and upper.side == "upper"
-
-
-def test_rd_fit_dominating_parallelogram(strategy, params, bounds, rd_fit):
-    """Linear limits refit to dominate the set-point-filter parallelogram
-    contain it everywhere (the fit can always match that shape)."""
-    # slightly above the minimal time constant so the parallelogram clears
-    # the fit's conservativeness margin
-    tau = 1.05 * max_tau(strategy, params, bounds)
-    rho = np.linspace(*bounds.rho, 51)
-    sb = np.array([sbm_limits(r, tau, *bounds.rho) for r in rho])
-    lower2, upper2, _ = fit_rho_dot_limits(strategy, params, bounds,
-                                           dominate=(sb[:, 0], sb[:, 1]))
-    assert np.all(lower2(rho) <= sb[:, 0] + 1e-9)
-    assert np.all(upper2(rho) >= sb[:, 1] - 1e-9)
 
 
 # --- true nu limits -----------------------------------------------------------
@@ -179,8 +190,7 @@ def test_pwa_coverage_mean(envelope):
 
 def test_pwa_conservative_on_fit_grid(strategy, params, bounds, envelope):
     from rampsched.envelope import _nu_grid
-    R, D = _nu_grid(strategy, params, bounds, envelope.rd_lower,
-                    envelope.rd_upper, 51)
+    R, D = _nu_grid(bounds, envelope.rd_lower, envelope.rd_upper, 51)
     for i in range(0, 51, 5):
         for j in range(0, 51, 5):
             tl, th = nu_limits_true(R[i, j], D[i, j], strategy, params, bounds)
@@ -215,8 +225,7 @@ def test_nu_planes_hold_on_whole_band(strategy, params, bounds, envelope):
     as the upper planes touch it), at every node of the 51 x 51 band grid,
     so any lower plane is a safe pick."""
     from rampsched.envelope import _nu_grid
-    R, D = _nu_grid(strategy, params, bounds, envelope.rd_lower,
-                    envelope.rd_upper, 51)
+    R, D = _nu_grid(bounds, envelope.rd_lower, envelope.rd_upper, 51)
     tl, th = nu_limits_true(R, D, strategy, params, bounds)
     pwa = envelope.nu_pwa
     assert (len(pwa.lower), len(pwa.upper)) == (N_LOWER, N_UPPER)
@@ -314,12 +323,9 @@ def test_sbm_containment_at_max_tau(strategy, params, bounds):
     """The band at max_tau lies inside the true limits at every grid point,
     and the band at 0.999 * max_tau does not: max_tau is the smallest."""
     tau = max_tau(strategy, params, bounds)
-    shorter = []
-    for rho in np.linspace(*bounds.rho, 51):
-        lo, hi, *_ = true_rho_dot_limits(rho, strategy, params, bounds)
-        s_lo, s_hi = sbm_limits(rho, tau, *bounds.rho)
-        assert s_lo >= lo - 1e-9
-        assert s_hi <= hi + 1e-9
-        s_lo, s_hi = sbm_limits(rho, 0.999 * tau, *bounds.rho)
-        shorter.append(s_lo >= lo and s_hi <= hi)
-    assert not all(shorter)
+    rho = np.linspace(*bounds.rho, 51)
+    lo, hi, *_ = true_rho_dot_limits(rho, strategy, params, bounds)
+    s_lo, s_hi = sbm_limits(rho, tau, *bounds.rho)
+    assert np.all(s_lo >= lo - 1e-9) and np.all(s_hi <= hi + 1e-9)
+    s_lo, s_hi = sbm_limits(rho, 0.999 * tau, *bounds.rho)
+    assert not np.all((s_lo >= lo) & (s_hi <= hi))

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rampsched.flatness import (OccurrenceMatrix, OutputCandidate,
-                                SparsityModel, check_disjoint_cover,
-                                check_structural_solvability, example_e,
-                                illustrative_model, input_rank_condition,
-                                pairing_from_config, propagate_occurrence,
-                                search_orders)
+                                check_disjoint_cover, check_structural_solvability,
+                                example_e, illustrative_model, input_rank_condition,
+                                propagate_occurrence, search_orders)
 from rampsched.transform import case_study_graph
 
 
@@ -16,14 +14,14 @@ from rampsched.transform import case_study_graph
 
 def test_example_e_x1x2_fails_x3_uncovered():
     g, cands = example_e()
-    res = check_disjoint_cover(g, pairing_from_config(cands["x1x2"]))
+    res = check_disjoint_cover(g, cands["x1x2"][1])
     assert not res.passed
     assert "x3" in res.uncovered
 
 
 def test_example_e_x3x2_passes():
     g, cands = example_e()
-    res = check_disjoint_cover(g, pairing_from_config(cands["x3x2"]))
+    res = check_disjoint_cover(g, cands["x3x2"][1])
     assert res.passed
     visited = {v for p in res.paths for v in p[1:]}
     assert visited == {"x1", "x2", "x3"}
@@ -34,7 +32,7 @@ def test_example_e_x3x2_passes():
 
 def test_illustrative_model_candidate_passes():
     g, cands = illustrative_model()
-    res = check_disjoint_cover(g, pairing_from_config(cands["x1x3"]))
+    res = check_disjoint_cover(g, cands["x1x3"][1])
     assert res.passed
 
 
@@ -74,9 +72,7 @@ TABLE_E = {
 
 def test_example_e_occurrence_pattern():
     g, cands = example_e()
-    cfg = cands["x3x2"]
-    M = propagate_occurrence(g, OutputCandidate(
-        tuple(tuple(c) for c in cfg["components"]), tuple(cfg["orders"])))
+    M = propagate_occurrence(g, cands["x3x2"][0])
     assert M.row_labels == ["xi1", "xi2", "xi1'", "xi2'", "xi1''", "xi2''"]
     for i, label in enumerate(M.row_labels):
         assert M.mark_set(i) == TABLE_E[label], label
@@ -120,9 +116,7 @@ def test_order_zero_is_raw_sparsity():
 
 def test_example_e_matrix_has_perfect_matching():
     g, cands = example_e()
-    cfg = cands["x3x2"]
-    M = propagate_occurrence(g, OutputCandidate(
-        tuple(tuple(c) for c in cfg["components"]), tuple(cfg["orders"])))
+    M = propagate_occurrence(g, cands["x3x2"][0])
     res = check_structural_solvability(M)
     assert res.solvable
     # every matched entry is marked; bijection
@@ -193,14 +187,14 @@ def test_order_monotonicity():
 
 def test_search_orders_example_e():
     g, cands = example_e()
-    comps = tuple(tuple(c) for c in cands["x3x2"]["components"])
+    comps = cands["x3x2"][0].components
     assert search_orders(g, comps) == (2, 2)
 
 
 def test_search_orders_requires_full_coverage():
     # the found system must include every state and input among its columns
     g, cands = example_e()
-    comps = tuple(tuple(c) for c in cands["x3x2"]["components"])
+    comps = cands["x3x2"][0].components
     orders = search_orders(g, comps)
     M = propagate_occurrence(g, OutputCandidate(comps, orders))
     assert set(g.states) | set(g.inputs) <= set(M.col_labels)
@@ -210,9 +204,7 @@ def test_search_orders_requires_full_coverage():
 
 def test_ascii_table_contains_circles():
     g, cands = example_e()
-    cfg = cands["x3x2"]
-    M = propagate_occurrence(g, OutputCandidate(
-        tuple(tuple(c) for c in cfg["components"]), tuple(cfg["orders"])))
+    M = propagate_occurrence(g, cands["x3x2"][0])
     res = check_structural_solvability(M)
     text = M.to_ascii(res.matching)
     assert "(x)" in text and "xi1''" in text

@@ -1,8 +1,8 @@
-"""Source hygiene: every name a module imports is used in it, every
-private module-level function or constant of the package is read somewhere
-in the package or its tests, every method and property of a package
-class is read somewhere in the package, its tests or the benchmark, and
-every package name the benchmark reads exists."""
+"""Source hygiene: every name a package or test module imports is used in
+it, every private module-level function or constant of the package is read
+somewhere in the package or its tests, every method and property of a
+package class is read somewhere in the package, its tests or the benchmark,
+and every package name the benchmark reads exists."""
 
 import ast
 from pathlib import Path
@@ -12,7 +12,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rampsched"
 BENCHMARK = ROOT / "benchmark"
-READERS = (SRC, ROOT / "tests", BENCHMARK)
+TESTS = ROOT / "tests"
+READERS = (SRC, TESTS, BENCHMARK)
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -152,7 +153,8 @@ def missing_package_names(spaces: dict[str, set[str]],
     return sorted(missing)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))],
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
@@ -165,7 +167,7 @@ def test_unused_import_detected():
 
 def test_no_unused_private_names():
     modules = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    tests = [ast.parse(p.read_text()) for p in sorted((ROOT / "tests").glob("*.py"))]
+    tests = [ast.parse(p.read_text()) for p in sorted(TESTS.glob("*.py"))]
     assert unused_privates(modules, [*modules.values(), *tests]) == []
 
 

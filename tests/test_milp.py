@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rampsched import milp as milp_module
-from rampsched.milp import (INF, MixedIntegerProgram, Solution,
-                            branch_and_bound, check_solution, simplex_solve)
+from rampsched.milp import (INF, MixedIntegerProgram, branch_and_bound,
+                            check_solution, simplex_solve)
 
 
 def small_lp(c, A, b, ub, senses=None):

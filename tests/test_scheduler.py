@@ -138,6 +138,15 @@ def test_demand_model_of_another_envelope_raises(strategy, params, bounds, envel
         problem(envelope, fit_demand_pwa(strategy, params, bounds, other), False)
 
 
+def test_demand_model_of_a_coarser_envelope_raises(strategy, params, bounds, envelope):
+    """Envelopes fitted at n_grid 51 and 31 from the same strategy, plant
+    and bounds differ in their planes, so they differ in fingerprint too."""
+    coarse = derive_envelope(strategy, params, bounds, n_grid=31)
+    assert coarse.fingerprint != envelope.fingerprint
+    with pytest.raises(ValueError, match="different envelope"):
+        problem(envelope, fit_demand_pwa(strategy, params, bounds, coarse), False)
+
+
 def test_ramp_milp_size_pinned(envelope):
     """vars, binaries and rows of the default up-ramp (25 elements)."""
     mip, _ = ramp_problem("up", envelope, 2.5)

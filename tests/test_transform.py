@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rampsched.process import (Bounds, ControlSchedule, InputVec,
-                               ProcessParams, simulate)
+from rampsched.process import ControlSchedule, simulate
 from rampsched.transform import (OperatingStrategy, OutsideFlatRegionError,
                                  RampingPoint, SteadyStateError, _flat_rate,
-                                 _psi_partials, _steady_batch, _steady_feasible,
+                                 _flat_root, _psi_partials, _purge_weights,
+                                 _steady_batch, _steady_feasible,
                                  _window, backtransform, fit_operating_strategy,
                                  nominal_vapor, psi_Fp, q1_affine_in_nu,
                                  scaled_residual, solve_T1, steady_state_point,
@@ -168,6 +168,21 @@ def test_psi_fp_steady_consistency(strategy, params, bounds):
         assert psi_Fp(rho, x.T1, strategy, params) == pytest.approx(u.Fp, abs=1e-8)
 
 
+@pytest.mark.parametrize("fp", [0.0, 4.0, 8.0])
+def test_flat_root_on_purge_weights_solves_psi_fp(strategy, params, bounds, fp):
+    """The T1 root on the purge weights puts psi_Fp on its target, one
+    brentq for a scalar and one Newton batch for an array alike; NaN where
+    the target is out of reach."""
+    rho = np.linspace(*bounds.rho, 5)
+    weights = _purge_weights(strategy, params)
+    T1 = _flat_root(fp, rho, weights, strategy, params)
+    assert psi_Fp(rho, T1, strategy, params) == pytest.approx(np.full(5, fp), abs=1e-8)
+    T1_mid = _flat_root(fp, float(rho[2]), weights, strategy, params)
+    assert psi_Fp(rho[2], T1_mid, strategy, params) == pytest.approx(fp, abs=1e-8)
+    assert T1_mid == pytest.approx(T1[2], abs=1e-9)
+    assert np.all(np.isnan(_flat_root(1e9, rho, weights, strategy, params)))
+
+
 def test_backtransform_steady_equals_steady_point(strategy, params, bounds):
     for rho in (4.3, 5.25, 6.2):
         x, u = steady_state_point(rho, strategy.pi4(rho), strategy, params, bounds)
@@ -290,7 +305,7 @@ def test_closed_loop_holds_flash_composition(strategy, params, bounds):
 def test_backtransform_consistency_fd(strategy, params):
     """d/dt of the backtransformed states (finite differences) matches the
     model right-hand side along a smooth trajectory to 1e-4 scaled."""
-    from rampsched.process import StateVec, InputVec, ode_rhs
+    from rampsched.process import StateVec, ode_rhs
     t = np.arange(0.0, 2.0, 0.002)
     rho, rho_dot, nu = smooth_rho_profile(t, amp=0.3, period=2.0)
     xs, rhss = [], []
