@@ -162,8 +162,8 @@ class EnvelopeFitError(RuntimeError):
 
 
 def fit_rho_dot_limits(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-                       n_grid: int = 51) -> tuple[LinearLimit, LinearLimit, dict]:
-    """Conservative linear limits on the rate derivative.
+                       n_grid: int = 51) -> tuple[LinearLimit, LinearLimit]:
+    """Conservative linear limits (lower, upper) on the rate derivative.
 
     Per side, one line fitted by _fit_planes on the n_grid x 1 rho grid: as
     close to the true limit in total as conservativeness (with curvature
@@ -171,9 +171,6 @@ def fit_rho_dot_limits(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     """
     rho = np.linspace(*b.rho, n_grid)
     los, his, lo_srcs, hi_srcs = true_rho_dot_limits(rho, strat, p, b)
-    if np.any(los >= his):
-        raise EnvelopeFitError("true rate-derivative limits cross at "
-                               f"rho={rho[np.argmax(los >= his)]}")
     Z = np.column_stack([np.ones_like(rho), rho])[:, None]
     labels = np.zeros((n_grid, 1), dtype=int)
     limits = []
@@ -183,9 +180,7 @@ def fit_rho_dot_limits(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
         # named after the bound it comes closest to
         src = str(srcs[np.argmin(sign * (vals - (a0 + a1 * rho)))])
         limits.append(LinearLimit(a0, a1, side, src, margin))
-    grid = dict(rho=rho, true_lower=los, true_upper=his,
-                lower_sources=lo_srcs, upper_sources=hi_srcs)
-    return *limits, grid
+    return tuple(limits)
 
 
 N_LOWER = 2   # lower nu planes; the MILP selects one per hour, ceil(log2 N_LOWER) binaries
@@ -405,7 +400,7 @@ def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
                     n_grid: int = 51) -> RampingEnvelope:
     """Envelope fingerprinted by the strategy, plant and bounds it is fitted
     from together with its own fitted limits and planes."""
-    lower, upper, _ = fit_rho_dot_limits(strat, p, b, n_grid)
+    lower, upper = fit_rho_dot_limits(strat, p, b, n_grid)
     pwa, cov = fit_nu_pwa(strat, p, b, lower, upper, n_grid)
     return RampingEnvelope(b.rho, b.rho_nom, lower, upper, pwa, cov,
                            _fingerprint(strat, p, b, b.rho, b.rho_nom, lower, upper, pwa))

@@ -4,8 +4,9 @@ Six differential states (reactor concentrations cA1, cB1 and temperature T1;
 flash concentrations cA2, cB2 and temperature T2), four manipulated inputs
 (bottom stream FB, purge Fp, heat duties Q1, Q2) and the production rate rho
 as scheduling degree of freedom.  Provides the ODE right-hand side, a fixed
-step RK4 simulator with piecewise-linear control interpolation, and bound
-checking.
+step RK4 simulator that interpolates its piecewise-linear controls at every
+stage time in three array calls per run, and a bound check that takes each
+variable's column in one pass and counts a non-finite value as a violation.
 """
 
 from __future__ import annotations
@@ -182,9 +183,10 @@ class ControlSchedule:
     inputs: np.ndarray             # (N, 4)
     rho: np.ndarray                # (N,)
 
-    def at(self, t: float) -> tuple[np.ndarray, float]:
-        u = np.array([np.interp(t, self.times, self.inputs[:, j]) for j in range(4)])
-        return u, float(np.interp(t, self.times, self.rho))
+    def at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inputs (len(t), 4) and rho (len(t),) at the times t."""
+        u = np.column_stack([np.interp(t, self.times, self.inputs[:, j]) for j in range(4)])
+        return u, np.interp(t, self.times, self.rho)
 
     @classmethod
     def constant(cls, u: InputVec, rho: float, horizon: float) -> "ControlSchedule":
@@ -204,36 +206,32 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
              step: float = 0.01, p: ProcessParams | None = None) -> Trajectory:
     """Classical fixed-step RK4 integration of the full-order model.
 
-    Controls are interpolated piecewise-linearly between their samples.
-    Raises SimulationDiverged when any state magnitude exceeds 1e9.
+    Controls are interpolated piecewise-linearly between their samples, once
+    per simulation: at the grid times t and at every step's stage times
+    t + h/2 and t + h.  Raises SimulationDiverged when a state is non-finite
+    or its magnitude exceeds 1e9.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     p = p or ProcessParams()
     n = max(int(round(horizon / step)), 0)
-    times = np.linspace(0.0, n * step, n + 1)
+    h = step
+    times = np.linspace(0.0, n * h, n + 1)
+    inputs, rhos = controls.at(times)
+    u_mid, r_mid = controls.at(times[:-1] + h / 2)
+    u_end, r_end = controls.at(times[:-1] + h)
     states = np.empty((n + 1, 6))
-    inputs = np.empty((n + 1, 4))
-    rhos = np.empty(n + 1)
     x = x0.as_array()
     for i, t in enumerate(times):
-        u, r = controls.at(t)
-        states[i], inputs[i], rhos[i] = x, u, r
-        if np.any(np.abs(x) > 1e9):
+        if not np.all(np.abs(x) <= 1e9):
             raise SimulationDiverged(t)
-        if i == n:
-            break
-        h = step
-
-        def f(ti, xi):
-            ui, ri = controls.at(ti)
-            return _rhs_array(xi, ui, ri, p)
-
-        k1 = f(t, x)
-        k2 = f(t + h / 2, x + h / 2 * k1)
-        k3 = f(t + h / 2, x + h / 2 * k2)
-        k4 = f(t + h, x + h * k3)
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        states[i] = x
+        if i < n:
+            k1 = _rhs_array(x, inputs[i], rhos[i], p)
+            k2 = _rhs_array(x + h / 2 * k1, u_mid[i], r_mid[i], p)
+            k3 = _rhs_array(x + h / 2 * k2, u_mid[i], r_mid[i], p)
+            k4 = _rhs_array(x + h * k3, u_end[i], r_end[i], p)
+            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return Trajectory(times, states, inputs, rhos)
 
 
@@ -267,32 +265,24 @@ class ViolationReport:
         return "\n".join(lines)
 
 
-def _rel_violation(value: float, lo: float, hi: float) -> tuple[float, float]:
-    """Relative violation and the bound it violates; 0 when inside."""
-    span = hi - lo
-    if value > hi:
-        denom = abs(hi) if hi != 0 else span
-        return (value - hi) / denom, hi
-    if value < lo:
-        denom = abs(lo) if lo != 0 else span
-        return (lo - value) / denom, lo
-    return 0.0, hi
-
-
 def check_bounds(traj: Trajectory, b: Bounds, rel_tol: float = 1e-3) -> ViolationReport:
-    """List every (time, variable, value, bound) whose relative violation exceeds rel_tol."""
+    """List every (time, variable, value, bound) whose relative violation
+    exceeds rel_tol: the distance past the bound over |bound|, or over the
+    bound span for a zero bound.  A non-finite value violates by inf."""
     if len(traj.times) == 0:
         raise ValueError("check_bounds: empty trajectory")
-    report = ViolationReport()
-    columns = ([(name, traj.states[:, j]) for j, name in enumerate(STATE_NAMES)]
-               + [(name, traj.inputs[:, j]) for j, name in enumerate(INPUT_NAMES)]
-               + [("rho", traj.rho)])
-    for name, col in columns:
-        lo, hi = getattr(b, name)
-        for t, val in zip(traj.times, col):
-            rv, bound = _rel_violation(float(val), lo, hi)
-            if rv > rel_tol:
-                report.violations.append(Violation(float(t), name, float(val), bound, rv))
+    names = STATE_NAMES + INPUT_NAMES + ("rho",)
+    values = np.column_stack([traj.states, traj.inputs, traj.rho])
+    lo, hi = np.array([getattr(b, name) for name in names], dtype=float).T
+    span = hi - lo
+    with np.errstate(invalid="ignore"):     # inf - inf at an infinite bound
+        above = (values - hi) / np.where(hi != 0, np.abs(hi), span)
+        below = (lo - values) / np.where(lo != 0, np.abs(lo), span)
+    rel = np.where(values > hi, above, np.where(values < lo, below, 0.0))
+    rel[~np.isfinite(values)] = np.inf
+    bound = np.where(values < lo, lo, hi)
+    report = ViolationReport([
+        Violation(float(traj.times[i]), names[j], float(values[i, j]), float(bound[i, j]),
+                  float(rel[i, j])) for i, j in zip(*np.nonzero(rel > rel_tol))])
     report.violations.sort(key=lambda v: (v.time, v.variable))
     return report
-

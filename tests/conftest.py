@@ -2,6 +2,7 @@ import pytest
 
 from rampsched.envelope import derive_envelope, fit_demand_pwa
 from rampsched.process import Bounds, ProcessParams
+from rampsched.scheduler import solve_ramp
 from rampsched.transform import fit_operating_strategy
 
 
@@ -33,3 +34,9 @@ def envelope(strategy, params, bounds):
 @pytest.fixture(scope="session")
 def demand_model(strategy, params, bounds, envelope):
     return fit_demand_pwa(strategy, params, bounds, envelope)
+
+
+@pytest.fixture(scope="session")
+def up_ramp(envelope):
+    """The default as-fast-as-possible ramp up."""
+    return solve_ramp("up", envelope)

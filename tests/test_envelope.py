@@ -85,26 +85,27 @@ def test_rate_limit_from_bound_broadcasts(strategy, params, bounds, var, bound, 
 
 # --- linear rate-derivative fits ----------------------------------------------
 
-def test_rd_fit_conservative_and_touching(rd_fit):
-    lower, upper, grid = rd_fit
-    rho = grid["rho"]
+def test_rd_fit_conservative_and_touching(rd_fit, strategy, params, bounds):
+    lower, upper = rd_fit
+    rho = np.linspace(*bounds.rho, 51)
+    true_lower, true_upper, *_ = true_rho_dot_limits(rho, strategy, params, bounds)
     fit_hi = upper(rho)
     fit_lo = lower(rho)
-    assert np.all(fit_hi <= grid["true_upper"] + 1e-12)
-    assert np.all(fit_lo >= grid["true_lower"] - 1e-12)
+    assert np.all(fit_hi <= true_upper + 1e-12)
+    assert np.all(fit_lo >= true_lower - 1e-12)
     # LP optimality forces an active point (up to the stored margin)
-    assert np.min(grid["true_upper"] - fit_hi) <= upper.margin + 1e-9
-    assert np.min(fit_lo - grid["true_lower"]) <= lower.margin + 1e-9
+    assert np.min(true_upper - fit_hi) <= upper.margin + 1e-9
+    assert np.min(fit_lo - true_lower) <= lower.margin + 1e-9
 
 
 def test_rd_band_contains_steady(rd_fit, bounds):
-    lower, upper, _ = rd_fit
+    lower, upper = rd_fit
     for rho in np.linspace(*bounds.rho, 101):
         assert lower(rho) < 0.0 < upper(rho)
 
 
 def test_rd_sources_recorded(rd_fit):
-    lower, upper, _ = rd_fit
+    lower, upper = rd_fit
     assert lower.source != "none" and upper.source != "none"
     assert lower.side == "lower" and upper.side == "upper"
 

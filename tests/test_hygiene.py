@@ -2,7 +2,8 @@
 it, every private module-level function or constant of the package is read
 somewhere in the package or its tests, every method and property of a
 package class is read somewhere in the package, its tests or the benchmark,
-and every package name the benchmark reads exists."""
+every package name the benchmark reads exists, and the package neither
+prints nor warns."""
 
 import ast
 from pathlib import Path
@@ -153,6 +154,22 @@ def missing_package_names(spaces: dict[str, set[str]],
     return sorted(missing)
 
 
+def chatter_calls(tree: ast.Module) -> list[str]:
+    """`print(...)` and `warnings.warn(...)` calls, which write to stdout or
+    stderr instead of going through `logging`."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "print":
+            found.append(f"line {node.lineno}: print")
+        elif isinstance(f, ast.Attribute) and f.attr == "warn" \
+                and isinstance(f.value, ast.Name) and f.value.id == "warnings":
+            found.append(f"line {node.lineno}: warnings.warn")
+    return found
+
+
 @pytest.mark.parametrize("path", [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -210,3 +227,17 @@ def test_missing_package_name_detected():
     assert missing_package_names(spaces, {"user.py": user}) == [
         "user.py line 1: pkg.gone", "user.py line 2: pkg.a.dropped",
         "user.py line 3: pkg.a.vanished", "user.py line 5: pkg.a.removed"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_neither_prints_nor_warns(path):
+    assert chatter_calls(ast.parse(path.read_text())) == []
+
+
+def test_chatter_detected():
+    tree = ast.parse("import warnings\nimport logging\nprint('x')\n"
+                     "warnings.warn('y')\nwarnings.filterwarnings('ignore')\n"
+                     "logging.getLogger(__name__).warning('z')\n"
+                     "def f():\n    print(1, file=None)\n")
+    assert chatter_calls(tree) == ["line 3: print", "line 4: warnings.warn",
+                                   "line 8: print"]

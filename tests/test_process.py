@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampsched.process import (Bounds, ControlSchedule, InputVec,
-                               ProcessParams, StateVec, Trajectory,
-                               check_bounds, ode_rhs, simulate)
+from plant_replay import plant_controls
+from rampsched.process import (INPUT_NAMES, STATE_NAMES, Bounds, ControlSchedule,
+                               InputVec, ProcessParams, SimulationDiverged,
+                               StateVec, Trajectory, _rhs_array, check_bounds,
+                               ode_rhs, simulate)
 from rampsched.transform import steady_state_point
 
 
@@ -79,18 +81,114 @@ def test_simulate_zero_horizon(params, bounds):
     assert np.allclose(traj.states[0], x.as_array())
 
 
-def test_rk4_step_halving_order(params, bounds):
-    # transient excitation: ramp Q1 up over an hour
-    x, u = steady(params, bounds)
+def transient_controls(u):
+    """Q1 ramped up by 2e6 over half an hour and back, rho up to 5.3 and back."""
     times = np.array([0.0, 0.5, 1.0])
     inputs = np.vstack([u.as_array(),
                         u.as_array() + np.array([0, 0, 2e6, 0]),
                         u.as_array()])
-    controls = ControlSchedule(times, inputs, np.array([5.25, 5.3, 5.25]))
+    return ControlSchedule(times, inputs, np.array([5.25, 5.3, 5.25]))
+
+
+def test_rk4_step_halving_order(params, bounds):
+    # transient excitation: ramp Q1 up over an hour
+    x, u = steady(params, bounds)
+    controls = transient_controls(u)
     ref = simulate(x, controls, 1.0, step=0.00125, p=params).states[-1]
     e1 = np.linalg.norm(simulate(x, controls, 1.0, step=0.01, p=params).states[-1] - ref)
     e2 = np.linalg.norm(simulate(x, controls, 1.0, step=0.005, p=params).states[-1] - ref)
     assert e1 / max(e2, 1e-300) >= 8.0   # >= order 3 observed, RK4 gives ~16
+
+
+def reference_rk4(x0, controls, horizon, step, p):
+    """Classical RK4 written out: every stage interpolates each input and rho
+    at its own time t, t + h/2 or t + h."""
+    def f(t, x):
+        u = np.array([np.interp(t, controls.times, controls.inputs[:, j]) for j in range(4)])
+        return _rhs_array(x, u, float(np.interp(t, controls.times, controls.rho)), p)
+
+    n = int(round(horizon / step))
+    h = step
+    x = x0.as_array()
+    states = [x]
+    for t in np.linspace(0.0, n * h, n + 1)[:-1]:
+        k1 = f(t, x)
+        k2 = f(t + h / 2, x + h / 2 * k1)
+        k3 = f(t + h / 2, x + h / 2 * k2)
+        k4 = f(t + h, x + h * k3)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("case", ["transient", "up-ramp"])
+def test_simulate_equals_reference_rk4_bitwise(case, params, bounds, strategy, up_ramp):
+    if case == "transient":
+        x0, u = steady(params, bounds)
+        controls = transient_controls(u)
+    else:
+        x0, controls = plant_controls(up_ramp, strategy, params)
+    horizon = float(controls.times[-1])
+    traj = simulate(x0, controls, horizon, step=0.01, p=params)
+    assert np.array_equal(traj.states, reference_rk4(x0, controls, horizon, 0.01, params))
+    for j in range(4):
+        assert np.array_equal(traj.inputs[:, j],
+                              np.interp(traj.times, controls.times, controls.inputs[:, j]))
+    assert np.array_equal(traj.rho, np.interp(traj.times, controls.times, controls.rho))
+
+
+def test_simulate_raises_on_a_non_finite_input(params, bounds):
+    x, u = steady(params, bounds)
+    inputs = np.tile(u.as_array(), (3, 1))
+    inputs[1, 2] = np.nan
+    controls = ControlSchedule(np.array([0.0, 0.5, 1.0]), inputs, np.full(3, 5.25))
+    with pytest.raises(SimulationDiverged):
+        simulate(x, controls, 1.0, p=params)
+
+
+def test_check_bounds_reports_non_finite_values(bounds):
+    traj = Trajectory(times=np.array([0.0, 0.1]),
+                      states=np.array([[0.5, 0.3, np.nan, 0.45, 0.46, 455.0],
+                                       [0.5, 0.3, 430.0, 0.45, 0.46, np.inf]]),
+                      inputs=np.array([[5.0, 2.0, 1e6, 1e6]] * 2),
+                      rho=np.array([5.25, -np.inf]))
+    rep = check_bounds(traj, bounds, rel_tol=1e-3)
+    assert [(v.time, v.variable, v.rel_violation) for v in rep.violations] == [
+        (0.0, "T1", np.inf), (0.1, "T2", np.inf), (0.1, "rho", np.inf)]
+
+
+def reference_violations(traj, b, rel_tol):
+    """Bound check written out per (variable, sample): the distance past the
+    bound over |bound|, over the bound span for a zero bound."""
+    columns = ([(name, traj.states[:, j]) for j, name in enumerate(STATE_NAMES)]
+               + [(name, traj.inputs[:, j]) for j, name in enumerate(INPUT_NAMES)]
+               + [("rho", traj.rho)])
+    out = []
+    for name, col in columns:
+        lo, hi = getattr(b, name)
+        for t, val in zip(traj.times, col):
+            bound = hi if val > hi else lo
+            denom = abs(bound) if bound != 0 else hi - lo
+            rel = (val - hi) / denom if val > hi else (lo - val) / denom if val < lo else 0.0
+            if rel > rel_tol:
+                out.append((t, name, val, bound, rel))
+    return sorted(out, key=lambda v: (v[0], v[1]))
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-3, 1e-2])
+def test_check_bounds_matches_scalar_reference(rel_tol, params, bounds):
+    """Bounds narrowed to the middle of each column of a transient run, with
+    zero bounds on cA1 and cB2, give the reference's violations exactly."""
+    x, u = steady(params, bounds)
+    traj = simulate(x, transient_controls(u), 1.0, step=0.01, p=params)
+    cols = np.column_stack([traj.states, traj.inputs, traj.rho])
+    narrow = {name: tuple(np.quantile(cols[:, j], [0.3, 0.7]) + [-1e-9, 1e-9])
+              for j, name in enumerate(STATE_NAMES + INPUT_NAMES + ("rho",))}
+    b = Bounds(**{**narrow, "cA1": (-1.0, 0.0), "cB2": (0.0, 1e-3)})
+    got = [(v.time, v.variable, v.value, v.bound, v.rel_violation)
+           for v in check_bounds(traj, b, rel_tol).violations]
+    assert got == reference_violations(traj, b, rel_tol)
+    assert len(got) > 0
 
 
 def test_check_bounds_boundary_inclusive(bounds):
