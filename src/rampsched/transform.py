@@ -39,14 +39,13 @@ for the envelope's Fp-bound limits (psi_Fp rises in T1 on T1_BRACKET).
 
 Every function here broadcasts over numpy arrays, so a whole set-up grid
 (the strategy fit's cA1 scan, the envelope's rate-derivative band and nu
-surfaces, the demand grid) is one call.  The root in T1 takes one of two
-paths, chosen by np.ndim of the input.  A scalar point is one scipy
-brentq: about 0.1 ms, and the per-point replays of a schedule make
-hundreds of such calls, where a size-1 array would cost ten times as much
-in numpy call overhead.  An array runs one safeguarded Newton/bisection
-over all its points at once, on the exact T1 partial; a grid of thousands
-of points costs about as much as a few brentq roots.  Both roots evaluate the same residual and
-stop at 1e-10 K.
+surfaces, the demand grid) is one call.  Every T1 root is one safeguarded
+Newton/bisection on the exact T1 partial, stopped at 1e-10 K; an array steps
+all its points at once, a scalar point takes the same steps on Python
+floats, since a schedule replay backtransforms hundreds of single points.
+After the root, one evaluation of the reactor terms gives every state and
+input: a scalar backtransform costs tens of microseconds, a grid of
+thousands of points a few milliseconds.
 
 The strategy itself is fitted by steady-state optimization
 (fit_operating_strategy).  The heat demand Q1+Q2 rises with cA1, so its free
@@ -59,10 +58,11 @@ the line's other bounds; the fit raises SteadyStateError where either fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .flatness import OutputCandidate, SparsityModel
 from .process import (Bounds, InputVec, ProcessParams, StateVec, _rhs_array,
@@ -113,12 +113,6 @@ def nominal_vapor(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, fl
     return vapor_fractions(strat.xi1_nom, strat.xi2_nom, p)
 
 
-def cb1_slope(strat: OperatingStrategy, p: ProcessParams) -> float:
-    """s = dcB1/dcA1 along the constant-flash-composition manifold."""
-    cAv, cBv = nominal_vapor(strat, p)
-    return (cBv - strat.xi2_nom) / (cAv - strat.xi1_nom)
-
-
 def bottom_flow(rho: float, cA1: float, strat: OperatingStrategy,
                 p: ProcessParams) -> float:
     """FB from the steady flash A-balance; depends on rho (and cA1) only."""
@@ -126,36 +120,35 @@ def bottom_flow(rho: float, cA1: float, strat: OperatingStrategy,
     return rho * ((cAv - strat.xi1_nom) / (cA1 - strat.xi1_nom) - 1.0)
 
 
-def cb1_of_ca1(cA1: float, strat: OperatingStrategy, p: ProcessParams) -> float:
-    """cB1 pinned by the steady flash B-balance."""
-    return strat.xi2_nom + cb1_slope(strat, p) * (cA1 - strat.xi1_nom)
-
-
-def flash_duty(rho: float, T1: float, strat: OperatingStrategy,
-               p: ProcessParams) -> float:
-    """Q2 from the steady flash energy balance."""
-    FB = bottom_flow(rho, strat.pi4(rho), strat, p)
-    return -p.rhoF * p.Cp * (rho + FB) * (T1 - strat.xi3_nom) + p.dHV * rho
-
-
-def _reactor_terms(rho: float, T1: float, strat: OperatingStrategy,
-                   p: ProcessParams) -> tuple[float, float, float, float, float]:
-    """(cA1, cB1, FB, r1, r2) along the strategy at (rho, T1)."""
-    cA1 = strat.pi4(rho)
-    cB1 = cb1_of_ca1(cA1, strat, p)
-    return (cA1, cB1, bottom_flow(rho, cA1, strat, p),
-            *reaction_rates(cA1, cB1, T1, p))
-
-
-def _fp_slopes(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
-    """Constant Fp-slopes A1, B1 of the reactor A and B balances and the
-    purge denominator s*A1 - B1."""
+def _constants(strat: OperatingStrategy,
+               p: ProcessParams) -> tuple[float, float, float, float, float]:
+    """(cAv, s, A1, B1, den): nominal vapor fraction, s = dcB1/dcA1 along the
+    constant-flash-composition manifold, the constant Fp-slopes A1, B1 of
+    the reactor A and B balances and the purge denominator s*A1 - B1."""
+    cAv, cBv = nominal_vapor(strat, p)
+    s = (cBv - strat.xi2_nom) / (cAv - strat.xi1_nom)
     A1 = (p.cA0 - strat.xi1_nom) / p.V1
     B1 = (p.cB0 - strat.xi2_nom) / p.V1
-    den = cb1_slope(strat, p) * A1 - B1
+    den = s * A1 - B1
     if abs(den) < 1e-12:
         raise SingularTransformError("vanishing structural coefficient s*A1 - B1")
-    return A1, B1, den
+    return cAv, s, A1, B1, den
+
+
+def _flows(rho: float, k: tuple, strat: OperatingStrategy,
+           p: ProcessParams) -> tuple[float, float, float]:
+    """(cA1, cB1, FB) along the strategy at rho, from the _constants k; cB1
+    is pinned by the steady flash B-balance."""
+    cA1 = strat.pi4(rho)
+    return (cA1, strat.xi2_nom + k[1] * (cA1 - strat.xi1_nom),
+            bottom_flow(rho, cA1, strat, p))
+
+
+def _reactor_terms(rho: float, T1: float, k: tuple, strat: OperatingStrategy,
+                   p: ProcessParams) -> tuple[float, float, float, float, float]:
+    """(cA1, cB1, FB, r1, r2) along the strategy at (rho, T1)."""
+    cA1, cB1, FB = _flows(rho, k, strat, p)
+    return cA1, cB1, FB, *reaction_rates(cA1, cB1, T1, p)
 
 
 def _fp_intercepts(rho: float, terms: tuple, strat: OperatingStrategy,
@@ -170,13 +163,13 @@ def _fp_intercepts(rho: float, terms: tuple, strat: OperatingStrategy,
 
 def _purge_weights(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
     """Weights (wA, wB, den) of psi_Fp = (wA*A0 + wB*B0)/den."""
-    _, _, den = _fp_slopes(strat, p)
-    return -cb1_slope(strat, p), 1.0, den
+    _, s, _, _, den = _constants(strat, p)
+    return -s, 1.0, den
 
 
 def _rate_weights(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
     """Weights (wA, wB, den) of _flat_rate = (wA*A0 + wB*B0)/den."""
-    A1, B1, den = _fp_slopes(strat, p)
+    _, _, A1, B1, den = _constants(strat, p)
     return -B1, A1, den
 
 
@@ -184,7 +177,8 @@ def _combination(rho: float, T1: float, weights: tuple, strat: OperatingStrategy
                  p: ProcessParams) -> float:
     """(wA*A0 + wB*B0)/den at (rho, T1)."""
     wA, wB, den = weights
-    A0, B0 = _fp_intercepts(rho, _reactor_terms(rho, T1, strat, p), strat, p)
+    terms = _reactor_terms(rho, T1, _constants(strat, p), strat, p)
+    A0, B0 = _fp_intercepts(rho, terms, strat, p)
     return (wB * B0 + wA * A0) / den
 
 
@@ -201,6 +195,22 @@ def _flat_rate(rho: float, T1: float, strat: OperatingStrategy,
     """dcA1/dt with the purge at psi_Fp: a1*rho_dot on the flat trajectory,
     0 at a steady state."""
     return _combination(rho, T1, _rate_weights(strat, p), strat, p)
+
+
+def _flat_eval(rho: float, T1: float, strat: OperatingStrategy, p: ProcessParams):
+    """(k, terms, Fp, drift, Q2) at (rho, T1) from one evaluation of the
+    _constants k, the _reactor_terms and the Fp-intercepts: the purge
+    Fp = psi_Fp, the dT1/dt of flows and reactions (everything except Q1)
+    and the flash duty Q2 of the steady flash energy balance."""
+    k = _constants(strat, p)
+    terms = _reactor_terms(rho, T1, k, strat, p)
+    _, _, FB, r1, r2 = terms
+    A0, B0 = _fp_intercepts(rho, terms, strat, p)
+    Fp = (B0 - k[1] * A0) / k[4]          # bitwise psi_Fp
+    drift = ((rho + Fp) / p.V1 * (p.T0 - T1) + (FB - Fp) / p.V1 * (strat.xi3_nom - T1)
+             - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
+    Q2 = -p.rhoF * p.Cp * (rho + FB) * (T1 - strat.xi3_nom) + p.dHV * rho
+    return k, terms, Fp, drift, Q2
 
 
 def _t1_partial(T1, r1, r2, weights: tuple, p: ProcessParams):
@@ -228,36 +238,49 @@ def _flat_root(target, rho, weights: tuple, strat: OperatingStrategy,
                p: ProcessParams):
     """T1 in T1_BRACKET with (wA*A0 + wB*B0)/den = target at rho, for
     weights (wA, wB, den) such as _rate_weights (_flat_rate) or
-    _purge_weights (psi_Fp); NaN where there is none.
+    _purge_weights (psi_Fp); NaN where there is none, as at a non-finite rho.
 
-    Scalar target and rho take one brentq, the fast path for the hundreds of
-    single points a schedule replay backtransforms (a size-1 array Newton
-    costs about ten times as much).  Arrays broadcast (with any array fields
-    of strat), and every point runs the same safeguarded Newton iteration at
-    once, on the exact T1 partial: each step keeps the bracket
-    [T_neg, T_pos] on which the residual changes sign and falls back to its
-    midpoint when the Newton step leaves it.  Both stop at T1_XTOL.
+    A safeguarded Newton iteration on the exact T1 partial: each step keeps
+    the bracket [T_neg, T_pos] on which the residual changes sign and falls
+    back to its midpoint when the Newton step leaves it, until a step moves
+    T1 by at most T1_XTOL.  Arrays broadcast (with any array fields of
+    strat) and step every point at once; a scalar point takes the same steps
+    on Python floats, over ten times faster than a size-1 array.
     """
     lo, hi = T1_BRACKET
     wA, wB, den = weights
+    batch = _is_batch(target, rho)
+    if batch:                        # NaN, unlike inf, passes the residual silently
+        rho = np.where(np.isfinite(rho), rho, np.nan)
+    else:                            # so does inf on Python floats, also the fast type
+        target, rho = float(target), float(rho)
     # T1 enters A0 and B0 only through r1 and r2 (A0 - r1, B0 + r1 - r2), so
     # the flow terms are evaluated once, the rates at every iterate; the
     # residual is bitwise _combination - target
-    cA1, cB1, FB = _reactor_terms(rho, lo, strat, p)[:3]
+    cA1, cB1, FB = _flows(rho, _constants(strat, p), strat, p)
     A0f, B0f = _fp_intercepts(rho, (cA1, cB1, FB, 0.0, 0.0), strat, p)
 
     def residual(T1):
         r1, r2 = reaction_rates(cA1, cB1, T1, p)
         return (wB * (B0f + r1 - r2) + wA * (A0f - r1)) / den - target, r1, r2
 
-    if not _is_batch(target, rho):
-        def f(T1):
-            return residual(T1)[0]
-
-        if f(lo) * f(hi) > 0:
-            return np.nan
-        return brentq(f, lo, hi, xtol=T1_XTOL, rtol=1e-14)
     f_lo, f_hi = residual(lo)[0], residual(hi)[0]
+    if not batch:
+        if not f_lo * f_hi <= 0:
+            return np.nan
+        t_neg, t_pos = (lo, hi) if f_lo < f_hi else (hi, lo)
+        T1 = 0.5 * (lo + hi)
+        for _ in range(_NEWTON_MAX_ITER):
+            f, r1, r2 = residual(T1)
+            t_neg, t_pos = T1 if f < 0 else t_neg, T1 if f > 0 else t_pos
+            d = _t1_partial(T1, r1, r2, weights, p)
+            nxt = T1 - f / d if d else math.nan
+            if not (t_neg <= nxt <= t_pos or t_pos <= nxt <= t_neg):
+                nxt = 0.5 * (t_neg + t_pos)
+            if abs(nxt - T1) <= T1_XTOL:
+                return nxt
+            T1 = nxt
+        raise RuntimeError(f"T1 Newton did not converge in {_NEWTON_MAX_ITER} steps")
     ok = f_lo * f_hi <= 0
     t_neg, t_pos = np.where(f_lo < f_hi, lo, hi), np.where(f_lo < f_hi, hi, lo)
     T1 = np.full(np.shape(ok), 0.5 * (lo + hi))
@@ -301,26 +324,17 @@ def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
     return T1
 
 
-def reactor_drift(rho: float, T1: float, strat: OperatingStrategy,
-                  p: ProcessParams) -> float:
-    """dT1/dt contribution of flows and reactions (everything except Q1)."""
-    _, _, FB, r1, r2 = _reactor_terms(rho, T1, strat, p)
-    Fp = psi_Fp(rho, T1, strat, p)
-    return ((rho + Fp) / p.V1 * (p.T0 - T1) + (FB - Fp) / p.V1 * (strat.xi3_nom - T1)
-            - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
-
-
-def _psi_partials(rho: float, T1: float, strat: OperatingStrategy,
+def _psi_partials(rho: float, T1: float, ev: tuple, strat: OperatingStrategy,
                   p: ProcessParams) -> tuple[float, float, float]:
     """Closed-form partials of the residual _flat_rate(rho, T1) - a1*rho_dot
-    w.r.t. (rho, rho_dot, T1)."""
+    w.r.t. (rho, rho_dot, T1), from the _flat_eval ev at (rho, T1)."""
     a1 = strat.a1_xi4
-    wA, wB, den = weights = _rate_weights(strat, p)
-    cA1, cB1, FB, r1, r2 = _reactor_terms(rho, T1, strat, p)
-    P_T1 = _t1_partial(T1, r1, r2, weights, p)
+    (cAv, s, A1, B1, den), (cA1, cB1, FB, r1, r2) = ev[:2]
+    wA, wB = -B1, A1                      # _rate_weights
+    P_T1 = _t1_partial(T1, r1, r2, (wA, wB, den), p)
     # d/drho through cA1 = a0 + a1*rho, cB1 = xi2 + s*(cA1 - xi1) and FB
-    dcA1, dcB1 = a1, cb1_slope(strat, p) * a1
-    m = (nominal_vapor(strat, p)[0] - strat.xi1_nom) / (cA1 - strat.xi1_nom)
+    dcA1, dcB1 = a1, s * a1
+    m = (cAv - strat.xi1_nom) / (cA1 - strat.xi1_nom)
     dFB = m - 1.0 - rho * m * dcA1 / (cA1 - strat.xi1_nom)
     dr1, dr2 = r1 / cA1 * dcA1, r2 / cB1 * dcB1
     dA0 = ((p.cA0 - cA1) - rho * dcA1 + dFB * (strat.xi1_nom - cA1) - FB * dcA1) / p.V1 - dr1
@@ -328,6 +342,18 @@ def _psi_partials(rho: float, T1: float, strat: OperatingStrategy,
            + dr1 - dr2)
     P_rho = (wB * dB0 + wA * dA0) / den
     return P_rho, -a1, P_T1
+
+
+def _inverse(rho: float, rho_dot: float, strat: OperatingStrategy, p: ProcessParams):
+    """(T1, ev, c0, c1) at (rho, rho_dot): the root T1, its _flat_eval ev and
+    the coefficients of Q1 = c0 + c1*nu (see q1_affine_in_nu)."""
+    T1 = solve_T1(rho, rho_dot, strat, p)
+    ev = _flat_eval(rho, T1, strat, p)
+    P_rho, P_rd, P_T1 = _psi_partials(rho, T1, ev, strat, p)
+    psi_q1 = P_T1 / (p.rhoF * p.Cp * p.V1)
+    if _any(abs(psi_q1) < 1e-12):
+        raise SingularTransformError("q1_affine_in_nu: vanishing Q1 coefficient")
+    return T1, ev, -(P_rho * rho_dot + P_T1 * ev[3]) / psi_q1, -P_rd / psi_q1
 
 
 def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
@@ -338,15 +364,7 @@ def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
     0 = Psi_rho*rho_dot + Psi_rhodot*nu + Psi_T1*dT1/dt, where dT1/dt is the
     reactor energy balance and Q1 enters it linearly.
     """
-    T1 = solve_T1(rho, rho_dot, strat, p)
-    P_rho, P_rd, P_T1 = _psi_partials(rho, T1, strat, p)
-    scale = p.rhoF * p.Cp * p.V1
-    psi_q1 = P_T1 / scale
-    if _any(abs(psi_q1) < 1e-12):
-        raise SingularTransformError("q1_affine_in_nu: vanishing Q1 coefficient")
-    drift = reactor_drift(rho, T1, strat, p)
-    c0 = -(P_rho * rho_dot + P_T1 * drift) / psi_q1
-    c1 = -P_rd / psi_q1
+    T1, _, c0, c1 = _inverse(rho, rho_dot, strat, p)
     return c0, c1, T1
 
 
@@ -355,14 +373,18 @@ def backtransform(pt: RampingPoint, strat: OperatingStrategy,
     """Map a ramping point (rho, rho_dot, nu) to full states and inputs.
 
     With array fields in pt, every state and input field is an array of
-    their common shape."""
-    c0, c1, T1 = q1_affine_in_nu(pt.rho, pt.rho_dot, strat, p)
-    cA1 = strat.pi4(pt.rho)
-    x = (cA1, cb1_of_ca1(cA1, strat, p), T1,
-         strat.xi1_nom, strat.xi2_nom, strat.xi3_nom)
-    u = (bottom_flow(pt.rho, cA1, strat, p), psi_Fp(pt.rho, T1, strat, p),
-         c0 + c1 * pt.nu, flash_duty(pt.rho, T1, strat, p))
-    if _is_batch(T1, pt.nu):
+    their common shape; a scalar point runs on Python floats.  A non-finite
+    rho or rho_dot raises OutsideFlatRegionError, a non-finite nu
+    ValueError."""
+    batch = _is_batch(pt.rho, pt.rho_dot, pt.nu)
+    rho, rho_dot, nu = ((pt.rho, pt.rho_dot, pt.nu) if batch
+                        else (float(pt.rho), float(pt.rho_dot), float(pt.nu)))
+    if not (np.isfinite(nu).all() if batch else math.isfinite(nu)):
+        raise ValueError("backtransform: nu must be finite")
+    T1, (_, (cA1, cB1, FB, _, _), Fp, _, Q2), c0, c1 = _inverse(rho, rho_dot, strat, p)
+    x = (cA1, cB1, T1, strat.xi1_nom, strat.xi2_nom, strat.xi3_nom)
+    u = (FB, Fp, c0 + c1 * nu, Q2)
+    if batch:
         fields = np.broadcast_arrays(*x, *u)
         x, u = fields[:6], fields[6:]
     return StateVec(*x), InputVec(*u)
@@ -391,30 +413,27 @@ def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
     pairs; broadcasts, and scalars give 0-d results.
 
     FB and cB1 follow in closed form; T1 is the root of _flat_rate = 0 on
-    T1_BRACKET under the constant strategy cA1 (_flat_root: one brentq for a
-    scalar point, one Newton batch for arrays).  psi_Fp, flash_duty and the
-    reactor energy balance then give Fp, Q2 and Q1.  Returns (x, u, fail):
-    fail is 0 where the point solved, else the first check it failed: 1 rho
-    outside its bounds, 2 cA1 outside the FB-feasible window, 3 no root in
-    the bracket, 4 a scaled residual of the six balances above 1e-9.  The
-    fields of a failed point are placeholders.
+    T1_BRACKET under the constant strategy cA1 (_flat_root: Python floats for
+    a scalar point, one Newton batch for arrays).  One _flat_eval at the root
+    then gives Fp, Q2 and, from the reactor energy balance, Q1.  Returns
+    (x, u, fail): fail is 0 where the point solved, else the first check it
+    failed: 1 rho outside its bounds, 2 cA1 outside the FB-feasible window,
+    3 no root in the bracket, 4 a scaled residual of the six balances above
+    1e-9.  The fields of a failed point are placeholders.
     """
     lo, hi = b.rho
     rho_ok = np.asarray((lo <= rho) & (rho <= hi))
     cAv, _ = nominal_vapor(strat, p)
     win_ok = np.asarray((strat.xi1_nom < cA1) & (cA1 <= cAv))
     a0 = np.where(win_ok, cA1, cAv)
-    # a scalar point stays on Python floats, on which brentq runs fastest
+    # a scalar point stays on Python floats, on which the root runs fastest
     const = replace(strat, a0_xi4=a0 if a0.ndim else float(a0), a1_xi4=0.0)
     T1 = _flat_root(0.0, rho, _rate_weights(const, p), const, p)
     root_ok = ~np.isnan(T1)
     T1 = np.nan_to_num(T1, nan=T1_BRACKET[0])
-    cA1 = const.pi4(rho)
-    fields = np.broadcast_arrays(
-        cA1, cb1_of_ca1(cA1, const, p), T1, const.xi1_nom, const.xi2_nom, const.xi3_nom,
-        bottom_flow(rho, cA1, const, p), psi_Fp(rho, T1, const, p),
-        -p.rhoF * p.Cp * p.V1 * reactor_drift(rho, T1, const, p),
-        flash_duty(rho, T1, const, p))
+    _, (cA1, cB1, FB, _, _), Fp, drift, Q2 = _flat_eval(rho, T1, const, p)
+    fields = np.broadcast_arrays(cA1, cB1, T1, const.xi1_nom, const.xi2_nom, const.xi3_nom,
+                                 FB, Fp, -p.rhoF * p.Cp * p.V1 * drift, Q2)
     x, u = StateVec(*fields[:6]), InputVec(*fields[6:])
     fail = np.select([~rho_ok, ~win_ok, ~root_ok, ~(scaled_residual(x, u, rho, p) <= 1e-9)],
                      [1, 2, 3, 4], 0)
@@ -426,9 +445,10 @@ def steady_state_point(rho: float, cA1: float, strat: OperatingStrategy | None =
                        bounds: Bounds | None = None) -> tuple[StateVec, InputVec]:
     """Steady state with nominal flash conditions and the given reactor cA1.
 
-    The scalar case of _steady_batch, so T1 is one brentq root (a lone point
-    would pay the array Newton's per-call overhead for nothing); raises
-    SteadyStateError naming the first check the point failed."""
+    The scalar case of _steady_batch, so T1 is one Newton root on Python
+    floats (a lone point would pay the array Newton's per-call overhead for
+    nothing); raises SteadyStateError naming the first check the point
+    failed."""
     p = p or ProcessParams()
     b = bounds or Bounds()
     x, u, fail = _steady_batch(rho, cA1, strat or OperatingStrategy(0.0, 0.0), p, b)

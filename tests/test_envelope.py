@@ -55,7 +55,7 @@ def test_rate_limit_source_pattern_matches_publication(strategy, params, bounds)
 
 def test_true_band_batched_matches_scalar(strategy, params, bounds):
     """The band over the 51-point rho array equals the per-point scalar
-    calls (brentq roots against one Newton batch) to 1e-9 relative, with the
+    calls (scalar roots against one Newton batch) to 1e-9 relative, with the
     same sources."""
     rho = np.linspace(*bounds.rho, 51)
     lo, hi, lo_src, hi_src = true_rho_dot_limits(rho, strategy, params, bounds)

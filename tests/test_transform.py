@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rampsched.process import ControlSchedule, simulate
-from rampsched.transform import (OperatingStrategy, OutsideFlatRegionError,
-                                 RampingPoint, SteadyStateError, _flat_rate,
-                                 _flat_root, _psi_partials, _purge_weights,
+from rampsched import transform
+from rampsched.process import ControlSchedule, reaction_rates, simulate
+from rampsched.transform import (T1_XTOL, OperatingStrategy, OutsideFlatRegionError,
+                                 RampingPoint, SteadyStateError, _flat_eval, _flat_rate,
+                                 _flat_root, _psi_partials, _purge_weights, _rate_weights,
                                  _steady_batch, _steady_feasible,
                                  _window, backtransform, fit_operating_strategy,
                                  nominal_vapor, psi_Fp, q1_affine_in_nu,
@@ -79,8 +80,9 @@ def test_fit_raises_off_the_fb_edge(params, bounds):
 
 def test_steady_batch_mask_matches_scalar(params, bounds):
     """Over the strategy fit's 21 x 161 (rho, cA1) scan, the steady batch
-    (Newton) marks the same points solved and within bounds as the scalar
-    steady_state_point (brentq), at the same temperatures."""
+    (array Newton) marks the same points solved and within bounds as the
+    scalar steady_state_point (Newton on Python floats), at the same
+    temperatures."""
     base = OperatingStrategy(0.0, 0.0)
     rhos = np.linspace(*bounds.rho, 21)
     lo, hi = _window(rhos, base, params, bounds)
@@ -170,9 +172,8 @@ def test_psi_fp_steady_consistency(strategy, params, bounds):
 
 @pytest.mark.parametrize("fp", [0.0, 4.0, 8.0])
 def test_flat_root_on_purge_weights_solves_psi_fp(strategy, params, bounds, fp):
-    """The T1 root on the purge weights puts psi_Fp on its target, one
-    brentq for a scalar and one Newton batch for an array alike; NaN where
-    the target is out of reach."""
+    """The T1 root on the purge weights puts psi_Fp on its target, on the
+    scalar and the array path alike; NaN where the target is out of reach."""
     rho = np.linspace(*bounds.rho, 5)
     weights = _purge_weights(strategy, params)
     T1 = _flat_root(fp, rho, weights, strategy, params)
@@ -192,12 +193,10 @@ def test_backtransform_steady_equals_steady_point(strategy, params, bounds):
 
 
 def test_batch_equals_scalar_loop(strategy, params, bounds, envelope):
-    """Array solve_T1, q1_affine_in_nu and backtransform (Newton) equal the
-    scalar calls (brentq) to 1e-10 relative on a 7 x 7 grid of the fitted
-    rho_dot band."""
-    rhos = np.linspace(*bounds.rho, 7)
-    rho = np.repeat(rhos, 7)
-    rd = np.concatenate([np.linspace(*envelope.rho_dot_range(r), 7) for r in rhos])
+    """Array solve_T1, q1_affine_in_nu and backtransform (one Newton batch)
+    equal the scalar calls (Newton on Python floats) to 1e-10 relative on a
+    7 x 7 grid of the fitted rho_dot band."""
+    rho, rd = _band_grid(bounds, envelope)
     nu = np.linspace(-2.0, 2.0, rho.size)
     T1 = solve_T1(rho, rd, strategy, params)
     coef = q1_affine_in_nu(rho, rd, strategy, params)
@@ -213,6 +212,83 @@ def test_batch_equals_scalar_loop(strategy, params, bounds, envelope):
         assert ua[:, k] == pytest.approx(us.as_array(), rel=1e-10)
 
 
+def _band_grid(bounds, envelope):
+    """7 x 7 (rho, rho_dot) grid of the fitted rho_dot band."""
+    rhos = np.linspace(*bounds.rho, 7)
+    rd = np.concatenate([np.linspace(*envelope.rho_dot_range(r), 7) for r in rhos])
+    return np.repeat(rhos, 7), rd
+
+
+def test_scalar_backtransform_evaluates_rates_at_most_11_times(strategy, params, bounds,
+                                                               envelope, monkeypatch):
+    """A scalar backtransform evaluates the reaction rates twice for the T1
+    bracket, once per Newton step and once after the root: at most 11 times
+    per point on the 7 x 7 band grid."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reaction_rates(*args)
+
+    monkeypatch.setattr(transform, "reaction_rates", counted)
+    counts = []
+    for r, rd in zip(*_band_grid(bounds, envelope)):
+        calls.clear()
+        backtransform(RampingPoint(float(r), float(rd), 0.5), strategy, params)
+        counts.append(len(calls))
+    assert max(counts) <= 11
+
+
+def test_scalar_point_with_float64_fields_equals_float_fields(strategy, params, bounds,
+                                                              envelope):
+    """A scalar point runs on Python floats whatever the type of its fields:
+    np.float64 fields give bitwise the states and inputs of float fields."""
+    rho, rd = _band_grid(bounds, envelope)
+    for r, d, n in zip(rho, rd, np.linspace(-2.0, 2.0, rho.size)):
+        x64, u64 = backtransform(RampingPoint(r, d, n), strategy, params)
+        xf, uf = backtransform(RampingPoint(float(r), float(d), float(n)), strategy, params)
+        assert type(r) is np.float64
+        assert np.array_equal(x64.as_array(), xf.as_array())
+        assert np.array_equal(u64.as_array(), uf.as_array())
+
+
+@pytest.mark.parametrize("weights", [_rate_weights, _purge_weights])
+def test_flat_root_scalar_equals_array(strategy, params, bounds, envelope, weights):
+    """The scalar and the array T1 root take the same Newton steps and agree
+    within 2 x T1_XTOL, on the rate and the purge weights; targets out of
+    reach are NaN on both paths."""
+    rho, rd = _band_grid(bounds, envelope)
+    target = (strategy.a1_xi4 * rd if weights is _rate_weights
+              else np.linspace(-1.0, 9.0, rho.size))
+    w = weights(strategy, params)
+    T1 = _flat_root(target, rho, w, strategy, params)
+    scalar = [_flat_root(float(t), float(r), w, strategy, params) for t, r in zip(target, rho)]
+    assert np.count_nonzero(np.isfinite(T1)) >= 0.8 * rho.size
+    np.testing.assert_allclose(scalar, T1, rtol=0, atol=2 * T1_XTOL)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize("field, value, error", [
+    ("rho", np.nan, OutsideFlatRegionError), ("rho", np.inf, OutsideFlatRegionError),
+    ("rho", -np.inf, OutsideFlatRegionError), ("rho_dot", np.nan, OutsideFlatRegionError),
+    ("rho_dot", np.inf, OutsideFlatRegionError), ("rho_dot", -np.inf, OutsideFlatRegionError),
+    ("nu", np.nan, ValueError), ("nu", np.inf, ValueError),
+])
+def test_non_finite_point_raises(strategy, params, field, value, error, batch):
+    """A NaN or inf rho or rho_dot has no reactor temperature, on the scalar
+    path as on the array path (there next to a valid point), in
+    backtransform as in solve_T1; a non-finite nu has no Q1."""
+    pt = {"rho": RHO_NOM, "rho_dot": 0.1, "nu": 0.0}
+    pt[field] = value
+    if batch:
+        pt = {k: np.array([v, RHO_NOM if k == "rho" else 0.0]) for k, v in pt.items()}
+    with pytest.raises(error):
+        backtransform(RampingPoint(**pt), strategy, params)
+    if field != "nu":                # solve_T1 alike, on np.float64 fields too
+        with pytest.raises(OutsideFlatRegionError):
+            solve_T1(np.float64(pt["rho"]), np.float64(pt["rho_dot"]), strategy, params)
+
+
 def test_batch_with_one_point_outside_region_raises(strategy, params):
     rho = np.full(5, RHO_NOM)
     rd = np.array([0.0, 0.1, 1e4, 0.2, 0.3])
@@ -224,7 +300,8 @@ def test_batch_with_one_point_outside_region_raises(strategy, params):
 
 def test_rho_dot_partial_is_exact(strategy, params):
     T1 = solve_T1(RHO_NOM, 0.3, strategy, params)
-    assert _psi_partials(RHO_NOM, T1, strategy, params)[1] == -strategy.a1_xi4
+    assert _psi_partials(RHO_NOM, T1, _flat_eval(RHO_NOM, T1, strategy, params),
+                         strategy, params)[1] == -strategy.a1_xi4
 
 
 def test_partials_match_central_differences(strategy, params, bounds, envelope):
@@ -234,7 +311,8 @@ def test_partials_match_central_differences(strategy, params, bounds, envelope):
     for rho in np.linspace(*bounds.rho, 5):
         for rd in np.linspace(*envelope.rho_dot_range(rho), 5):
             T1 = solve_T1(rho, rd, strategy, params)
-            P_rho, _, P_T1 = _psi_partials(rho, T1, strategy, params)
+            P_rho, _, P_T1 = _psi_partials(rho, T1, _flat_eval(rho, T1, strategy, params),
+                                           strategy, params)
             fd_rho = (_flat_rate(rho + h_rho, T1, strategy, params)
                       - _flat_rate(rho - h_rho, T1, strategy, params)) / (2 * h_rho)
             fd_T1 = (_flat_rate(rho, T1 + h_T1, strategy, params)
