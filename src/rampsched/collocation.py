@@ -83,17 +83,9 @@ class CollocationGrid:
     def weights(self) -> np.ndarray:
         return quad_weights(self.pts)
 
-    def t_point(self, e: int, j: int) -> float:
-        """Time of collocation point j (1-based within element e)."""
-        return (e + self.tau[j - 1]) * self.h
-
     def all_times(self) -> np.ndarray:
-        """t = 0 plus every collocation point time, increasing."""
-        out = [0.0]
-        for e in range(self.n_elem):
-            for j in range(1, self.pts + 1):
-                out.append(self.t_point(e, j))
-        return np.array(out)
+        """t = 0 plus every collocation point time (e + tau_j) * h, increasing."""
+        return np.r_[0.0, ((np.arange(self.n_elem)[:, None] + self.tau) * self.h).ravel()]
 
 
 def collocation_grid(horizon: float, elems_per_hour: int,

@@ -228,9 +228,6 @@ class CoverageReport:
     mean: float
     min: float
 
-    def summary(self) -> str:
-        return f"coverage mean={self.mean:.3f} min={self.min:.3f}"
-
 
 def _nu_grid(b: Bounds, lower: LinearLimit, upper: LinearLimit, n: int):
     """n x n grid over the rate-derivative band: rho along axis 0, the

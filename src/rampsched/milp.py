@@ -61,14 +61,14 @@ class MixedIntegerProgram:
 
     @staticmethod
     def _normalize(coeffs) -> list:
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
+        """Sorted (var, coefficient) terms, zeros dropped, from a dict or from
+        (var, coefficient) pairs, whose repeated vars are summed."""
+        if not isinstance(coeffs, dict):
             merged: dict[int, float] = {}
             for j, c in coeffs:
-                merged[j] = merged.get(j, 0.0) + c
-            items = merged.items()
-        return sorted((int(j), float(c)) for j, c in items if c != 0.0)
+                merged[j] = merged[j] + c if j in merged else c
+            coeffs = merged
+        return sorted((int(j), float(c)) for j, c in coeffs.items() if c != 0.0)
 
     def add_constraint(self, coeffs, sense: str, rhs: float,
                        name: str | None = None) -> int:

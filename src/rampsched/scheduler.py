@@ -143,83 +143,63 @@ class ScheduleProblem:
 
 
 @dataclass
-class ScheduleLayout:
+class RateLayout:
     grid: CollocationGrid
-    rho: list            # rho[e][i] variable indices, i = 0..pts
-    rho_dot: list
-    S: list
-    phi: list
-    nu_nodes: list       # nu breakpoints, nu_per_hour per hour
+    rho: np.ndarray          # (n_elem, pts + 1) variable indices, see _state_chain
+    rho_dot: np.ndarray
+    nu_nodes: np.ndarray     # nu breakpoints, nu_per_hour per hour
     nu_per_hour: int
-    q_in: dict           # (unit, e, j) -> var
-    dp: dict             # (e, j) -> grid exchange var
-    q_dem: dict          # (e, j) -> process heat demand var
-    z_on: dict           # (unit, hour) -> var
-    z_sel: list          # per nu interval, the lower-plane code bits
+    z_sel: np.ndarray        # (nu interval, bit): the lower-plane code bits
+
+
+@dataclass
+class ScheduleLayout(RateLayout):
+    S: np.ndarray            # storage chain, like rho
+    q_in: np.ndarray         # (unit, n_elem, pts) gas input
+    dp: np.ndarray           # (n_elem, pts) grid exchange
+    q_dem: np.ndarray        # (n_elem, pts) process heat demand
+    z_on: np.ndarray         # (unit, hour) on/off
 
 
 def _state_chain(mip: MixedIntegerProgram, grid: CollocationGrid, name: str,
-                 lb: float, ub: float) -> list:
-    """Variables for one collocated state; element boundaries shared."""
-    out = []
-    for e in range(grid.n_elem):
-        row = []
-        if e == 0:
-            row.append(mip.add_variable(f"{name}_0", lb, ub))
-        else:
-            row.append(out[e - 1][grid.pts])
-        for j in range(1, grid.pts + 1):
-            row.append(mip.add_variable(f"{name}_{e}_{j}", lb, ub))
-        out.append(row)
-    return out
+                 lb: float, ub: float, start: float) -> np.ndarray:
+    """Variables of one collocated state, (n_elem, pts + 1): row e holds the
+    element's start, which is element e - 1's last point, and its pts
+    collocation points.  The first start is fixed at `start`."""
+    first = mip.add_variable(f"{name}_0", start, start)
+    pts = [[mip.add_variable(f"{name}_{e}_{j}", lb, ub) for j in range(1, grid.pts + 1)]
+           for e in range(grid.n_elem)]
+    starts = [first] + [row[-1] for row in pts[:-1]]
+    return np.array([[start, *row] for start, row in zip(starts, pts)])
 
 
-def _chain_values(x: np.ndarray, grid: CollocationGrid, chain: list) -> np.ndarray:
+def _chain_values(x: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """Values of a collocated state at t = 0 and at every collocation point."""
-    return np.array([x[chain[0][0]]] + [x[chain[e][j]] for e in range(grid.n_elem)
-                                        for j in range(1, grid.pts + 1)])
+    return x[np.r_[chain[0, 0], chain[:, 1:].ravel()]]
 
 
-def _fix(mip: MixedIntegerProgram, var: int, value: float) -> None:
-    mip.variables[var].lb = value
-    mip.variables[var].ub = value
+def _nu_terms(layout: RateLayout) -> list:
+    """nu at every collocation point from the piecewise-linear breakpoint
+    variables: [e][j - 1] -> [(left breakpoint, weight), (right, weight)].
+    The interval is the element's, e * nu_per_hour // elems_per_hour, found
+    in integers: a point on the interval's right end weighs its right
+    breakpoint by exactly 1."""
+    grid, per_h = layout.grid, layout.nu_per_hour
+    e = np.arange(grid.n_elem)
+    seg = e * per_h // grid.elems_per_hour
+    frac = (e[:, None] + grid.tau) * per_h / grid.elems_per_hour - seg[:, None]
+    return [[[(a, 1.0 - f), (b, f)] for f in fs] for a, b, fs in
+            zip(layout.nu_nodes[seg].tolist(), layout.nu_nodes[seg + 1].tolist(),
+                frac.tolist())]
 
 
-def _nu_interp(grid: CollocationGrid, nu_nodes: list, nu_per_hour: int,
-               e: int, j: int) -> list:
-    """Coefficients expressing nu at collocation point (e, j) from the
-    piecewise-linear breakpoint variables.  The interval is the element's,
-    e * nu_per_hour // elems_per_hour, found in integers: a point on the
-    interval's right end weighs its right breakpoint by exactly 1."""
-    seg = e * nu_per_hour // grid.elems_per_hour
-    frac = (e + grid.tau[j - 1]) * nu_per_hour / grid.elems_per_hour - seg
-    return [(nu_nodes[seg], 1.0 - frac), (nu_nodes[seg + 1], frac)]
-
-
-def _collocation_row(mip: MixedIntegerProgram, grid: CollocationGrid, chain: list,
-                     e: int, j: int, deriv: list, name: str) -> None:
-    """Sum_i D[j,i]*x[e,i] = h * derivative at point (e, j); `deriv` lists
-    (var, coefficient) terms, var None for a constant."""
-    coeffs = {chain[e][i]: grid.D[j - 1][i] for i in range(grid.pts + 1)}
-    rhs = 0.0
-    for var, c in deriv:
-        if var is None:
-            rhs += grid.h * c
-        else:
-            coeffs[var] = coeffs.get(var, 0.0) - grid.h * c
-    mip.add_constraint(coeffs, "=", rhs, name=f"{name}_{e}_{j}")
-
-
-def _select(coeffs: dict, rhs: float, mis: list, M: float) -> float:
-    """Big-M relax the row `coeffs @ x <= rhs` unless every binary z in
-    `mis` equals its target; adds the z terms to `coeffs`, returns the rhs."""
-    for z, target in mis:
-        if target:
-            coeffs[z] = coeffs.get(z, 0.0) + M
-            rhs += M
-        else:
-            coeffs[z] = coeffs.get(z, 0.0) - M
-    return rhs
+def _collocation_row(mip: MixedIntegerProgram, grid: CollocationGrid, chain_row: list,
+                     j: int, deriv: list, name: str, const: float = 0.0) -> None:
+    """Sum_i D[j,i]*x[e,i] = h * (derivative + const) at point (e, j), given
+    the element's chain row x[e]; `deriv` lists (var, coefficient) terms."""
+    mip.add_constraint([*zip(chain_row, grid.D[j - 1]),
+                        *((var, -grid.h * c) for var, c in deriv)],
+                       "=", grid.h * const, name=name)
 
 
 def _lower_big_m(env: RampingEnvelope, rho_box, rd_box, nu_box) -> list:
@@ -230,26 +210,6 @@ def _lower_big_m(env: RampingEnvelope, rho_box, rd_box, nu_box) -> list:
             for pl in env.nu_pwa.lower]
 
 
-def _selection_bits(mip: MixedIntegerProgram, env: RampingEnvelope, n: int) -> list:
-    """Per hour (element in a ramp), the ceil(log2 K) binaries whose code
-    selects one of the K lower nu planes."""
-    k = len(env.nu_pwa.lower)
-    if k & (k - 1):
-        raise ValueError(f"{k} lower nu planes: a code of binaries would leave "
-                         "some codes selecting none")
-    n_bits = (k - 1).bit_length()
-    return [[mip.add_variable(f"zs_{h}_{i}", 0, 1, integer=True) for i in range(n_bits)]
-            for h in range(n)]
-
-
-def _band_rows(mip: MixedIntegerProgram, env: RampingEnvelope, r_v: int, d_v: int,
-               sfx: str) -> None:
-    """Linear rho_dot band at one point."""
-    rd_l, rd_u = env.rd_lower, env.rd_upper
-    mip.add_constraint({d_v: 1.0, r_v: -rd_u.a1}, "<=", rd_u.a0, name=f"rdu{sfx}")
-    mip.add_constraint({d_v: 1.0, r_v: -rd_l.a1}, ">=", rd_l.a0, name=f"rdl{sfx}")
-
-
 def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, lower_M: list,
                  nu_terms: list, r_v: int, d_v: int, z_sel: list,
                  prefix: str, sfx: str = "") -> None:
@@ -257,73 +217,80 @@ def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, lower_M: list,
     unless the bits `z_sel` encode the plane's index; nu is given as
     (var, coefficient) terms."""
     for k, pu in enumerate(env.nu_pwa.upper):
-        coeffs = dict(nu_terms)
-        coeffs[r_v] = coeffs.get(r_v, 0.0) - pu.a_rho
-        coeffs[d_v] = coeffs.get(d_v, 0.0) - pu.a_rho_dot
-        mip.add_constraint(coeffs, "<=", pu.a0, name=f"{prefix}u_{k}{sfx}")
+        mip.add_constraint([*nu_terms, (r_v, -pu.a_rho), (d_v, -pu.a_rho_dot)],
+                           "<=", pu.a0, name=f"{prefix}u_{k}{sfx}")
     for k, (pl, M) in enumerate(zip(env.nu_pwa.lower, lower_M)):
-        coeffs = {v: -c for v, c in nu_terms}
-        coeffs[r_v] = coeffs.get(r_v, 0.0) + pl.a_rho
-        coeffs[d_v] = coeffs.get(d_v, 0.0) + pl.a_rho_dot
-        rhs = _select(coeffs, -pl.a0, [(z, (k >> i) & 1) for i, z in enumerate(z_sel)], M)
-        mip.add_constraint(coeffs, "<=", rhs, name=f"{prefix}l_{k}{sfx}")
+        # a bit off the plane's code relaxes the row by M: +M z with M added
+        # to the rhs where the code holds a 1, -M z where it holds a 0
+        terms = [*((v, -c) for v, c in nu_terms), (r_v, pl.a_rho), (d_v, pl.a_rho_dot)]
+        rhs = -pl.a0
+        for i, z in enumerate(z_sel):
+            if (k >> i) & 1:
+                terms.append((z, M))
+                rhs += M
+            else:
+                terms.append((z, -M))
+        mip.add_constraint(terms, "<=", rhs, name=f"{prefix}l_{k}{sfx}")
 
 
 def _rate_model(mip: MixedIntegerProgram, env: RampingEnvelope, grid: CollocationGrid,
                 nu_per_hour: int, rho_box: tuple, rd_box: tuple, nu_box: tuple,
-                rho_start: float) -> tuple:
+                rho_start: float) -> RateLayout:
     """The collocated rate model under the ramping envelope.
 
     rho and rho_dot chains starting at rho_start and 0, nu breakpoints
     nu_per_hour per hour, ceil(log2 K) lower-plane bits per nu interval, the
     rows rho' = rho_dot and rho_dot' = nu, the initial-nu rows, and the band
     and plane rows at every point, whose bits are those of the nu interval
-    holding its element.  Returns (rho, rho_dot, nu breakpoints, bits, nu
-    terms per point (e, j))."""
-    rho = _state_chain(mip, grid, "rho", *rho_box)
-    rd = _state_chain(mip, grid, "rd", *rd_box)
-    _fix(mip, rho[0][0], rho_start)
-    _fix(mip, rd[0][0], 0.0)
+    holding its element."""
+    rho = _state_chain(mip, grid, "rho", *rho_box, rho_start)
+    rd = _state_chain(mip, grid, "rd", *rd_box, 0.0)
     n_nu = grid.n_elem * nu_per_hour // grid.elems_per_hour
-    nu_nodes = [mip.add_variable(f"nu_{k}", *nu_box) for k in range(n_nu + 1)]
-    z_sel = _selection_bits(mip, env, n_nu)
+    nu_nodes = np.array([mip.add_variable(f"nu_{k}", *nu_box) for k in range(n_nu + 1)])
+    k = len(env.nu_pwa.lower)
+    if k & (k - 1):
+        raise ValueError(f"{k} lower nu planes: a code of binaries would leave "
+                         "some codes selecting none")
+    z_sel = np.array([[mip.add_variable(f"zs_{h}_{i}", 0, 1, integer=True)
+                       for i in range((k - 1).bit_length())] for h in range(n_nu)],
+                     dtype=int)
+    layout = RateLayout(grid, rho, rd, nu_nodes, nu_per_hour, z_sel)
 
-    nu_terms = {}
+    nu = _nu_terms(layout)
+    rho, rd, bits = rho.tolist(), rd.tolist(), z_sel.tolist()
     for e in range(grid.n_elem):
         for j in range(1, grid.pts + 1):
-            nu_terms[(e, j)] = _nu_interp(grid, nu_nodes, nu_per_hour, e, j)
-            _collocation_row(mip, grid, rho, e, j, [(rd[e][j], 1.0)], "dC_rho")
-            _collocation_row(mip, grid, rd, e, j, nu_terms[(e, j)], "dC_rd")
+            _collocation_row(mip, grid, rho[e], j, [(rd[e][j], 1.0)], f"dC_rho_{e}_{j}")
+            _collocation_row(mip, grid, rd[e], j, nu[e][j - 1], f"dC_rd_{e}_{j}")
 
     lower_M = _lower_big_m(env, rho_box, rd_box, nu_box)
-    _pwa_nu_rows(mip, env, lower_M, [(nu_nodes[0], 1.0)], rho[0][0], rd[0][0],
-                 z_sel[0], "inu")
+    _pwa_nu_rows(mip, env, lower_M, [(int(nu_nodes[0]), 1.0)], rho[0][0], rd[0][0],
+                 bits[0], "inu")
+    rd_l, rd_u = env.rd_lower, env.rd_upper
     for e in range(grid.n_elem):
-        bits = z_sel[e * nu_per_hour // grid.elems_per_hour]
         for j in range(1, grid.pts + 1):
-            sfx = f"_{e}_{j}"
-            _band_rows(mip, env, rho[e][j], rd[e][j], sfx)
-            _pwa_nu_rows(mip, env, lower_M, nu_terms[(e, j)], rho[e][j], rd[e][j],
-                         bits, "pwa", sfx)
-    return rho, rd, nu_nodes, z_sel, nu_terms
+            sfx, r, d = f"_{e}_{j}", rho[e][j], rd[e][j]
+            mip.add_constraint([(d, 1.0), (r, -rd_u.a1)], "<=", rd_u.a0, name=f"rdu{sfx}")
+            mip.add_constraint([(d, 1.0), (r, -rd_l.a1)], ">=", rd_l.a0, name=f"rdl{sfx}")
+            _pwa_nu_rows(mip, env, lower_M, nu[e][j - 1], r, d,
+                         bits[e * nu_per_hour // grid.elems_per_hour], "pwa", sfx)
+    return layout
 
 
-def _rate_profile(layout: ScheduleLayout, x: np.ndarray) -> tuple:
+def _rate_profile(layout: RateLayout, x: np.ndarray) -> tuple:
     """(times, rho, rho_dot, nu) at t = 0 and every collocation point; nu
     interpolated between its breakpoints."""
-    grid = layout.grid
-    times = grid.all_times()
+    times = layout.grid.all_times()
     nu_nodes = x[layout.nu_nodes]
     nu = np.interp(times, np.arange(len(nu_nodes)) / layout.nu_per_hour, nu_nodes)
-    return (times, _chain_values(x, grid, layout.rho),
-            _chain_values(x, grid, layout.rho_dot), nu)
+    return times, _chain_values(x, layout.rho), _chain_values(x, layout.rho_dot), nu
 
 
 def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, ScheduleLayout]:
     """Build the scheduling MILP: the rate model with hourly nu breakpoints,
     the epigraph of the convex heat demand, unit commitment with part load,
     storage balance and energy costs."""
-    env, dm = sp.envelope, sp.demand
+    env, units, market = sp.envelope, sp.components, sp.market
     grid = collocation_grid(sp.horizon_h, sp.elems_per_hour, sp.pts)
     mip = MixedIntegerProgram(f"DR{sp.horizon_h}H")
     rho_nom = env.rho_nom
@@ -331,74 +298,64 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
         boxes = (rho_nom, rho_nom), (0.0, 0.0), (0.0, 0.0)
     else:
         boxes = env.rho_bounds, env.rho_dot_box(), env.nu_box()
-    rho, rd, nu_nodes, z_sel, nu_terms = _rate_model(mip, env, grid, 1, *boxes, rho_nom)
+    rate = _rate_model(mip, env, grid, 1, *boxes, rho_nom)
 
-    S = _state_chain(mip, grid, "S", *sp.storage)
-    phi = _state_chain(mip, grid, "phi", -float("inf"), float("inf"))
-    _fix(mip, S[0][0], 0.0)
-    _fix(mip, phi[0][0], 0.0)
+    S = _state_chain(mip, grid, "S", *sp.storage, 0.0)
+    # The cost integral as a collocated state rather than a quadrature sum in
+    # the objective: both reach the same optimum, but HiGHS took 4-5x longer
+    # on the 3 h desk flexible market and about 1.8x on the 24 h paper
+    # flexible day with the quadrature objective.
+    phi = _state_chain(mip, grid, "phi", -float("inf"), float("inf"), 0.0)
+    q_in = np.empty((len(units), grid.n_elem, grid.pts), dtype=int)
+    dp, q_dem = np.empty((2, grid.n_elem, grid.pts), dtype=int)
+    for e, j in np.ndindex(grid.n_elem, grid.pts):
+        for u, unit in enumerate(units):
+            q_in[u, e, j] = mip.add_variable(f"qi_{unit.name}_{e}_{j + 1}", 0.0,
+                                             unit.gas_in_max_kw)
+        dp[e, j] = mip.add_variable(f"dp_{e}_{j + 1}", -1e5, 1e5)
+        q_dem[e, j] = mip.add_variable(f"qd_{e}_{j + 1}", 0.0, float("inf"))
+    z_on = np.array([[mip.add_variable(f"z_{unit.name}_{h}", 0, 1, integer=True)
+                      for h in range(sp.horizon_h)] for unit in units])
 
-    n_hours = sp.horizon_h
-    q_in, dp, q_dem = {}, {}, {}
-    for e in range(grid.n_elem):
-        for j in range(1, grid.pts + 1):
-            for u in sp.components:
-                q_in[(u.name, e, j)] = mip.add_variable(
-                    f"qi_{u.name}_{e}_{j}", 0.0, u.gas_in_max_kw)
-            dp[(e, j)] = mip.add_variable(f"dp_{e}_{j}", -1e5, 1e5)
-            q_dem[(e, j)] = mip.add_variable(f"qd_{e}_{j}", 0.0, float("inf"))
-
-    z_on = {}
-    for u in sp.components:
-        for h in range(n_hours):
-            z_on[(u.name, h)] = mip.add_variable(f"z_{u.name}_{h}", 0, 1,
-                                                 integer=True)
-
+    nu = _nu_terms(rate)
+    gas, th_eff = [market.gas_price] * len(units), [unit.th_eff for unit in units]
+    rho, rd = rate.rho.tolist(), rate.rho_dot.tolist()
+    S_l, phi_l, q_in_l = S.tolist(), phi.tolist(), q_in.transpose(1, 2, 0).tolist()
+    dp_l, q_dem_l, z_on_l = dp.tolist(), q_dem.tolist(), z_on.T.tolist()
     for e in range(grid.n_elem):
         hour = e // sp.elems_per_hour
         for j in range(1, grid.pts + 1):
-            sfx = f"_{e}_{j}"
-            _collocation_row(mip, grid, S, e, j, [(rho[e][j], 1.0), (None, -rho_nom)],
-                             "dC_S")
-            cost_rate = [(q_in[(u.name, e, j)], sp.market.gas_price)
-                         for u in sp.components]
-            cost_rate.append((dp[(e, j)], sp.market.el_price[hour]))
-            _collocation_row(mip, grid, phi, e, j, cost_rate, "dC_phi")
+            sfx, r, d = f"_{e}_{j}", rho[e][j], rd[e][j]
+            qi, g, qd = q_in_l[e][j - 1], dp_l[e][j - 1], q_dem_l[e][j - 1]
+            _collocation_row(mip, grid, S_l[e], j, [(r, 1.0)], f"dC_S{sfx}", -rho_nom)
+            _collocation_row(mip, grid, phi_l[e], j,
+                             [*zip(qi, gas), (g, market.el_price[hour])], f"dC_phi{sfx}")
 
             # convex heat demand: q_dem on or above every plane
-            for k, pl in enumerate(dm.planes):
-                coeffs = {q_dem[(e, j)]: 1.0, rho[e][j]: -pl.c_rho / KJH_PER_KW,
-                          rd[e][j]: -pl.c_rho_dot / KJH_PER_KW}
-                for var, c in nu_terms[(e, j)]:
-                    coeffs[var] = -c * pl.c_nu / KJH_PER_KW
-                mip.add_constraint(coeffs, ">=", pl.c0 / KJH_PER_KW, name=f"dem_{k}{sfx}")
+            (a, wa), (b, wb) = nu[e][j - 1]
+            for k, pl in enumerate(sp.demand.planes):
+                mip.add_constraint([(qd, 1.0), (r, -pl.c_rho / KJH_PER_KW),
+                                    (d, -pl.c_rho_dot / KJH_PER_KW),
+                                    (a, -wa * pl.c_nu / KJH_PER_KW),
+                                    (b, -wb * pl.c_nu / KJH_PER_KW)],
+                                   ">=", pl.c0 / KJH_PER_KW, name=f"dem_{k}{sfx}")
 
             # conversion units, balances
-            heat = {}
-            elec = {dp[(e, j)]: 1.0}
-            for u in sp.components:
-                qi = q_in[(u.name, e, j)]
-                z = z_on[(u.name, hour)]
-                mip.add_constraint({qi: u.th_eff, z: -u.q_nom_kw}, "<=", 0.0,
-                                   name=f"pl_u_{u.name}{sfx}")
-                mip.add_constraint({qi: u.th_eff, z: -u.q_min_kw}, ">=", 0.0,
-                                   name=f"pl_l_{u.name}{sfx}")
-                heat[qi] = u.th_eff
-                if u.el_eff is not None:
-                    elec[qi] = u.el_eff
-            heat[q_dem[(e, j)]] = -1.0
-            mip.add_constraint(heat, "=", sp.market.heat_demand_kw[hour],
-                               name=f"bal_h{sfx}")
-            mip.add_constraint(elec, "=", sp.market.el_demand_kw[hour],
-                               name=f"bal_e{sfx}")
+            for unit, v, z in zip(units, qi, z_on_l[hour]):
+                mip.add_constraint([(v, unit.th_eff), (z, -unit.q_nom_kw)], "<=", 0.0,
+                                   name=f"pl_u_{unit.name}{sfx}")
+                mip.add_constraint([(v, unit.th_eff), (z, -unit.q_min_kw)], ">=", 0.0,
+                                   name=f"pl_l_{unit.name}{sfx}")
+            mip.add_constraint([*zip(qi, th_eff), (qd, -1.0)],
+                               "=", market.heat_demand_kw[hour], name=f"bal_h{sfx}")
+            mip.add_constraint([(g, 1.0), *((v, unit.el_eff) for unit, v in zip(units, qi)
+                                            if unit.el_eff is not None)],
+                               "=", market.el_demand_kw[hour], name=f"bal_e{sfx}")
 
     # terminal storage and objective ------------------------------------------
-    mip.add_constraint({S[-1][grid.pts]: 1.0}, ">=", 0.0, name="S_final")
-    mip.set_objective({phi[-1][grid.pts]: 1.0})
-
-    layout = ScheduleLayout(grid, rho, rd, S, phi, nu_nodes, 1, q_in, dp, q_dem,
-                            z_on, z_sel)
-    return mip, layout
+    mip.add_constraint({S_l[-1][-1]: 1.0}, ">=", 0.0, name="S_final")
+    mip.set_objective({phi_l[-1][-1]: 1.0})
+    return mip, ScheduleLayout(**vars(rate), S=S, q_in=q_in, dp=dp, q_dem=q_dem, z_on=z_on)
 
 
 @dataclass
@@ -420,32 +377,12 @@ class ScheduleResult:
     rev_el_sell: float
     on_hours: dict           # unit -> list of 0/1 per hour
 
-    def summary(self) -> str:
-        lines = [
-            f"status: {self.status} (gap {100 * self.gap:.2f}%, "
-            f"{self.node_count} nodes)",
-            f"objective (energy cost): {self.objective:.4f}",
-            f"  gas cost:        {self.cost_gas:.4f}",
-            f"  electricity buy: {self.cost_el_buy:.4f}",
-            f"  electricity sell: -{self.rev_el_sell:.4f}",
-            f"rho range: [{self.rho.min():.4f}, {self.rho.max():.4f}]",
-            f"terminal storage: {self.storage[-1]:.6f}",
-        ]
-        for name, hours in self.on_hours.items():
-            lines.append(f"  {name} on: {''.join(str(int(v)) for v in hours)}")
-        return "\n".join(lines)
-
 
 def extract_result(sp: ScheduleProblem, layout: ScheduleLayout,
                    sol: Solution) -> ScheduleResult:
-    grid = layout.grid
-    x = sol.x
+    grid, x = layout.grid, sol.x
     times, rho, rd, nu = _rate_profile(layout, x)
-    S = _chain_values(x, grid, layout.S)
-
-    pts_list = [(e, j) for e in range(grid.n_elem)
-                for j in range(1, grid.pts + 1)]
-    q_dem = np.array([x[layout.q_dem[p]] for p in pts_list])
+    q_dem = x[layout.q_dem].ravel()
     # the epigraph rows hold q_dem at or above the demand model; above it the
     # schedule burns gas for heat the process does not take
     demand = sp.demand.predict(rho[1:], rd[1:], nu[1:]) / KJH_PER_KW
@@ -456,32 +393,20 @@ def extract_result(sp: ScheduleProblem, layout: ScheduleLayout,
             f"surplus heat: q_dem {q_dem[k]:.6g} kW exceeds the demand model's "
             f"{demand[k]:.6g} kW at t = {times[k + 1]:.4g} h; the convex demand "
             "epigraph is exact only while surplus heat does not pay")
-    dp = np.array([x[layout.dp[p]] for p in pts_list])
-    unit_heat = {}
-    for u in sp.components:
-        unit_heat[u.name] = np.array(
-            [u.th_eff * x[layout.q_in[(u.name, e, j)]] for e, j in pts_list])
-
-    w, h_el = grid.weights, grid.h
-    cost_gas = cost_buy = rev_sell = 0.0
-    for k, (e, j) in enumerate(pts_list):
-        hour = e // sp.elems_per_hour
-        wk = w[j - 1] * h_el
-        gas_kw = sum(x[layout.q_in[(u.name, e, j)]] for u in sp.components)
-        cost_gas += wk * sp.market.gas_price * gas_kw
-        price = sp.market.el_price[hour]
-        if dp[k] >= 0:
-            cost_buy += wk * price * dp[k]
-        else:
-            rev_sell += wk * price * (-dp[k])
-    on_hours = {u.name: [x[layout.z_on[(u.name, h)]]
-                         for h in range(sp.horizon_h)] for u in sp.components}
+    q_in = x[layout.q_in].reshape(len(sp.components), -1)      # unit x point
+    dp = x[layout.dp].ravel()
+    # per point: quadrature weight x element length (x hourly price)
+    wh = np.tile(grid.weights * grid.h, grid.n_elem)
+    wh_price = wh * np.repeat(sp.market.el_price, sp.elems_per_hour * grid.pts)
     return ScheduleResult(
-        times=times, rho=rho, rho_dot=rd, nu=nu, storage=S, q_dem_kw=q_dem,
-        unit_heat_kw=unit_heat, grid_kw=dp, objective=sol.objective,
-        gap=sol.gap, status=sol.status, node_count=sol.node_count,
-        cost_gas=cost_gas, cost_el_buy=cost_buy, rev_el_sell=rev_sell,
-        on_hours=on_hours)
+        times=times, rho=rho, rho_dot=rd, nu=nu, storage=_chain_values(x, layout.S),
+        q_dem_kw=q_dem, grid_kw=dp,
+        unit_heat_kw={u.name: u.th_eff * q for u, q in zip(sp.components, q_in)},
+        objective=sol.objective, gap=sol.gap, status=sol.status, node_count=sol.node_count,
+        cost_gas=sp.market.gas_price * (wh @ q_in.sum(axis=0)),
+        cost_el_buy=wh_price @ np.maximum(dp, 0.0),
+        rev_el_sell=wh_price @ np.maximum(-dp, 0.0),
+        on_hours=dict(zip([u.name for u in sp.components], x[layout.z_on].tolist())))
 
 
 def solve_schedule(sp: ScheduleProblem) -> tuple[ScheduleResult, Solution]:
@@ -512,15 +437,10 @@ class RampResult:
     status: str
     gap: float
 
-    def summary(self) -> str:
-        t = "not reached" if self.ramp_time is None else f"{self.ramp_time:.3f} h"
-        return (f"ramp time: {t} (status {self.status}, "
-                f"gap {100 * self.gap:.2f}%)")
-
 
 def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
                  elem_h: float = 0.1, pts: int = 2
-                 ) -> tuple[MixedIntegerProgram, ScheduleLayout]:
+                 ) -> tuple[MixedIntegerProgram, RateLayout]:
     """As-fast-as-possible ramp MILP: the rate model with nu broken at every
     element, objective the signed integral of the production rate."""
     if direction not in ("up", "down"):
@@ -532,20 +452,11 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
     grid = collocation_grid(horizon, elems_per_hour, pts)
     mip = MixedIntegerProgram(f"RAMP{direction.upper()}")
     rho_lo, rho_hi = env.rho_bounds
-    rho, rd, nu_nodes, z_sel, _ = _rate_model(
-        mip, env, grid, elems_per_hour, env.rho_bounds, env.rho_dot_box(),
-        env.nu_box(), rho_lo if up else rho_hi)
-
+    layout = _rate_model(mip, env, grid, elems_per_hour, env.rho_bounds,
+                         env.rho_dot_box(), env.nu_box(), rho_lo if up else rho_hi)
     # objective: maximize (up) / minimize (down) the integral of rho
-    w = grid.weights
-    obj = {}
-    sign = -1.0 if up else 1.0
-    for e in range(grid.n_elem):
-        for j in range(1, grid.pts + 1):
-            obj[rho[e][j]] = obj.get(rho[e][j], 0.0) + sign * w[j - 1] * grid.h
-    mip.set_objective(obj)
-    layout = ScheduleLayout(grid, rho, rd, [], [], nu_nodes, elems_per_hour,
-                            {}, {}, {}, {}, z_sel)
+    w = np.tile((-1.0 if up else 1.0) * grid.weights * grid.h, grid.n_elem)
+    mip.set_objective(zip(layout.rho[:, 1:].ravel().tolist(), w.tolist()))
     return mip, layout
 
 

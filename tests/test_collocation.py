@@ -36,6 +36,15 @@ def test_collocation_grid_rejects(horizon, elems_per_hour, pts, match):
         collocation_grid(horizon, elems_per_hour, pts)
 
 
+@pytest.mark.parametrize("horizon, elems_per_hour, pts", [
+    (2.5, 10, 2), (8 / 3, 3, 3), (24.0, 2, 2), (4.0, 5, 3)])
+def test_all_times_are_the_collocation_points(horizon, elems_per_hour, pts):
+    """t = 0, then (e + tau_j) * h for every element e and point j, bitwise."""
+    g = collocation_grid(horizon, elems_per_hour, pts)
+    points = [(e + g.tau[j]) * g.h for e in range(g.n_elem) for j in range(pts)]
+    assert g.all_times().tolist() == [0.0, *points]
+
+
 def test_grid_builds_its_matrices_once(envelope, monkeypatch):
     calls = []
 

@@ -235,6 +235,28 @@ def test_nu_planes_hold_on_whole_band(strategy, params, bounds, envelope):
     assert np.all(pwa.nu_range(R, D)[1] <= th + 1e-9)
 
 
+def test_true_nu_limits_concave_on_band(strategy, params, bounds, envelope):
+    """Both true nu limits are concave on the rate-derivative band, which is
+    what lets every nu plane hold on the whole band: at every interior node
+    of the 41 x 41 band grid, the central-difference Hessian in (rho,
+    rho_dot), steps 1e-3 of each span, has a negative largest eigenvalue."""
+    from rampsched.envelope import _nu_grid
+    R, D = _nu_grid(bounds, envelope.rd_lower, envelope.rd_upper, 41)
+    hr, hd = 1e-3 * np.ptp(R), 1e-3 * np.ptp(D)
+    R, D = R[1:-1, 1:-1], D[1:-1, 1:-1]
+
+    def limits(i, k):
+        return np.array(nu_limits_true(R + i * hr, D + k * hd, strategy, params, bounds))
+
+    mid = limits(0, 0)
+    f_rr = (limits(1, 0) - 2 * mid + limits(-1, 0)) / hr ** 2
+    f_dd = (limits(0, 1) - 2 * mid + limits(0, -1)) / hd ** 2
+    f_rd = (limits(1, 1) - limits(1, -1) - limits(-1, 1) + limits(-1, -1)) / (4 * hr * hd)
+    hessian = np.stack([f_rr, f_rd, f_rd, f_dd], axis=-1).reshape(*mid.shape, 2, 2)
+    largest = np.linalg.eigvalsh(hessian)[..., -1].reshape(2, -1).max(axis=1)
+    assert np.all(largest < 0), largest
+
+
 def test_envelope_coverage_pinned(envelope):
     assert envelope.coverage.mean == pytest.approx(0.918312050, abs=1e-8)
     assert envelope.coverage.min == pytest.approx(0.845949204, abs=1e-8)

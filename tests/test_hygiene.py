@@ -1,7 +1,8 @@
 """Source hygiene: every name a package or test module imports is used in
 it, every private module-level function or constant of the package is read
 somewhere in the package or its tests, every method and property of a
-package class is read somewhere in the package, its tests or the benchmark,
+package class is read somewhere in the package, its tests or the benchmark
+(not counting a benchmark read of a name a benchmark class defines itself),
 every package name the benchmark reads exists, and the package neither
 prints nor warns."""
 
@@ -14,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rampsched"
 BENCHMARK = ROOT / "benchmark"
 TESTS = ROOT / "tests"
-READERS = (SRC, TESTS, BENCHMARK)
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -77,24 +77,25 @@ def unused_privates(modules: dict[str, ast.Module],
                   for name, line in private_definitions(tree).items() if name not in read)
 
 
-def class_members(tree: ast.Module) -> dict[str, tuple[str, int]]:
+def class_members(tree: ast.Module) -> dict[tuple[str, str], int]:
     """Methods and properties of every class in a module, dunders left out:
-    name -> (class, line)."""
-    members = {}
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef):
-            members.update({f.name: (cls.name, f.lineno) for f in cls.body
-                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not (f.name.startswith("__") and f.name.endswith("__"))})
-    return members
+    (class, name) -> line."""
+    return {(cls.name, f.name): f.lineno for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for f in cls.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (f.name.startswith("__") and f.name.endswith("__"))}
 
 
-def unread_members(modules: dict[str, ast.Module],
-                   readers: list[ast.Module]) -> list[str]:
-    """Class members of `modules` that no tree in `readers` reads."""
-    read = set().union(*map(names_read, readers))
+def unread_members(modules: dict[str, ast.Module], readers: list[ast.Module],
+                   outside: list[ast.Module]) -> list[str]:
+    """Class members of `modules` that no tree in `readers` reads, nor any
+    tree in `outside` under a name that no class of `outside` defines (a
+    read there may be of the outside class's own member)."""
+    own = {name for tree in outside for _, name in class_members(tree)}
+    read = set().union(*map(names_read, readers)) | \
+        (set().union(*map(names_read, outside)) - own)
     return sorted(f"{mod} line {line}: {cls}.{name}" for mod, tree in modules.items()
-                  for name, (cls, line) in class_members(tree).items() if name not in read)
+                  for (cls, name), line in class_members(tree).items() if name not in read)
 
 
 def bound_names(tree: ast.Module) -> set[str]:
@@ -199,19 +200,27 @@ def test_unused_private_detected():
 
 def test_no_unread_class_members():
     modules = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    readers = [ast.parse(p.read_text()) for d in READERS for p in sorted(d.glob("*.py"))]
-    assert unread_members(modules, readers) == []
+    readers = [ast.parse(p.read_text()) for d in (SRC, TESTS)
+               for p in sorted(d.glob("*.py"))]
+    bench = [ast.parse(p.read_text()) for p in sorted(BENCHMARK.glob("*.py"))]
+    assert unread_members(modules, readers, bench) == []
 
 
 def test_unread_member_detected():
+    """Members are told apart by class, and an outside read of a name that an
+    outside class defines itself does not count."""
     mod = ast.parse("class A:\n    def __init__(self):\n        self.used()\n\n"
                     "    def used(self):\n        pass\n\n    @property\n"
                     "    def dead(self):\n        return 1\n\n\n"
                     "class B:\n    @classmethod\n    def make(cls):\n        pass\n\n"
-                    "    def spare(self):\n        pass\n")
-    user = ast.parse("from m import B\nB.make()\n")
-    assert unread_members({"m.py": mod}, [mod, user]) == [
-        "m.py line 18: B.spare", "m.py line 9: A.dead"]
+                    "    def spare(self):\n        pass\n\n\n"
+                    "class C:\n    def spare(self):\n        pass\n\n"
+                    "    def report(self):\n        pass\n")
+    user = ast.parse("from m import B\nB.make()\n\n\nclass T:\n"
+                     "    def report(self):\n        pass\n\n\nT().report()\n")
+    assert unread_members({"m.py": mod}, [mod], [user]) == [
+        "m.py line 18: B.spare", "m.py line 23: C.spare", "m.py line 26: C.report",
+        "m.py line 9: A.dead"]
 
 
 def test_benchmark_reads_only_existing_package_names():

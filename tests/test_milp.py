@@ -49,6 +49,18 @@ def enumerate_vertices(c, A, b, ub):
     return best
 
 
+def test_pair_rows_sum_repeated_vars_and_drop_zeros():
+    """A row given as (var, coefficient) pairs is the row given as the dict
+    of their sums: sorted by var, zero coefficients dropped."""
+    mip = MixedIntegerProgram()
+    for j in range(4):
+        mip.add_variable(f"x{j}")
+    mip.add_constraint([(2, 1.5), (0, 2.0), (3, 0.0), (2, -0.5), (1, 1.0), (1, -1.0)],
+                       "<=", 1.0)
+    mip.add_constraint({2: 1.0, 0: 2.0, 3: 0.0}, "<=", 1.0)
+    assert mip.rows[0].coeffs == mip.rows[1].coeffs == [(0, 2.0), (2, 1.0)]
+
+
 # --- simplex ------------------------------------------------------------------
 
 def test_single_bound_lp():

@@ -4,10 +4,11 @@ import math
 import pytest
 
 from rampsched.envelope import N_LOWER, derive_envelope, fit_demand_pwa
-from rampsched.milp import check_solution
+from rampsched.milp import branch_and_bound, check_solution
 from rampsched.scheduler import (KJH_PER_KW, ScheduleProblem, assemble_problem,
-                                 desk_components, ramp_problem, solve_ramp,
-                                 solve_schedule, two_level_market)
+                                 desk_components, extract_result, paper_components,
+                                 ramp_problem, solve_ramp, solve_schedule,
+                                 two_level_market)
 
 GAP_TOL = 0.02
 
@@ -54,6 +55,54 @@ def test_schedule_heat_demand_on_the_model(schedules, demand_model, fix):
     model = [demand_model.predict(res.rho[k], res.rho_dot[k], res.nu[k]) / KJH_PER_KW
              for k in range(1, len(res.times))]
     assert res.q_dem_kw == pytest.approx(model, rel=1e-6)
+
+
+def point_loop_result(sp, layout, x):
+    """Storage, heat, unit commitment and the cost split, summed point by
+    point and hour by hour over the layout's variables."""
+    grid, units = layout.grid, sp.components
+    pts_list = [(e, j) for e in range(grid.n_elem) for j in range(grid.pts)]
+    storage = [x[layout.S[0][0]]] + [x[layout.S[e][j + 1]] for e, j in pts_list]
+    q_dem = [x[layout.q_dem[e][j]] for e, j in pts_list]
+    unit_heat = {u.name: [u.th_eff * x[layout.q_in[k][e][j]] for e, j in pts_list]
+                 for k, u in enumerate(units)}
+    cost_gas = cost_buy = rev_sell = 0.0
+    for e, j in pts_list:
+        wk = grid.weights[j] * grid.h
+        cost_gas += wk * sp.market.gas_price * sum(x[layout.q_in[k][e][j]]
+                                                   for k in range(len(units)))
+        price, dp = sp.market.el_price[e // sp.elems_per_hour], x[layout.dp[e][j]]
+        if dp >= 0:
+            cost_buy += wk * price * dp
+        else:
+            rev_sell += wk * price * (-dp)
+    on_hours = {u.name: [x[layout.z_on[k][h]] for h in range(sp.horizon_h)]
+                for k, u in enumerate(units)}
+    return dict(storage=storage, q_dem_kw=q_dem, unit_heat_kw=unit_heat, cost_gas=cost_gas,
+                cost_el_buy=cost_buy, rev_el_sell=rev_sell, on_hours=on_hours)
+
+
+@pytest.mark.parametrize("components, horizon_h, elems_per_hour", [
+    (desk_components, 2, 1), (desk_components, 2, 2), (paper_components, 6, 1),
+], ids=["desk-2h-1/h", "desk-2h-2/h", "paper-6h"])
+def test_result_matches_point_loops(envelope, demand_model, components, horizon_h,
+                                    elems_per_hour):
+    """extract_result's array expressions (quadrature weight x h x hourly
+    price) give what point-by-point sums give, to 1e-12 relative."""
+    sp = ScheduleProblem(envelope, demand_model, components(), two_level_market(horizon_h),
+                         horizon_h, elems_per_hour=elems_per_hour, gap_tol=GAP_TOL)
+    mip, layout = assemble_problem(sp)
+    sol = branch_and_bound(mip, sp.gap_tol, sp.time_limit_s)
+    res = extract_result(sp, layout, sol)
+    ref = point_loop_result(sp, layout, sol.x)
+    for name in ("storage", "q_dem_kw", "cost_gas", "cost_el_buy", "rev_el_sell"):
+        assert getattr(res, name) == pytest.approx(ref[name], rel=1e-12), name
+    assert res.unit_heat_kw.keys() == ref["unit_heat_kw"].keys()
+    for unit, heat in ref["unit_heat_kw"].items():
+        assert res.unit_heat_kw[unit] == pytest.approx(heat, rel=1e-12), unit
+    assert res.on_hours == ref["on_hours"]
+    assert res.cost_el_buy + res.rev_el_sell > 0
+    assert max(map(max, res.on_hours.values())) == 1
 
 
 def test_flexible_no_dearer_than_steady(schedules):
