@@ -3,10 +3,12 @@
 Six differential states (reactor concentrations cA1, cB1 and temperature T1;
 flash concentrations cA2, cB2 and temperature T2), four manipulated inputs
 (bottom stream FB, purge Fp, heat duties Q1, Q2) and the production rate rho
-as scheduling degree of freedom.  Provides the ODE right-hand side, a fixed
-step RK4 simulator that interpolates its piecewise-linear controls at every
-stage time in three array calls per run, and a bound check that takes each
-variable's column in one pass and counts a non-finite value as a violation.
+as scheduling degree of freedom.  Provides the ODE right-hand side as one
+formula (`_rhs`, on floats or broadcasting arrays), a fixed-step RK4
+simulator that interpolates its piecewise-linear controls at every stage
+time in three array calls per run and runs its stages on Python floats, and
+a bound check that takes each variable's column in one pass and counts a
+non-finite value as a violation.
 """
 
 from __future__ import annotations
@@ -128,13 +130,14 @@ def vapor_fractions(cA2: float, cB2: float, p: ProcessParams) -> tuple[float, fl
 
 def ode_rhs(x: StateVec, u: InputVec, rho: float, p: ProcessParams) -> StateVec:
     """Six right-hand sides of the component and energy balances (per hour)."""
-    for name, val in list(zip(STATE_NAMES, x.as_array())) + \
-            list(zip(INPUT_NAMES, u.as_array())) + [("rho", rho)]:
+    xs = [getattr(x, name) for name in STATE_NAMES]
+    us = [getattr(u, name) for name in INPUT_NAMES]
+    for name, val in zip(STATE_NAMES + INPUT_NAMES + ("rho",), xs + us + [rho]):
         if not math.isfinite(val):
             raise ValueError(f"ode_rhs: non-finite input {name}={val!r}")
     if x.T1 <= 0:
         raise ValueError("ode_rhs: T1 must be positive")
-    return StateVec.from_array(_rhs_array(x.as_array(), u.as_array(), rho, p))
+    return StateVec(*_rhs(xs, us, rho, p))
 
 
 def reaction_rates(cA1, cB1, T1, p: ProcessParams):
@@ -147,9 +150,10 @@ def reaction_rates(cA1, cB1, T1, p: ProcessParams):
     return p.k1 * cA1 * exp(e1), p.k2 * cB1 * exp(e2)
 
 
-def _rhs_array(x: np.ndarray, u: np.ndarray, rho, p: ProcessParams) -> np.ndarray:
-    """Right-hand sides as an array; x (6, ...) and u (4, ...) may carry
-    trailing batch axes, which broadcast with rho."""
+def _rhs(x, u, rho, p: ProcessParams) -> tuple:
+    """The six right-hand sides as a tuple.  x and u unpack into 6 and 4
+    values: Python floats (the simulator's stages), or arrays that broadcast
+    with rho."""
     cA1, cB1, T1, cA2, cB2, T2 = x
     FB, Fp, Q1, Q2 = u
     r1, r2 = reaction_rates(cA1, cB1, T1, p)
@@ -157,7 +161,7 @@ def _rhs_array(x: np.ndarray, u: np.ndarray, rho, p: ProcessParams) -> np.ndarra
     f_in = (rho + Fp) / p.V1
     f_rec = (FB - Fp) / p.V1
     f_fl = (rho + FB) / p.V2
-    return np.array([
+    return (
         f_in * (p.cA0 - cA1) + f_rec * (cA2 - cA1) - r1,
         f_in * (p.cB0 - cB1) + f_rec * (cB2 - cB1) + r1 - r2,
         f_in * (p.T0 - T1) + f_rec * (T2 - T1)
@@ -166,7 +170,13 @@ def _rhs_array(x: np.ndarray, u: np.ndarray, rho, p: ProcessParams) -> np.ndarra
         f_fl * (cB1 - cB2) - rho / p.V2 * (cBv - cB2),
         f_fl * (T1 - T2) - p.dHV * rho / (p.rhoF * p.Cp * p.V2)
         + Q2 / (p.rhoF * p.Cp * p.V2),
-    ])
+    )
+
+
+def _rhs_array(x: np.ndarray, u: np.ndarray, rho, p: ProcessParams) -> np.ndarray:
+    """Right-hand sides as an array; x (6, ...) and u (4, ...) may carry
+    trailing batch axes, which broadcast with rho."""
+    return np.array(_rhs(x, u, rho, p))
 
 
 class SimulationDiverged(RuntimeError):
@@ -179,9 +189,19 @@ class SimulationDiverged(RuntimeError):
 class ControlSchedule:
     """Time-indexed (InputVec, rho) samples, interpolated piecewise-linearly."""
 
-    times: np.ndarray              # (N,), hours, increasing
+    times: np.ndarray              # (N,), hours, non-decreasing
     inputs: np.ndarray             # (N, 4)
     rho: np.ndarray                # (N,)
+
+    def __post_init__(self):
+        n = len(self.times)
+        if np.shape(self.inputs) != (n, 4):
+            raise ValueError(f"ControlSchedule: inputs must be ({n}, 4), "
+                             f"not {np.shape(self.inputs)}")
+        if np.shape(self.rho) != (n,):
+            raise ValueError(f"ControlSchedule: rho must be ({n},), not {np.shape(self.rho)}")
+        if np.any(np.diff(self.times) < 0):
+            raise ValueError("ControlSchedule: times must not decrease")
 
     def at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inputs (len(t), 4) and rho (len(t),) at the times t."""
@@ -208,8 +228,11 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
 
     Controls are interpolated piecewise-linearly between their samples, once
     per simulation: at the grid times t and at every step's stage times
-    t + h/2 and t + h.  Raises SimulationDiverged when a state is non-finite
-    or its magnitude exceeds 1e9.
+    t + h/2 and t + h.  The stages run on Python floats through `_rhs`, the
+    one right-hand-side formula, in the operation order of the array form,
+    so the states are bitwise those of RK4 on numpy arrays.  Raises
+    SimulationDiverged when a state is non-finite or its magnitude exceeds
+    1e9, or when a stage overflows or divides by zero.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -218,20 +241,27 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
     h = step
     times = np.linspace(0.0, n * h, n + 1)
     inputs, rhos = controls.at(times)
-    u_mid, r_mid = controls.at(times[:-1] + h / 2)
-    u_end, r_end = controls.at(times[:-1] + h)
+    u0, r0 = inputs.tolist(), rhos.tolist()
+    um, rm = (a.tolist() for a in controls.at(times[:-1] + h / 2))
+    ue, re = (a.tolist() for a in controls.at(times[:-1] + h))
+    half, sixth = h / 2, h / 6
     states = np.empty((n + 1, 6))
-    x = x0.as_array()
-    for i, t in enumerate(times):
-        if not np.all(np.abs(x) <= 1e9):
+    x = x0.as_array().tolist()
+    ts = times.tolist()
+    for i, t in enumerate(ts):
+        if not all(abs(v) <= 1e9 for v in x):
             raise SimulationDiverged(t)
         states[i] = x
         if i < n:
-            k1 = _rhs_array(x, inputs[i], rhos[i], p)
-            k2 = _rhs_array(x + h / 2 * k1, u_mid[i], r_mid[i], p)
-            k3 = _rhs_array(x + h / 2 * k2, u_mid[i], r_mid[i], p)
-            k4 = _rhs_array(x + h * k3, u_end[i], r_end[i], p)
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            try:
+                k1 = _rhs(x, u0[i], r0[i], p)
+                k2 = _rhs([a + half * k for a, k in zip(x, k1)], um[i], rm[i], p)
+                k3 = _rhs([a + half * k for a, k in zip(x, k2)], um[i], rm[i], p)
+                k4 = _rhs([a + h * k for a, k in zip(x, k3)], ue[i], re[i], p)
+            except (OverflowError, ZeroDivisionError):  # math.exp, or T1 == 0 in a stage
+                raise SimulationDiverged(ts[i + 1]) from None
+            x = [a + sixth * (b + 2 * c + 2 * d + e)
+                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
     return Trajectory(times, states, inputs, rhos)
 
 

@@ -40,3 +40,9 @@ def demand_model(strategy, params, bounds, envelope):
 def up_ramp(envelope):
     """The default as-fast-as-possible ramp up."""
     return solve_ramp("up", envelope)
+
+
+@pytest.fixture(scope="session")
+def down_ramp(envelope):
+    """The default as-fast-as-possible ramp down."""
+    return solve_ramp("down", envelope)

@@ -10,6 +10,8 @@ from rampsched.process import (INPUT_NAMES, STATE_NAMES, Bounds, ControlSchedule
                                InputVec, ProcessParams, SimulationDiverged,
                                StateVec, Trajectory, _rhs_array, check_bounds,
                                ode_rhs, simulate)
+from rampsched.scheduler import (ScheduleProblem, desk_components, solve_ramp,
+                                 solve_schedule, two_level_market)
 from rampsched.transform import steady_state_point
 
 
@@ -121,13 +123,30 @@ def reference_rk4(x0, controls, horizon, step, p):
     return np.array(states)
 
 
-@pytest.mark.parametrize("case", ["transient", "up-ramp"])
-def test_simulate_equals_reference_rk4_bitwise(case, params, bounds, strategy, up_ramp):
+def desk_two_hour_flexible(request):
+    envelope, demand_model = (request.getfixturevalue(n) for n in ("envelope", "demand_model"))
+    return solve_schedule(ScheduleProblem(envelope, demand_model, desk_components(),
+                                          two_level_market(2), 2, gap_tol=0.02,
+                                          fix_steady=False))[0]
+
+
+REPLAYED = {
+    "up-ramp": lambda request: request.getfixturevalue("up_ramp"),
+    "down-ramp": lambda request: request.getfixturevalue("down_ramp"),
+    # 450 steps: the benchmark's longest op, down at 2 elements per hour
+    "down-ramp-4.5h": lambda request: solve_ramp("down", request.getfixturevalue("envelope"),
+                                                 horizon=4.5, elem_h=0.5),
+    "2h-desk-flexible": desk_two_hour_flexible,
+}
+
+
+@pytest.mark.parametrize("case", ["transient", *REPLAYED])
+def test_simulate_equals_reference_rk4_bitwise(case, params, bounds, strategy, request):
     if case == "transient":
         x0, u = steady(params, bounds)
         controls = transient_controls(u)
     else:
-        x0, controls = plant_controls(up_ramp, strategy, params)
+        x0, controls = plant_controls(REPLAYED[case](request), strategy, params)
     horizon = float(controls.times[-1])
     traj = simulate(x0, controls, horizon, step=0.01, p=params)
     assert np.array_equal(traj.states, reference_rk4(x0, controls, horizon, 0.01, params))
@@ -137,13 +156,55 @@ def test_simulate_equals_reference_rk4_bitwise(case, params, bounds, strategy, u
     assert np.array_equal(traj.rho, np.interp(traj.times, controls.times, controls.rho))
 
 
+def nan_q1_controls(u, k):
+    """The steady inputs at 0, 0.5 and 1 h, with Q1 NaN at sample k."""
+    inputs = np.tile(u.as_array(), (3, 1))
+    inputs[k, 2] = np.nan
+    return ControlSchedule(np.array([0.0, 0.5, 1.0]), inputs, np.full(3, 5.25))
+
+
 def test_simulate_raises_on_a_non_finite_input(params, bounds):
     x, u = steady(params, bounds)
-    inputs = np.tile(u.as_array(), (3, 1))
-    inputs[1, 2] = np.nan
-    controls = ControlSchedule(np.array([0.0, 0.5, 1.0]), inputs, np.full(3, 5.25))
-    with pytest.raises(SimulationDiverged):
-        simulate(x, controls, 1.0, p=params)
+    with pytest.raises(SimulationDiverged) as exc:
+        simulate(x, nan_q1_controls(u, 1), 1.0, p=params)
+    # the first step's midpoint stage reads the NaN: the state at 0.01 h is NaN
+    assert exc.value.t == 0.01
+
+
+def test_simulate_raises_at_the_first_non_finite_state(params, bounds):
+    """NaN Q1 at 1 h reaches the stages of the step from 0.5 h only."""
+    x, u = steady(params, bounds)
+    with pytest.raises(SimulationDiverged) as exc:
+        simulate(x, nan_q1_controls(u, 2), 1.0, p=params)
+    assert exc.value.t == 0.51
+
+
+@pytest.mark.parametrize("field, value, t", [
+    ("T2", 2e9, 0.0),       # past 1e9 at the start
+    ("T1", -1.0, 0.01),     # exp(-E1 / (R T1)) overflows in the first stage
+])
+def test_simulate_raises_on_a_diverging_start_state(field, value, t, params, bounds):
+    x, u = steady(params, bounds)
+    x0 = dataclasses.replace(x, **{field: value})
+    with pytest.raises(SimulationDiverged) as exc:
+        simulate(x0, ControlSchedule.constant(u, 5.25, 1.0), 1.0, p=params)
+    assert exc.value.t == t
+
+
+@pytest.mark.parametrize("times, inputs, rho, match", [
+    ([0.0, 1.0], np.ones((2, 3)), [5.25, 6.0], r"inputs must be \(2, 4\)"),
+    ([0.0, 1.0], np.ones((2, 4)), [[5.25, 6.0]], r"rho must be \(2,\)"),
+    ([1.0, 0.0], np.ones((2, 4)), [5.25, 6.0], "times must not decrease"),
+], ids=["inputs-shape", "rho-shape", "decreasing-times"])
+def test_control_schedule_rejects_what_interp_misreads(times, inputs, rho, match):
+    with pytest.raises(ValueError, match=match):
+        ControlSchedule(np.array(times), inputs, np.array(rho))
+
+
+def test_control_schedule_accepts_equal_times(params, bounds):
+    _, u = steady(params, bounds)
+    u_at, rho_at = ControlSchedule.constant(u, 5.25, 0.0).at(np.array([0.0]))
+    assert np.array_equal(u_at[0], u.as_array()) and rho_at[0] == 5.25
 
 
 def test_check_bounds_reports_non_finite_values(bounds):

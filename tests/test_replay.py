@@ -8,7 +8,7 @@ import pytest
 
 from plant_replay import assert_holds_on_plant, replay
 from rampsched.scheduler import (ScheduleProblem, desk_components, paper_components,
-                                 solve_ramp, solve_schedule, two_level_market)
+                                 solve_schedule, two_level_market)
 
 GAP_TOL = 0.02
 
@@ -17,8 +17,8 @@ def test_default_up_ramp_holds_on_plant(up_ramp, strategy, params, bounds):
     assert_holds_on_plant(up_ramp, strategy, params, bounds)
 
 
-def test_default_down_ramp_holds_on_plant(envelope, strategy, params, bounds):
-    assert_holds_on_plant(solve_ramp("down", envelope), strategy, params, bounds)
+def test_default_down_ramp_holds_on_plant(down_ramp, strategy, params, bounds):
+    assert_holds_on_plant(down_ramp, strategy, params, bounds)
 
 
 @pytest.fixture(scope="module")
