@@ -10,7 +10,7 @@ integrate polynomials of degree 2K-2 exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -37,8 +37,10 @@ def _lagrange_coeffs(nodes: np.ndarray, i: int) -> np.ndarray:
     return c
 
 
+@cache
 def diff_matrix(pts: int) -> np.ndarray:
-    """D[j, i] = dL_i/dtau at collocation point j, nodes = [0, tau_1..K]."""
+    """D[j, i] = dL_i/dtau at collocation point j, nodes = [0, tau_1..K];
+    built once per `pts` and read-only."""
     tau = radau_points(pts)
     nodes = np.concatenate([[0.0], tau])
     D = np.empty((pts, pts + 1))
@@ -46,14 +48,18 @@ def diff_matrix(pts: int) -> np.ndarray:
         dcoef = P.polyder(_lagrange_coeffs(nodes, i))
         for j, tj in enumerate(tau):
             D[j, i] = P.polyval(tj, dcoef)
+    D.setflags(write=False)
     return D
 
 
+@cache
 def quad_weights(pts: int) -> np.ndarray:
-    """Weights over the collocation points with int_0^1 f = sum w_j f(tau_j)."""
+    """Weights over the collocation points with int_0^1 f = sum w_j f(tau_j);
+    built once per `pts` and read-only."""
     tau = radau_points(pts)
-    return np.array([P.polyval(1.0, P.polyint(_lagrange_coeffs(tau, j)))
-                     for j in range(pts)])
+    w = np.array([P.polyval(1.0, P.polyint(_lagrange_coeffs(tau, j))) for j in range(pts)])
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@
 `simplex_solve` solves its LP relaxation; both map the HiGHS result to a
 `Solution` and accept a point only after `check_solution`, which re-checks
 every bound, row and integrality independently of the solver.
+
+HiGHS runs without its feasibility-jump primal heuristic.  On the ramp and
+market MILPs, from the benchmark's 51-74 columns to the 48 h days, it never
+supplied the point HiGHS returned, yet it took about half of the HiGHS time
+of a benchmark MILP; without it every MILP tried gave the same x, objective,
+gap and node count.
 """
 
 from __future__ import annotations
@@ -94,11 +100,23 @@ class MixedIntegerProgram:
         return sum(v.integer for v in self.variables)
 
     # -- evaluation ---------------------------------------------------------
-    def row_activity(self, row: Row, x: np.ndarray) -> float:
-        return float(sum(c * x[j] for j, c in row.coeffs))
-
     def objective_value(self, x: np.ndarray) -> float:
         return float(sum(c * x[j] for j, c in self.objective))
+
+
+def _rows_csr(mip: MixedIntegerProgram):
+    """The rows of `mip` in scipy's CSR form (data, indices, indptr) and the lower
+    and upper bounds of their activities (-inf / inf on the open side)."""
+    rows = mip.rows
+    indptr = np.cumsum([0] + [len(r.coeffs) for r in rows])
+    indices = np.array([j for r in rows for j, _ in r.coeffs], dtype=np.intp)
+    data = np.array([a for r in rows for _, a in r.coeffs], dtype=float)
+    lower = np.array([-INF if r.sense == "<=" else r.rhs for r in rows])
+    upper = np.array([INF if r.sense == ">=" else r.rhs for r in rows])
+    return (data, indices, indptr), lower, upper
+
+
+_VIOLATED = {"<=": ">", ">=": "<", "=": "!="}
 
 
 def check_solution(mip: MixedIntegerProgram, x: np.ndarray,
@@ -106,26 +124,37 @@ def check_solution(mip: MixedIntegerProgram, x: np.ndarray,
     """Independent feasibility check; returns a list of violation messages.
 
     Row residuals are measured relative to the largest coefficient or RHS
-    magnitude so the tolerance is meaningful across row scalings.
+    magnitude so the tolerance is meaningful across row scalings.  Messages
+    come per variable (bound, then integrality), then per row, in index
+    order; a NaN value violates its bound and a NaN activity its row.
     """
+    xa = np.asarray(x, dtype=float)
+    lb = np.array([v.lb for v in mip.variables])
+    ub = np.array([v.ub for v in mip.variables])
+    integer = np.array([v.integer for v in mip.variables], dtype=bool)
+    (data, indices, indptr), lower, upper = _rows_csr(mip)
+    m = len(lower)
+    row = np.arange(m).repeat(indptr[1:] - indptr[:-1])
+    # |rhs| is the finite one of the two bounds (both, for '=')
+    scale = np.maximum(np.minimum(np.abs(lower), np.abs(upper)), 1.0)
+    np.maximum.at(scale, row, np.abs(data))
+    with np.errstate(invalid="ignore"):         # inf - inf or 0 * inf: a violation
+        bound = ~((xa >= lb - tol * np.maximum(1.0, np.abs(lb)))
+                  & (xa <= ub + tol * np.maximum(1.0, np.abs(ub))))
+        integral = integer & (np.abs(xa - np.rint(xa)) > int_tol)
+        # each row's terms summed in order from 0.0, as a loop over them would
+        act = np.bincount(row, weights=data * xa[indices], minlength=m)
+        bad = ~((act - upper <= tol * scale) & (act - lower >= -tol * scale))
     problems = []
-    for j, v in enumerate(mip.variables):
-        if x[j] < v.lb - tol * max(1.0, abs(v.lb)) or \
-           x[j] > v.ub + tol * max(1.0, abs(v.ub)):
-            problems.append(f"bound violated: {v.name}={x[j]!r}")
-        if v.integer and abs(x[j] - round(x[j])) > int_tol:
-            problems.append(f"integrality violated: {v.name}={x[j]!r}")
-    for row in mip.rows:
-        scale = max((abs(c) for _, c in row.coeffs), default=1.0)
-        scale = max(scale, abs(row.rhs), 1.0)
-        act = mip.row_activity(row, x)
-        resid = act - row.rhs
-        if row.sense == "<=" and resid > tol * scale:
-            problems.append(f"{row.name}: {act} > {row.rhs}")
-        elif row.sense == ">=" and resid < -tol * scale:
-            problems.append(f"{row.name}: {act} < {row.rhs}")
-        elif row.sense == "=" and abs(resid) > tol * scale:
-            problems.append(f"{row.name}: {act} != {row.rhs}")
+    for j in (bound | integral).nonzero()[0].tolist():
+        name = mip.variables[j].name
+        if bound[j]:
+            problems.append(f"bound violated: {name}={x[j]!r}")
+        if integral[j]:
+            problems.append(f"integrality violated: {name}={x[j]!r}")
+    for i in bad.nonzero()[0].tolist():
+        r = mip.rows[i]
+        problems.append(f"{r.name}: {float(act[i])} {_VIOLATED[r.sense]} {r.rhs}")
     return problems
 
 
@@ -148,7 +177,7 @@ def _highs_solve(mip: MixedIntegerProgram, integral: bool, gap_tol: float = 0.0,
                  time_limit: float | None = None) -> Solution:
     """Solve `mip` with HiGHS (`scipy.optimize.milp`), or its LP relaxation
     when `integral` is false, and check the returned point independently."""
-    n, m = mip.n_vars, len(mip.rows)
+    n = mip.n_vars
     c = np.zeros(n)
     for j, cj in mip.objective:
         c[j] = cj
@@ -156,22 +185,20 @@ def _highs_solve(mip: MixedIntegerProgram, integral: bool, gap_tol: float = 0.0,
     ub = np.array([v.ub for v in mip.variables])
     integrality = np.array([integral and v.integer for v in mip.variables], dtype=int)
     constraints = None
-    if m:
-        indptr = np.cumsum([0] + [len(r.coeffs) for r in mip.rows])
-        indices = [j for r in mip.rows for j, _ in r.coeffs]
-        data = [a for r in mip.rows for _, a in r.coeffs]
-        rhs = np.array([r.rhs for r in mip.rows])
-        senses = np.array([r.sense for r in mip.rows])
+    if mip.rows:
+        csr, lower, upper = _rows_csr(mip)
         constraints = optimize.LinearConstraint(
-            sparse.csr_array((data, indices, indptr), shape=(m, n)),
-            np.where(senses == "<=", -INF, rhs), np.where(senses == ">=", INF, rhs))
+            sparse.csr_array(csr, shape=(len(mip.rows), n)), lower, upper)
     # HiGHS' default MIP feasibility tolerance, 1e-6, is looser than
-    # check_solution's 1e-7; scipy passes these HiGHS options on, with a warning
+    # check_solution's 1e-7; feasibility jump is off (see the module
+    # docstring); scipy passes these HiGHS options on, with a warning
     options = dict(disp=False, mip_rel_gap=gap_tol, mip_feasibility_tolerance=HIGHS_TOL,
-                   primal_feasibility_tolerance=HIGHS_TOL)
+                   primal_feasibility_tolerance=HIGHS_TOL,
+                   mip_heuristic_run_feasibility_jump=False)
     if time_limit is not None:
         options["time_limit"] = time_limit
-    # HiGHS writes some MIP messages to fd 1 even with disp=False
+    # HiGHS writes some MIP messages to fd 1 even with disp=False (the
+    # up-ramp at 20 elements/h and the 24 h paper flexible day do)
     sys.stdout.flush()
     saved_stdout = os.dup(1)
     try:

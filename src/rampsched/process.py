@@ -20,6 +20,7 @@ import numpy as np
 
 STATE_NAMES = ("cA1", "cB1", "T1", "cA2", "cB2", "T2")
 INPUT_NAMES = ("FB", "Fp", "Q1", "Q2")
+SAMPLE_TOL_H = 1e-9        # rounding allowed past a schedule's last sample
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,20 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
     t + h/2 and t + h.  The stages run on Python floats through `_rhs`, the
     one right-hand-side formula, in the operation order of the array form,
     so the states are bitwise those of RK4 on numpy arrays.  Raises
-    SimulationDiverged when a state is non-finite or its magnitude exceeds
-    1e9, or when a stage overflows or divides by zero.
+    ValueError when the run would read controls outside their samples (the
+    schedule starts after 0 or ends more than SAMPLE_TOL_H before the last
+    step), and SimulationDiverged when a state is non-finite or its
+    magnitude exceeds 1e9, or when a stage overflows or divides by zero.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     p = p or ProcessParams()
     n = max(int(round(horizon / step)), 0)
     h = step
+    t0, t_end = controls.times[0], controls.times[-1]
+    if t0 > 0 or n * h > t_end + SAMPLE_TOL_H:
+        raise ValueError(f"simulate: controls sampled on [{t0}, {t_end}] h "
+                         f"do not cover [0, {n * h}] h")
     times = np.linspace(0.0, n * h, n + 1)
     inputs, rhos = controls.at(times)
     u0, r0 = inputs.tolist(), rhos.tolist()

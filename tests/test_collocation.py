@@ -58,3 +58,13 @@ def test_grid_builds_its_matrices_once(envelope, monkeypatch):
     monkeypatch.setattr(collocation, "quad_weights", counted(quad_weights))
     ramp_problem("up", envelope, 2.5, elem_h=0.1)
     assert sorted(calls) == ["diff_matrix", "quad_weights"]
+
+
+@pytest.mark.parametrize("pts", [2, 3])
+def test_radau_matrices_built_once_per_pts_and_read_only(pts):
+    g1, g2 = collocation_grid(1.0, 2, pts), collocation_grid(3.0, 5, pts)
+    assert g1.D is g2.D is diff_matrix(pts)
+    assert g1.weights is g2.weights is quad_weights(pts)
+    for a in (g1.D, g1.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0

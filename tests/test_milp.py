@@ -61,6 +61,124 @@ def test_pair_rows_sum_repeated_vars_and_drop_zeros():
     assert mip.rows[0].coeffs == mip.rows[1].coeffs == [(0, 2.0), (2, 1.0)]
 
 
+# --- check_solution -------------------------------------------------------------
+
+def reference_check(mip, x, tol=1e-7, int_tol=1e-6):
+    """The per-variable, per-row loop check_solution replaced: the same
+    messages, in the same order."""
+    problems = []
+    for j, v in enumerate(mip.variables):
+        if x[j] < v.lb - tol * max(1.0, abs(v.lb)) or \
+           x[j] > v.ub + tol * max(1.0, abs(v.ub)):
+            problems.append(f"bound violated: {v.name}={x[j]!r}")
+        if v.integer and abs(x[j] - round(x[j])) > int_tol:
+            problems.append(f"integrality violated: {v.name}={x[j]!r}")
+    for row in mip.rows:
+        scale = max((abs(c) for _, c in row.coeffs), default=1.0)
+        scale = max(scale, abs(row.rhs), 1.0)
+        act = float(sum(c * x[j] for j, c in row.coeffs))
+        resid = act - row.rhs
+        if row.sense == "<=" and resid > tol * scale:
+            problems.append(f"{row.name}: {act} > {row.rhs}")
+        elif row.sense == ">=" and resid < -tol * scale:
+            problems.append(f"{row.name}: {act} < {row.rhs}")
+        elif row.sense == "=" and abs(resid) > tol * scale:
+            problems.append(f"{row.name}: {act} != {row.rhs}")
+    return problems
+
+
+def random_program(rng, n, m):
+    """A program around a point x0 that satisfies it: integer, finite,
+    one-sided and free variables, some at a bound; rows of every sense,
+    some tight, some empty, coefficients over six decades."""
+    x0 = rng.normal(size=n) * 4.0
+    mip = MixedIntegerProgram()
+    for j in range(n):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            x0[j] = round(x0[j])
+        lo, hi = x0[j] - rng.choice([0.0, 1.5]), x0[j] + rng.choice([0.0, 2.5])
+        mip.add_variable(f"v{j}", -INF if kind == 1 else lo, INF if kind == 2 else hi,
+                         integer=kind == 0)
+    for _ in range(m):
+        cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        coefs = rng.normal(size=len(cols)) * 10.0 ** rng.integers(-3, 4, size=len(cols))
+        terms = dict(zip(cols.tolist(), coefs.tolist()))
+        act = sum(c * x0[j] for j, c in sorted(terms.items()))
+        sense = ["<=", ">=", "="][rng.integers(3)]
+        slack = rng.choice([0.0, 1.0]) * {"<=": 1.0, ">=": -1.0, "=": 0.0}[sense]
+        mip.add_constraint(terms, sense, act + slack)
+    return mip, x0
+
+
+def test_check_solution_matches_reference_on_random_points():
+    rng = np.random.default_rng(17)
+    flagged = 0
+    for trial in range(200):
+        mip, x0 = random_program(rng, int(rng.integers(1, 13)), int(rng.integers(0, 9)))
+        x = x0 + rng.normal(size=mip.n_vars) * rng.choice([0.0, 1e-7, 1e-3, 1.0])
+        for int_tol in (1e-6, INF):
+            got = check_solution(mip, x, int_tol=int_tol)
+            assert got == reference_check(mip, x, int_tol=int_tol), f"trial {trial}"
+            flagged += len(got)
+    assert flagged > 300
+
+
+def test_check_solution_matches_reference_past_a_bound_a_row_and_integrality():
+    """A feasible point passes; pushed 3 tolerances past one bound, one row
+    or off integrality it fails with the reference's messages, in order;
+    pushed a third of a tolerance past a bound or off integrality, that
+    variable is not flagged."""
+    rng = np.random.default_rng(23)
+    tol = 1e-7
+    for trial in range(60):
+        mip, x0 = random_program(rng, int(rng.integers(2, 9)), int(rng.integers(1, 9)))
+        assert check_solution(mip, x0) == reference_check(mip, x0) == [], f"trial {trial}"
+        for push, fails in ((3.0, True), (1 / 3, False)):
+            for j, v in enumerate(mip.variables):
+                for bound, sign in ((v.lb, -1.0), (v.ub, 1.0)):
+                    if math.isfinite(bound):
+                        x = x0.copy()
+                        x[j] = bound + sign * push * tol * max(1.0, abs(bound))
+                        got = check_solution(mip, x)
+                        assert got == reference_check(mip, x), f"trial {trial}"
+                        assert any(m.startswith(f"bound violated: {v.name}=")
+                                   for m in got) == fails
+                if v.integer:
+                    x = x0.copy()
+                    x[j] += push * 1e-6
+                    got = check_solution(mip, x)
+                    assert got == reference_check(mip, x), f"trial {trial}"
+                    assert any(m.startswith(f"integrality violated: {v.name}=")
+                               for m in got) == fails
+            for row in mip.rows:
+                a = np.zeros(mip.n_vars)
+                for j, c in row.coeffs:
+                    a[j] = c
+                if not a.any():
+                    continue
+                scale = max(np.abs(a).max(), abs(row.rhs), 1.0)
+                # activity moved to rhs + push tolerances on the violating side
+                sign = -1.0 if row.sense == ">=" else 1.0
+                x = x0 + (row.rhs - a @ x0 + sign * push * tol * scale) * a / (a @ a)
+                got = check_solution(mip, x)
+                assert got == reference_check(mip, x), f"trial {trial}"
+                if fails:
+                    assert any(m.startswith(f"{row.name}: ") for m in got)
+
+
+def test_check_solution_flags_nan():
+    """A NaN value violates its bound and a NaN activity its row (the loop
+    accepted a NaN continuous value and raised on a NaN integer one)."""
+    mip = MixedIntegerProgram()
+    mip.add_variable("x", 0.0, INF)
+    mip.add_variable("z", 0.0, 1.0, integer=True)
+    mip.add_constraint({0: 1.0, 1: 1.0}, "<=", 2.0, name="cap")
+    got = check_solution(mip, np.array([np.nan, np.nan]))
+    assert got == ["bound violated: x=np.float64(nan)", "bound violated: z=np.float64(nan)",
+                   "cap: nan > 2.0"]
+
+
 # --- simplex ------------------------------------------------------------------
 
 def test_single_bound_lp():
@@ -168,6 +286,21 @@ def knapsack(values, weights, cap):
     mip.add_constraint({j: w for j, w in enumerate(weights)}, "<=", cap)
     mip.set_objective({j: -v for j, v in enumerate(values)})   # maximize value
     return mip
+
+
+def test_highs_runs_without_feasibility_jump(monkeypatch):
+    """The heuristic took about half of each benchmark MILP's HiGHS time and
+    changed no returned point; an option HiGHS does not know would raise."""
+    seen = []
+    solve = milp_module.optimize.milp
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["options"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(milp_module.optimize, "milp", recorded)
+    assert branch_and_bound(knapsack([3.0, 2.0], [2.0, 1.0], 2.0)).status == "optimal"
+    assert seen[0]["mip_heuristic_run_feasibility_jump"] is False
 
 
 def test_knapsack_against_enumeration():

@@ -156,6 +156,27 @@ def test_simulate_equals_reference_rk4_bitwise(case, params, bounds, strategy, r
     assert np.array_equal(traj.rho, np.interp(traj.times, controls.times, controls.rho))
 
 
+@pytest.mark.parametrize("times, horizon", [
+    ([0.0, 1.0], 3.0),           # a 1 h schedule run for 3 h
+    ([0.0, 1.0], 1.01),          # one step past the last sample
+    ([0.5, 3.0], 2.0),           # a schedule that starts after 0
+])
+def test_simulate_rejects_reading_outside_the_samples(times, horizon, params, bounds):
+    x, u = steady(params, bounds)
+    controls = ControlSchedule(np.array(times), np.tile(u.as_array(), (2, 1)),
+                               np.full(2, 5.25))
+    with pytest.raises(ValueError, match="do not cover"):
+        simulate(x, controls, horizon, step=0.01, p=params)
+
+
+def test_simulate_ends_on_a_last_sample_within_rounding(params, bounds):
+    """0.3 h at 0.1 h steps is 3 steps, whose end 3 * 0.1 lies 1 ulp past 0.3."""
+    x, u = steady(params, bounds)
+    assert 3 * 0.1 > 0.3
+    traj = simulate(x, ControlSchedule.constant(u, 5.25, 0.3), 0.3, step=0.1, p=params)
+    assert traj.times[-1] == 3 * 0.1
+
+
 def nan_q1_controls(u, k):
     """The steady inputs at 0, 0.5 and 1 h, with Q1 NaN at sample k."""
     inputs = np.tile(u.as_array(), (3, 1))

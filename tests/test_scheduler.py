@@ -4,7 +4,8 @@ import math
 import pytest
 
 from rampsched.envelope import N_LOWER, derive_envelope, fit_demand_pwa
-from rampsched.milp import branch_and_bound, check_solution
+from rampsched.milp import (INF, MixedIntegerProgram, branch_and_bound, check_solution,
+                            simplex_solve)
 from rampsched.scheduler import (KJH_PER_KW, ScheduleProblem, assemble_problem,
                                  desk_components, extract_result, paper_components,
                                  ramp_problem, solve_ramp, solve_schedule,
@@ -244,3 +245,27 @@ def test_ramp_solve_prints_nothing(envelope, capfd):
     solve_ramp("down", envelope)
     out, _ = capfd.readouterr()
     assert out == ""
+
+
+def test_solver_paths_print_nothing(envelope, capfd):
+    """No HiGHS output on an LP, an infeasible MIP, an unbounded MIP (which
+    HiGHS reports as unbounded or infeasible, so the solve raises), a solve
+    cut by a zero time limit, or the up-ramp at 20 elements/h, on which
+    HiGHS prints a line to fd 1 even with disp=False."""
+    ramp, _ = ramp_problem("down", envelope, 4.0, elem_h=0.5)
+    infeasible = MixedIntegerProgram()
+    infeasible.add_variable("z", 0.0, 1.0, integer=True)
+    infeasible.add_constraint({0: 1.0}, ">=", 2.0)
+    unbounded = MixedIntegerProgram()
+    unbounded.add_variable("z", 0.0, 1.0, integer=True)
+    unbounded.add_variable("x", 0.0, INF)
+    unbounded.add_constraint({0: 1.0, 1: 1.0}, ">=", 1.0)
+    unbounded.set_objective({1: -1.0})
+    assert simplex_solve(ramp).status == "optimal"
+    assert branch_and_bound(infeasible).status == "infeasible"
+    with pytest.raises(RuntimeError, match="unbounded or infeasible"):
+        branch_and_bound(unbounded)
+    assert branch_and_bound(ramp, time_limit=0.0).status == "time-limit"
+    assert solve_ramp("up", envelope, horizon=2.5, elem_h=0.05).ramp_time is not None
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", "")
