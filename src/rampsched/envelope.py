@@ -16,7 +16,8 @@ planes.  Both true nu limits are concave on the rate-derivative band, so
 every nu plane holds on the whole band: the upper limit is the minimum of
 N_UPPER planes, and the lower limit is any one of N_LOWER planes, each above
 the true lower limit everywhere.  The heat-demand model shares the
-Magnani-Boyd alternation.
+Magnani-Boyd alternation.  Every fitted family (rate-derivative lines, nu
+planes, demand planes) is a `Planes`, a read-only array of coefficient rows.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.optimize import linprog
 
 from .process import Bounds, ProcessParams
 from .transform import (T1_BRACKET, OperatingStrategy, RampingPoint, _flat_root,
-                        _purge_weights, backtransform, bottom_flow, psi_Fp,
+                        _purge_weights, _where, backtransform, bottom_flow, psi_Fp,
                         q1_affine_in_nu, theta_T1)
 
 INF = float("inf")
@@ -99,8 +100,9 @@ def nu_limits_true(rho: float, rho_dot: float, strat: OperatingStrategy,
     the sign of c1 rather than being assumed.  Broadcasts over arrays."""
     c0, c1, _ = q1_affine_in_nu(rho, rho_dot, strat, p)
     q_lo, q_hi = b.Q1
-    if np.any(np.abs(c1) < 1e-12):
-        raise RuntimeError(f"vanishing nu coefficient at rho={rho}, rho_dot={rho_dot}")
+    vanishing = np.abs(c1) < 1e-12
+    if np.any(vanishing):
+        raise RuntimeError(f"vanishing nu coefficient at {_where(vanishing, rho, rho_dot)}")
     nu_a = (q_lo - c0) / c1
     nu_b = (q_hi - c0) / c1
     return np.minimum(nu_a, nu_b), np.maximum(nu_a, nu_b)
@@ -135,16 +137,26 @@ def im_input_u2(rho: float, rho_dot: float, a: float, b: float) -> float:
 # Conservative fits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearLimit:
-    a0: float
-    a1: float
-    side: str                 # "lower" | "upper"
-    source: str               # dominating bound, e.g. "Fp_min"
-    margin: float = 0.0       # curvature margin applied during the fit
+@dataclass(frozen=True, eq=False)
+class Planes:
+    """Affine functions, one row of `coef` each: the row (c0, c1, c2, ...)
+    is c0 + c1*x0 + c2*x1 + ..., summed left to right."""
 
-    def __call__(self, rho):
-        return self.a0 + self.a1 * np.asarray(rho)
+    coef: np.ndarray          # (planes, 1 + coordinates), read-only
+
+    def __post_init__(self):
+        coef = np.array(self.coef, dtype=float)
+        coef.flags.writeable = False
+        object.__setattr__(self, "coef", coef)
+
+    def __call__(self, *x):
+        """Every plane at x, floats or arrays: shape (planes, *shape of x)."""
+        ndim = max(getattr(v, "ndim", 0) for v in x)
+        c = self.coef.T.reshape(self.coef.shape[::-1] + (1,) * ndim)
+        v = c[0]
+        for k, xk in enumerate(x, 1):
+            v = v + c[k] * xk
+        return v
 
 
 def _curvature_margin(values: np.ndarray, side: str, safety: float) -> float:
@@ -162,40 +174,25 @@ class EnvelopeFitError(RuntimeError):
 
 
 def fit_rho_dot_limits(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-                       n_grid: int = 51) -> tuple[LinearLimit, LinearLimit]:
-    """Conservative linear limits (lower, upper) on the rate derivative.
+                       n_grid: int = 51) -> Planes:
+    """Conservative linear limits on the rate derivative: lines in rho, the
+    lower one in row 0 and the upper one in row 1.
 
     Per side, one line fitted by _fit_planes on the n_grid x 1 rho grid: as
     close to the true limit in total as conservativeness (with curvature
     margin) at every grid point allows.
     """
     rho = np.linspace(*b.rho, n_grid)
-    los, his, lo_srcs, hi_srcs = true_rho_dot_limits(rho, strat, p, b)
+    los, his, *_ = true_rho_dot_limits(rho, strat, p, b)
     Z = np.column_stack([np.ones_like(rho), rho])[:, None]
     labels = np.zeros((n_grid, 1), dtype=int)
-    limits = []
-    for vals, srcs, side, sign in ((los, lo_srcs, "lower", -1.0), (his, hi_srcs, "upper", 1.0)):
-        coef, margin = _fit_planes(Z, vals[:, None], side, labels, safety=1.5)
-        a0, a1 = map(float, coef[0])
-        # named after the bound it comes closest to
-        src = str(srcs[np.argmin(sign * (vals - (a0 + a1 * rho)))])
-        limits.append(LinearLimit(a0, a1, side, src, margin))
-    return tuple(limits)
+    return Planes(np.vstack([_fit_planes(Z, vals[:, None], side, labels, safety=1.5)
+                             for vals, side in ((los, "lower"), (his, "upper"))]))
 
 
 N_LOWER = 2   # lower nu planes; the MILP selects one per hour, ceil(log2 N_LOWER) binaries
 N_UPPER = 4   # upper nu planes; nu lies below all of them, no binaries
 PWA_FIT_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class PwaSide:
-    a0: float
-    a_rho: float
-    a_rho_dot: float
-
-    def __call__(self, rho, rho_dot):
-        return self.a0 + self.a_rho * np.asarray(rho) + self.a_rho_dot * np.asarray(rho_dot)
 
 
 @dataclass(frozen=True)
@@ -210,16 +207,15 @@ class PwaEnvelope:
     Vielma, SIAM Rev. 57, 2015).  The admissible band is therefore
     [min over lower, min over upper]."""
 
-    lower: tuple
-    upper: tuple
+    lower: Planes            # of (rho, rho_dot)
+    upper: Planes
     # the benchmark gate reads this before its quadrant-segment fallback,
     # which whole-band planes never need
     n_segments = 1
 
     def nu_range(self, rho, rho_dot):
         """(lower, upper) limit on nu; broadcasts over array arguments."""
-        return (np.min([pl(rho, rho_dot) for pl in self.lower], axis=0),
-                np.min([pu(rho, rho_dot) for pu in self.upper], axis=0))
+        return self.lower(rho, rho_dot).min(axis=0), self.upper(rho, rho_dot).min(axis=0)
 
 
 @dataclass
@@ -229,19 +225,21 @@ class CoverageReport:
     min: float
 
 
-def _nu_grid(b: Bounds, lower: LinearLimit, upper: LinearLimit, n: int):
-    """n x n grid over the rate-derivative band: rho along axis 0, the
+def _nu_grid(b: Bounds, rd: Planes, n: int):
+    """n x n grid over the rate-derivative band `rd`: rho along axis 0, the
     fraction of the band at that rho along axis 1."""
     rho = np.linspace(*b.rho, n)[:, None]
     frac = np.linspace(0.0, 1.0, n)[None, :]
-    lo, hi = lower(rho), upper(rho)
+    lo, hi = rd(rho)
     return np.broadcast_to(rho, (n, n)), lo + frac * (hi - lo)
 
 
 def _true_nu_surfaces(R, D, strat, p, b):
     NLO, NHI = nu_limits_true(R, D, strat, p, b)
-    if np.any(NLO >= NHI):
-        raise EnvelopeFitError("true nu limits cross inside the band")
+    cross = NLO >= NHI
+    if np.any(cross):
+        raise EnvelopeFitError(f"true nu limits cross inside the band at "
+                               f"{_where(cross, R, D)}")
     return NLO, NHI
 
 
@@ -282,12 +280,12 @@ def _blocks(m: int, k: int) -> np.ndarray:
 
 
 def _fit_planes(Z: np.ndarray, limit: np.ndarray, side: str, labels: np.ndarray,
-                safety: float) -> tuple[np.ndarray, float]:
+                safety: float) -> np.ndarray:
     """Conservative planes for one side of a limit sampled on a 2-D grid:
     one plane per label, coefficients on the columns of the design matrix
     Z (grid shape + (k,)), fitted in one block-diagonal LP per
     Magnani-Boyd round that pushes each plane toward the limit on its
-    partition.  Returns (coefficients, one row per plane; curvature margin).
+    partition.  Returns the coefficients, one row per plane.
 
     A lower plane is at least the limit plus the curvature margin at every
     node; an upper plane is at most the limit minus the margin at every node
@@ -317,28 +315,25 @@ def _fit_planes(Z: np.ndarray, limit: np.ndarray, side: str, labels: np.ndarray,
         v = Z @ coef.T
         return -sign * float(v.min(axis=1).sum()), np.argmin(v, axis=1)
 
-    return _magnani_boyd(fit, score, labels.ravel()), margin
+    return _magnani_boyd(fit, score, labels.ravel())
 
 
 def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-               lower: LinearLimit, upper: LinearLimit, n_grid: int = 51
-               ) -> tuple[PwaEnvelope, CoverageReport]:
+               rd: Planes, n_grid: int = 51) -> tuple[PwaEnvelope, CoverageReport]:
     """Fit conservative piecewise-affine limits for the second rate
-    derivative over the fitted rate-derivative band: N_LOWER lower and
+    derivative over the fitted rate-derivative band `rd`: N_LOWER lower and
     N_UPPER upper planes, each valid on the whole band.
 
     The planes are fitted on the (n_grid // 2 + 1)^2 grid of the band, with
     its curvature margin guarding points between grid nodes; coverage, the
     fitted band width over the true one, is evaluated on the n_grid^2 grid."""
     m = n_grid // 2 + 1
-    R, D = _nu_grid(b, lower, upper, m)
+    R, D = _nu_grid(b, rd, m)
     NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
     Z = np.stack([np.ones_like(R), R, D], axis=-1)
-    lower_coef, _ = _fit_planes(Z, NLO, "lower", _blocks(m, N_LOWER), safety=2.0)
-    upper_coef, _ = _fit_planes(Z, NHI, "upper", _blocks(m, N_UPPER), safety=2.0)
-    env = PwaEnvelope(lower=tuple(PwaSide(*map(float, row)) for row in lower_coef),
-                      upper=tuple(PwaSide(*map(float, row)) for row in upper_coef))
-    R, D = _nu_grid(b, lower, upper, n_grid)
+    env = PwaEnvelope(Planes(_fit_planes(Z, NLO, "lower", _blocks(m, N_LOWER), safety=2.0)),
+                      Planes(_fit_planes(Z, NHI, "upper", _blocks(m, N_UPPER), safety=2.0)))
+    R, D = _nu_grid(b, rd, n_grid)
     NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
     lo, hi = env.nu_range(R, D)
     cov = (hi - lo) / (NHI - NLO)
@@ -353,28 +348,26 @@ def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
 class RampingEnvelope:
     rho_bounds: tuple[float, float]
     rho_nom: float
-    rd_lower: LinearLimit
-    rd_upper: LinearLimit
+    rd: Planes               # rate-derivative lines in rho: lower, upper
     nu_pwa: PwaEnvelope
     coverage: CoverageReport
     fingerprint: str
 
     def rho_dot_range(self, rho: float) -> tuple[float, float]:
-        return float(self.rd_lower(rho)), float(self.rd_upper(rho))
+        return tuple(self.rd(rho).tolist())
 
     def nu_range(self, rho: float, rho_dot: float) -> tuple[float, float]:
         return self.nu_pwa.nu_range(rho, rho_dot)
 
     def rho_dot_box(self) -> tuple[float, float]:
-        r = np.array(self.rho_bounds)
-        return float(min(self.rd_lower(r).min(), 0.0)), \
-            float(max(self.rd_upper(r).max(), 0.0))
+        lo, hi = self.rd(np.array(self.rho_bounds))
+        return float(min(lo.min(), 0.0)), float(max(hi.max(), 0.0))
 
     def nu_box(self) -> tuple[float, float]:
-        planes = self.nu_pwa.lower + self.nu_pwa.upper
-        corners = [float(pl(rho, rd)) for rho in self.rho_bounds
-                   for rd in self.rho_dot_box() for pl in planes]
-        return min(corners), max(corners)
+        """Range of every nu plane over the corners of the (rho, rho_dot) box."""
+        rho, rd = np.array(self.rho_bounds)[:, None], np.array(self.rho_dot_box())
+        v = np.concatenate([self.nu_pwa.lower(rho, rd), self.nu_pwa.upper(rho, rd)], axis=None)
+        return float(v.min()), float(v.max())
 
     def contains(self, rho: float, rho_dot: float, nu: float,
                  tol: float = 1e-9) -> bool:
@@ -388,35 +381,31 @@ class RampingEnvelope:
         return nl - tol <= nu <= nh + tol
 
 
-def _fingerprint(*parts) -> str:
-    """Digest of the reprs of `parts`."""
-    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+def _fingerprint(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
+                 *planes: Planes) -> str:
+    """Digest of the reprs of strat, p, b and the planes' shapes, then of the
+    planes' coefficient bytes (numpy's repr keeps only 8 digits)."""
+    h = hashlib.sha256(repr((strat, p, b, [pl.coef.shape for pl in planes])).encode())
+    for pl in planes:
+        h.update(pl.coef.tobytes())
+    return h.hexdigest()[:16]
 
 
 def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
                     n_grid: int = 51) -> RampingEnvelope:
     """Envelope fingerprinted by the strategy, plant and bounds it is fitted
     from together with its own fitted limits and planes."""
-    lower, upper = fit_rho_dot_limits(strat, p, b, n_grid)
-    pwa, cov = fit_nu_pwa(strat, p, b, lower, upper, n_grid)
-    return RampingEnvelope(b.rho, b.rho_nom, lower, upper, pwa, cov,
-                           _fingerprint(strat, p, b, b.rho, b.rho_nom, lower, upper, pwa))
+    rd = fit_rho_dot_limits(strat, p, b, n_grid)
+    pwa, cov = fit_nu_pwa(strat, p, b, rd, n_grid)
+    return RampingEnvelope(b.rho, b.rho_nom, rd, pwa, cov,
+                           _fingerprint(strat, p, b, rd, pwa.lower, pwa.upper))
 
 
 # ---------------------------------------------------------------------------
 # Heat-demand model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DemandSide:
-    c0: float
-    c_rho: float
-    c_rho_dot: float
-    c_nu: float
-
-    def __call__(self, rho, rho_dot, nu):
-        return (self.c0 + self.c_rho * np.asarray(rho)
-                + self.c_rho_dot * np.asarray(rho_dot) + self.c_nu * np.asarray(nu))
+DEMAND_GRID = 11          # points per axis of the demand fit's grid
 
 
 @dataclass
@@ -431,7 +420,7 @@ class PwaDemandModel:
     absolute errors are relative to the nominal steady demand;
     `mae_single_rel` is the one-plane least-squares baseline."""
 
-    planes: tuple
+    planes: Planes           # of (rho, rho_dot, nu), kJ/h
     q_nominal: float
     mae_single_rel: float
     mae_pwa_rel: float
@@ -439,19 +428,20 @@ class PwaDemandModel:
 
     def predict(self, rho, rho_dot, nu):
         """Maximum plane value; broadcasts over array arguments."""
-        return np.max([pl(rho, rho_dot, nu) for pl in self.planes], axis=0)
+        return self.planes(rho, rho_dot, nu).max(axis=0)
 
 
 def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-                   env: RampingEnvelope, n: int = 11) -> PwaDemandModel:
-    """Fit the process heat demand Q1+Q2 on an n^3 grid nested inside the
-    envelope (corners with an empty nu band skipped; every other point must
-    backtransform, or the envelope is at fault and the call raises
-    OutsideFlatRegionError) as the maximum of four planes, by
+                   env: RampingEnvelope) -> PwaDemandModel:
+    """Fit the process heat demand Q1+Q2 on an n^3 grid, n = DEMAND_GRID,
+    nested inside the envelope (corners with an empty nu band skipped; every
+    other point must backtransform, or the envelope is at fault and the call
+    raises OutsideFlatRegionError) as the maximum of four planes, by
     Magnani-Boyd alternation (Optim. Eng. 10, 2009): starting from the split
     at rho_dot = 0 and nu = 0, fit each partition by least squares, then give
     each point to its largest plane, while the squared error falls."""
-    R, D = _nu_grid(b, env.rd_lower, env.rd_upper, n)
+    n = DEMAND_GRID
+    R, D = _nu_grid(b, env.rd, n)
     nl, nh = env.nu_range(R, D)
     keep = nl <= nh
     nu = nl[keep, None] + np.linspace(0.0, 1.0, n) * (nh - nl)[keep, None]
@@ -477,7 +467,7 @@ def fit_demand_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     coef = _magnani_boyd(fit, score, 2 * (pts[:, 1] >= 0) + (pts[:, 2] >= 0))
     fit = A @ coef.T
     mae_pwa = float(np.mean(np.abs(fit.max(axis=1) - q))) / q_nom
-    return PwaDemandModel(planes=tuple(DemandSide(*[float(c) for c in row]) for row in coef),
+    return PwaDemandModel(planes=Planes(coef),
                           q_nominal=float(q_nom), mae_single_rel=mae_single,
                           mae_pwa_rel=mae_pwa, fingerprint=env.fingerprint)
 

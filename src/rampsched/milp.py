@@ -162,7 +162,7 @@ def check_solution(mip: MixedIntegerProgram, x: np.ndarray,
 class Solution:
     x: np.ndarray
     objective: float
-    status: str               # optimal | feasible-with-gap | infeasible | unbounded | time-limit
+    status: str     # optimal | feasible-with-gap | infeasible | time-limit | unbounded (LPs)
     gap: float = 0.0
     node_count: int = 0
     best_bound: float = -INF
@@ -249,7 +249,9 @@ def branch_and_bound(mip: MixedIntegerProgram, gap_tol: float = 1e-6,
     Stops at a relative gap of `gap_tol` or after `time_limit` seconds.  The
     status is `optimal` at zero gap, `feasible-with-gap` when stopped by the
     gap tolerance, `time-limit` when cut by the limit (objective inf and x
-    NaN if no incumbent was found), or `infeasible` / `unbounded`.  Every
-    returned point has passed `check_solution`; a violation raises.
+    NaN if no incumbent was found), or `infeasible`.  HiGHS reports an
+    unbounded MIP as "unbounded or infeasible", which raises RuntimeError;
+    only an LP (`simplex_solve`) returns `unbounded`.  Every returned point
+    has passed `check_solution`; a violation raises.
     """
     return _highs_solve(mip, integral=True, gap_tol=gap_tol, time_limit=time_limit)

@@ -13,8 +13,9 @@ conversion units with minimum part load, storage, grid exchange and energy
 costs.  The heat demand is the epigraph of the convex max-affine demand
 model, one row per plane and no binaries; the epigraph equals the model
 only while surplus heat never pays, which `extract_result` checks on every
-solution.  Powers are in kW, heat demand converted from the process
-model's kJ/h, prices in currency/kWh, time in hours.
+solution.  The rows read each plane family's `envelope.Planes`
+coefficients once per problem.  Powers are in kW, heat demand converted
+from the process model's kJ/h, prices in currency/kWh, time in hours.
 """
 
 from __future__ import annotations
@@ -205,25 +206,24 @@ def _collocation_row(mip: MixedIntegerProgram, grid: CollocationGrid, chain_row:
 def _lower_big_m(env: RampingEnvelope, rho_box, rd_box, nu_box) -> list:
     """Per lower nu plane, the big-M that relaxes plane - nu <= 0 over the
     variable box."""
-    corners = [(r, d) for r in rho_box for d in rd_box]
-    return [max(max(pl(r, d) for r, d in corners) - nu_box[0], 0.0) + 1.0
-            for pl in env.nu_pwa.lower]
+    v = env.nu_pwa.lower(np.array(rho_box)[:, None], np.array(rd_box))
+    return (np.maximum(v.max(axis=(1, 2)) - nu_box[0], 0.0) + 1.0).tolist()
 
 
-def _pwa_nu_rows(mip: MixedIntegerProgram, env: RampingEnvelope, lower_M: list,
-                 nu_terms: list, r_v: int, d_v: int, z_sel: list,
-                 prefix: str, sfx: str = "") -> None:
+def _pwa_nu_rows(mip: MixedIntegerProgram, upper: list, lower: list, nu_terms: list,
+                 r_v: int, d_v: int, z_sel: list, prefix: str, sfx: str = "") -> None:
     """nu <= every upper plane, and nu >= every lower plane, big-M relaxed
-    unless the bits `z_sel` encode the plane's index; nu is given as
-    (var, coefficient) terms."""
-    for k, pu in enumerate(env.nu_pwa.upper):
-        mip.add_constraint([*nu_terms, (r_v, -pu.a_rho), (d_v, -pu.a_rho_dot)],
-                           "<=", pu.a0, name=f"{prefix}u_{k}{sfx}")
-    for k, (pl, M) in enumerate(zip(env.nu_pwa.lower, lower_M)):
+    unless the bits `z_sel` encode the plane's index.  A plane is its
+    coefficient row (c0, c_rho, c_rho_dot), a lower one followed by its
+    big-M; nu is given as (var, coefficient) terms."""
+    for k, (c0, cr, cd) in enumerate(upper):
+        mip.add_constraint([*nu_terms, (r_v, -cr), (d_v, -cd)], "<=", c0,
+                           name=f"{prefix}u_{k}{sfx}")
+    for k, (c0, cr, cd, M) in enumerate(lower):
         # a bit off the plane's code relaxes the row by M: +M z with M added
         # to the rhs where the code holds a 1, -M z where it holds a 0
-        terms = [*((v, -c) for v, c in nu_terms), (r_v, pl.a_rho), (d_v, pl.a_rho_dot)]
-        rhs = -pl.a0
+        terms = [*((v, -c) for v, c in nu_terms), (r_v, cr), (d_v, cd)]
+        rhs = -c0
         for i, z in enumerate(z_sel):
             if (k >> i) & 1:
                 terms.append((z, M))
@@ -247,7 +247,7 @@ def _rate_model(mip: MixedIntegerProgram, env: RampingEnvelope, grid: Collocatio
     rd = _state_chain(mip, grid, "rd", *rd_box, 0.0)
     n_nu = grid.n_elem * nu_per_hour // grid.elems_per_hour
     nu_nodes = np.array([mip.add_variable(f"nu_{k}", *nu_box) for k in range(n_nu + 1)])
-    k = len(env.nu_pwa.lower)
+    k = len(env.nu_pwa.lower.coef)
     if k & (k - 1):
         raise ValueError(f"{k} lower nu planes: a code of binaries would leave "
                          "some codes selecting none")
@@ -263,16 +263,18 @@ def _rate_model(mip: MixedIntegerProgram, env: RampingEnvelope, grid: Collocatio
             _collocation_row(mip, grid, rho[e], j, [(rd[e][j], 1.0)], f"dC_rho_{e}_{j}")
             _collocation_row(mip, grid, rd[e], j, nu[e][j - 1], f"dC_rd_{e}_{j}")
 
-    lower_M = _lower_big_m(env, rho_box, rd_box, nu_box)
-    _pwa_nu_rows(mip, env, lower_M, [(int(nu_nodes[0]), 1.0)], rho[0][0], rd[0][0],
+    upper = env.nu_pwa.upper.coef.tolist()
+    lower = [[*c, M] for c, M in zip(env.nu_pwa.lower.coef.tolist(),
+                                     _lower_big_m(env, rho_box, rd_box, nu_box))]
+    _pwa_nu_rows(mip, upper, lower, [(int(nu_nodes[0]), 1.0)], rho[0][0], rd[0][0],
                  bits[0], "inu")
-    rd_l, rd_u = env.rd_lower, env.rd_upper
+    (l0, l1), (u0, u1) = env.rd.coef.tolist()
     for e in range(grid.n_elem):
         for j in range(1, grid.pts + 1):
             sfx, r, d = f"_{e}_{j}", rho[e][j], rd[e][j]
-            mip.add_constraint([(d, 1.0), (r, -rd_u.a1)], "<=", rd_u.a0, name=f"rdu{sfx}")
-            mip.add_constraint([(d, 1.0), (r, -rd_l.a1)], ">=", rd_l.a0, name=f"rdl{sfx}")
-            _pwa_nu_rows(mip, env, lower_M, nu[e][j - 1], r, d,
+            mip.add_constraint([(d, 1.0), (r, -u1)], "<=", u0, name=f"rdu{sfx}")
+            mip.add_constraint([(d, 1.0), (r, -l1)], ">=", l0, name=f"rdl{sfx}")
+            _pwa_nu_rows(mip, upper, lower, nu[e][j - 1], r, d,
                          bits[e * nu_per_hour // grid.elems_per_hour], "pwa", sfx)
     return layout
 
@@ -317,7 +319,7 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
     z_on = np.array([[mip.add_variable(f"z_{unit.name}_{h}", 0, 1, integer=True)
                       for h in range(sp.horizon_h)] for unit in units])
 
-    nu = _nu_terms(rate)
+    nu, demand = _nu_terms(rate), sp.demand.planes.coef.tolist()
     gas, th_eff = [market.gas_price] * len(units), [unit.th_eff for unit in units]
     rho, rd = rate.rho.tolist(), rate.rho_dot.tolist()
     S_l, phi_l, q_in_l = S.tolist(), phi.tolist(), q_in.transpose(1, 2, 0).tolist()
@@ -333,12 +335,10 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
 
             # convex heat demand: q_dem on or above every plane
             (a, wa), (b, wb) = nu[e][j - 1]
-            for k, pl in enumerate(sp.demand.planes):
-                mip.add_constraint([(qd, 1.0), (r, -pl.c_rho / KJH_PER_KW),
-                                    (d, -pl.c_rho_dot / KJH_PER_KW),
-                                    (a, -wa * pl.c_nu / KJH_PER_KW),
-                                    (b, -wb * pl.c_nu / KJH_PER_KW)],
-                                   ">=", pl.c0 / KJH_PER_KW, name=f"dem_{k}{sfx}")
+            for k, (c0, cr, cd, cn) in enumerate(demand):
+                mip.add_constraint([(qd, 1.0), (r, -cr / KJH_PER_KW), (d, -cd / KJH_PER_KW),
+                                    (a, -wa * cn / KJH_PER_KW), (b, -wb * cn / KJH_PER_KW)],
+                                   ">=", c0 / KJH_PER_KW, name=f"dem_{k}{sfx}")
 
             # conversion units, balances
             for unit, v, z in zip(units, qi, z_on_l[hour]):

@@ -108,6 +108,15 @@ def _any(mask) -> bool:
     return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
 
 
+def _where(mask, rho, rho_dot) -> str:
+    """The first point of `mask` on the broadcast (rho, rho_dot), and for an
+    array mask the number of its points."""
+    i = np.argmax(mask)
+    r, rd = (float(np.ravel(np.broadcast_to(v, np.shape(mask)))[i]) for v in (rho, rho_dot))
+    return f"rho={r:.4g}, rho_dot={rd:.4g}" + (
+        f" ({np.count_nonzero(mask)} of {np.size(mask)} points)" if np.ndim(mask) else "")
+
+
 def nominal_vapor(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float]:
     """Vapor composition (cAv, cBv) at the nominal flash liquid composition."""
     return vapor_fractions(strat.xi1_nom, strat.xi2_nom, p)
@@ -314,13 +323,8 @@ def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
     T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, _rate_weights(strat, p), strat, p)
     miss = np.isnan(T1)
     if _any(miss):
-        i = np.argmax(miss)
-        r, rd = (float(np.ravel(np.broadcast_to(v, np.shape(T1)))[i])
-                 for v in (rho, rho_dot))
-        raise OutsideFlatRegionError(
-            f"no reactor temperature in {list(T1_BRACKET)} K for "
-            f"rho={r:.4g}, rho_dot={rd:.4g}"
-            + (f" ({np.count_nonzero(miss)} of {miss.size} points)" if np.ndim(T1) else ""))
+        raise OutsideFlatRegionError(f"no reactor temperature in {list(T1_BRACKET)} K "
+                                     f"for {_where(miss, rho, rho_dot)}")
     return T1
 
 

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampsched.envelope import (N_LOWER, N_UPPER, EnvelopeFitError, LinearLimit,
-                                _magnani_boyd, detect_regions, fit_demand_pwa,
+from rampsched import envelope as envelope_module
+from rampsched.envelope import (N_LOWER, N_UPPER, EnvelopeFitError, Planes,
+                                _curvature_margin, _magnani_boyd, _nu_grid,
+                                _true_nu_surfaces, detect_regions, fit_demand_pwa,
                                 fit_rho_dot_limits, im_input_u2,
                                 max_tau, nu_limits_true, rho_dot_limit_from_bound,
                                 sbm_limits, true_rho_dot_limits)
@@ -83,31 +87,69 @@ def test_rate_limit_from_bound_broadcasts(strategy, params, bounds, var, bound, 
         assert np.all(batch == unreached)
 
 
+# --- the plane type --------------------------------------------------------------
+
+@pytest.mark.parametrize("shapes", [
+    [(), (), ()], [(5,), (5,), (5,)], [(4, 3), (4, 3), (4, 3)],
+    [(), (4, 3), ()], [(4, 1), (), (1, 3)]],
+    ids=["scalar", "n", "n-m", "scalar-array", "broadcast"])
+def test_planes_evaluate_left_to_right_bitwise(shapes):
+    """Planes(*x) is c0 + c1*x0 + c2*x1 + c3*x2 summed left to right, bit
+    for bit, of shape (planes, *broadcast shape of x), on Python floats,
+    arrays and a mix of both."""
+    rng = np.random.default_rng(18)
+    coef = rng.normal(size=(3, 4)) * [1e3, 1.0, 1e-2, 1e2]
+    x = [rng.normal(size=s) if s else float(rng.normal()) for s in shapes]
+    values = Planes(coef)(*x)
+    assert values.shape == (3, *np.broadcast_shapes(*shapes))
+    for v, (c0, c1, c2, c3) in zip(values, coef.tolist()):
+        expected = np.broadcast_to(c0 + c1 * x[0] + c2 * x[1] + c3 * x[2], v.shape)
+        assert v.tobytes() == expected.tobytes()
+
+
+def test_planes_coefficients_read_only():
+    """The coefficients are a read-only copy, and the field cannot be
+    rebound."""
+    coef = np.ones((2, 3))
+    planes = Planes(coef)
+    coef[0, 0] = 5.0
+    assert planes.coef[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        planes.coef[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        planes.coef = coef
+
+
+def _nu_box_corner_loop(env):
+    """nu_box as a loop over the box corners and the planes, one at a time."""
+    planes = env.nu_pwa.lower.coef.tolist() + env.nu_pwa.upper.coef.tolist()
+    corners = [c0 + cr * rho + cd * rd for rho in env.rho_bounds
+               for rd in env.rho_dot_box() for c0, cr, cd in planes]
+    return min(corners), max(corners)
+
+
+def test_nu_box_matches_corner_loop(envelope):
+    assert envelope.nu_box() == _nu_box_corner_loop(envelope)
+
+
 # --- linear rate-derivative fits ----------------------------------------------
 
 def test_rd_fit_conservative_and_touching(rd_fit, strategy, params, bounds):
-    lower, upper = rd_fit
     rho = np.linspace(*bounds.rho, 51)
     true_lower, true_upper, *_ = true_rho_dot_limits(rho, strategy, params, bounds)
-    fit_hi = upper(rho)
-    fit_lo = lower(rho)
+    fit_lo, fit_hi = rd_fit(rho)
     assert np.all(fit_hi <= true_upper + 1e-12)
     assert np.all(fit_lo >= true_lower - 1e-12)
-    # LP optimality forces an active point (up to the stored margin)
-    assert np.min(true_upper - fit_hi) <= upper.margin + 1e-9
-    assert np.min(fit_lo - true_lower) <= lower.margin + 1e-9
+    # LP optimality forces an active point (up to the fit's curvature margin)
+    margin = [_curvature_margin(v[:, None], side, safety=1.5)
+              for v, side in ((true_lower, "lower"), (true_upper, "upper"))]
+    assert np.min(true_upper - fit_hi) <= margin[1] + 1e-9
+    assert np.min(fit_lo - true_lower) <= margin[0] + 1e-9
 
 
 def test_rd_band_contains_steady(rd_fit, bounds):
-    lower, upper = rd_fit
-    for rho in np.linspace(*bounds.rho, 101):
-        assert lower(rho) < 0.0 < upper(rho)
-
-
-def test_rd_sources_recorded(rd_fit):
-    lower, upper = rd_fit
-    assert lower.source != "none" and upper.source != "none"
-    assert lower.side == "lower" and upper.side == "upper"
+    lower, upper = rd_fit(np.linspace(*bounds.rho, 101))
+    assert np.all(lower < 0.0) and np.all(upper > 0.0)
 
 
 # --- true nu limits -----------------------------------------------------------
@@ -123,6 +165,42 @@ def test_nu_limit_hits_duty_bound(strategy, params, bounds):
 def test_nu_band_straddles_zero_at_steady(strategy, params, bounds):
     nl, nh = nu_limits_true(5.25, 0.0, strategy, params, bounds)
     assert nl < 0.0 < nh
+
+
+def test_vanishing_nu_coefficient_names_first_point(strategy, params, bounds, envelope,
+                                                    monkeypatch):
+    """One vanishing Q1 coefficient on the 26 x 26 fit grid is named by its
+    point and counted, without printing the grids."""
+    R, D = _nu_grid(bounds, envelope.rd, 26)
+    q1_affine_in_nu = envelope_module.q1_affine_in_nu
+
+    def one_zero(rho, rho_dot, strat, p):
+        c0, c1, c2 = q1_affine_in_nu(rho, rho_dot, strat, p)
+        c1 = np.array(c1)
+        c1[7, 11] = 0.0
+        return c0, c1, c2
+
+    monkeypatch.setattr(envelope_module, "q1_affine_in_nu", one_zero)
+    with pytest.raises(RuntimeError, match="vanishing nu coefficient") as exc:
+        nu_limits_true(R, D, strategy, params, bounds)
+    assert str(exc.value) == (f"vanishing nu coefficient at rho={R[7, 11]:.4g}, "
+                              f"rho_dot={D[7, 11]:.4g} (1 of 676 points)")
+
+
+def test_crossing_nu_limits_name_first_point(strategy, params, bounds, envelope,
+                                             monkeypatch):
+    R, D = _nu_grid(bounds, envelope.rd, 26)
+
+    def crossing(rho, rho_dot, strat, p, b):
+        lo, hi = np.zeros_like(rho), np.ones_like(rho)
+        hi[3:5, 2] = -1.0
+        return lo, hi
+
+    monkeypatch.setattr(envelope_module, "nu_limits_true", crossing)
+    with pytest.raises(EnvelopeFitError) as exc:
+        _true_nu_surfaces(R, D, strategy, params, bounds)
+    assert str(exc.value) == (f"true nu limits cross inside the band at rho={R[3, 2]:.4g}, "
+                              f"rho_dot={D[3, 2]:.4g} (2 of 676 points)")
 
 
 def test_nu_single_region_on_grid(strategy, params, bounds, envelope):
@@ -190,8 +268,7 @@ def test_pwa_coverage_mean(envelope):
 
 
 def test_pwa_conservative_on_fit_grid(strategy, params, bounds, envelope):
-    from rampsched.envelope import _nu_grid
-    R, D = _nu_grid(bounds, envelope.rd_lower, envelope.rd_upper, 51)
+    R, D = _nu_grid(bounds, envelope.rd, 51)
     for i in range(0, 51, 5):
         for j in range(0, 51, 5):
             tl, th = nu_limits_true(R[i, j], D[i, j], strategy, params, bounds)
@@ -210,7 +287,7 @@ def test_envelope_conservative_off_grid(strategy, params, bounds, envelope):
     rng = np.random.default_rng(2205)
     n = 3000
     rho = rng.uniform(*bounds.rho, n)
-    lo, hi = envelope.rd_lower(rho), envelope.rd_upper(rho)
+    lo, hi = envelope.rd(rho)
     rd = lo + rng.uniform(size=n) * (hi - lo)
     band = np.array([envelope.nu_range(r, d) for r, d in zip(rho, rd)])
     nu = band[:, 0] + rng.uniform(size=n) * (band[:, 1] - band[:, 0])
@@ -225,13 +302,11 @@ def test_nu_planes_hold_on_whole_band(strategy, params, bounds, envelope):
     minimum of the upper planes on or below the true upper limit (to 1e-9,
     as the upper planes touch it), at every node of the 51 x 51 band grid,
     so any lower plane is a safe pick."""
-    from rampsched.envelope import _nu_grid
-    R, D = _nu_grid(bounds, envelope.rd_lower, envelope.rd_upper, 51)
+    R, D = _nu_grid(bounds, envelope.rd, 51)
     tl, th = nu_limits_true(R, D, strategy, params, bounds)
     pwa = envelope.nu_pwa
-    assert (len(pwa.lower), len(pwa.upper)) == (N_LOWER, N_UPPER)
-    for pl in pwa.lower:
-        assert np.all(pl(R, D) >= tl)
+    assert (pwa.lower.coef.shape, pwa.upper.coef.shape) == ((N_LOWER, 3), (N_UPPER, 3))
+    assert np.all(pwa.lower(R, D) >= tl)
     assert np.all(pwa.nu_range(R, D)[1] <= th + 1e-9)
 
 
@@ -240,8 +315,7 @@ def test_true_nu_limits_concave_on_band(strategy, params, bounds, envelope):
     what lets every nu plane hold on the whole band: at every interior node
     of the 41 x 41 band grid, the central-difference Hessian in (rho,
     rho_dot), steps 1e-3 of each span, has a negative largest eigenvalue."""
-    from rampsched.envelope import _nu_grid
-    R, D = _nu_grid(bounds, envelope.rd_lower, envelope.rd_upper, 41)
+    R, D = _nu_grid(bounds, envelope.rd, 41)
     hr, hd = 1e-3 * np.ptp(R), 1e-3 * np.ptp(D)
     R, D = R[1:-1, 1:-1], D[1:-1, 1:-1]
 
@@ -320,15 +394,14 @@ def test_demand_nominal_prediction(demand_model, strategy, params, bounds):
 
 
 def test_demand_segments_fitted(demand_model):
-    assert len(demand_model.planes) == 4
+    assert demand_model.planes.coef.shape == (4, 4)
     assert demand_model.mae_pwa_rel <= 0.025
 
 
 def test_demand_fit_raises_outside_flat_region(strategy, params, bounds, envelope):
     """A demand grid reaching rho_dot = 1000 m^3/h^2 (T1 above 600 K) is an
     envelope fault: the fit raises instead of skipping those points."""
-    import dataclasses
-    wide = dataclasses.replace(envelope, rd_upper=LinearLimit(1e3, 0.0, "upper", "test"))
+    wide = dataclasses.replace(envelope, rd=Planes([envelope.rd.coef[0], [1e3, 0.0]]))
     with pytest.raises(OutsideFlatRegionError):
         fit_demand_pwa(strategy, params, bounds, wide)
 

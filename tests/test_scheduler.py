@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from rampsched.envelope import N_LOWER, derive_envelope, fit_demand_pwa
+from rampsched.envelope import N_LOWER, Planes, derive_envelope, fit_demand_pwa
 from rampsched.milp import (INF, MixedIntegerProgram, branch_and_bound, check_solution,
                             simplex_solve)
-from rampsched.scheduler import (KJH_PER_KW, ScheduleProblem, assemble_problem,
+from rampsched.scheduler import (KJH_PER_KW, ScheduleProblem, _lower_big_m, assemble_problem,
                                  desk_components, extract_result, paper_components,
                                  ramp_problem, solve_ramp, solve_schedule,
                                  two_level_market)
@@ -234,9 +234,23 @@ def test_ramp_problem_selects_lower_plane_by_code(envelope):
     assert not [r.name for r in mip.rows if r.name.startswith("lz")]
 
 
+@pytest.mark.parametrize("steady", [False, True], ids=["box", "steady"])
+def test_lower_big_m_matches_corner_loop(envelope, steady):
+    """The big-Ms of the lower nu planes, all planes at all box corners in
+    one call, equal a loop over the corners and the planes."""
+    if steady:
+        boxes = (envelope.rho_nom,) * 2, (0.0, 0.0), (0.0, 0.0)
+    else:
+        boxes = envelope.rho_bounds, envelope.rho_dot_box(), envelope.nu_box()
+    rho_box, rd_box, nu_box = boxes
+    loop = [max(max(c0 + cr * r + cd * d for r in rho_box for d in rd_box) - nu_box[0],
+                0.0) + 1.0 for c0, cr, cd in envelope.nu_pwa.lower.coef.tolist()]
+    assert _lower_big_m(envelope, *boxes) == loop
+
+
 def test_lower_plane_count_off_a_power_of_two_raises(envelope):
     pwa = envelope.nu_pwa
-    three = dataclasses.replace(pwa, lower=pwa.lower + pwa.lower[:1])
+    three = dataclasses.replace(pwa, lower=Planes(pwa.lower.coef[[0, 1, 0]]))
     with pytest.raises(ValueError, match="3 lower nu planes"):
         ramp_problem("up", dataclasses.replace(envelope, nu_pwa=three), 1.0)
 
