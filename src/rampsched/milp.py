@@ -54,6 +54,7 @@ class MixedIntegerProgram:
         self.variables: list[Variable] = []
         self.rows: list[Row] = []
         self.objective: list = []          # sorted [(var_index, coefficient)]
+        self._csr = None                   # (row count, _rows_csr of those rows)
 
     # -- construction -------------------------------------------------------
     def add_variable(self, name: str, lb: float = 0.0, ub: float = INF,
@@ -86,6 +87,7 @@ class MixedIntegerProgram:
             if not 0 <= j < len(self.variables):
                 raise ValueError(f"row {row.name}: unknown variable index {j}")
         self.rows.append(row)
+        self._csr = None
         return len(self.rows) - 1
 
     def set_objective(self, coeffs) -> None:
@@ -106,14 +108,22 @@ class MixedIntegerProgram:
 
 def _rows_csr(mip: MixedIntegerProgram):
     """The rows of `mip` in scipy's CSR form (data, indices, indptr) and the lower
-    and upper bounds of their activities (-inf / inf on the open side)."""
+    and upper bounds of their activities (-inf / inf on the open side).
+
+    Built once per set of rows: the result is kept on `mip` (a solve and the
+    checks after it read the same arrays) and rebuilt after `add_constraint`
+    or when the row count has changed."""
     rows = mip.rows
-    indptr = np.cumsum([0] + [len(r.coeffs) for r in rows])
-    indices = np.array([j for r in rows for j, _ in r.coeffs], dtype=np.intp)
-    data = np.array([a for r in rows for _, a in r.coeffs], dtype=float)
-    lower = np.array([-INF if r.sense == "<=" else r.rhs for r in rows])
-    upper = np.array([INF if r.sense == ">=" else r.rhs for r in rows])
-    return (data, indices, indptr), lower, upper
+    if mip._csr is None or mip._csr[0] != len(rows):
+        indptr = np.cumsum([0] + [len(r.coeffs) for r in rows])
+        indices = np.array([j for r in rows for j, _ in r.coeffs], dtype=np.intp)
+        data = np.array([a for r in rows for _, a in r.coeffs], dtype=float)
+        lower = np.array([-INF if r.sense == "<=" else r.rhs for r in rows])
+        upper = np.array([INF if r.sense == ">=" else r.rhs for r in rows])
+        for a in (indptr, indices, data, lower, upper):
+            a.flags.writeable = False
+        mip._csr = len(rows), ((data, indices, indptr), lower, upper)
+    return mip._csr[1]
 
 
 _VIOLATED = {"<=": ">", ">=": "<", "=": "!="}

@@ -4,9 +4,10 @@ Six differential states (reactor concentrations cA1, cB1 and temperature T1;
 flash concentrations cA2, cB2 and temperature T2), four manipulated inputs
 (bottom stream FB, purge Fp, heat duties Q1, Q2) and the production rate rho
 as scheduling degree of freedom.  Provides the ODE right-hand side as one
-formula (`_rhs`, on floats or broadcasting arrays), a fixed-step RK4
-simulator that interpolates its piecewise-linear controls at every stage
-time in three array calls per run and runs its stages on Python floats, and
+formula (`_rhs`, on floats or broadcasting arrays, over the parameter terms
+of `_rhs_constants`), a fixed-step RK4 simulator that interpolates its
+piecewise-linear controls at every stage time in three array calls per run,
+reads the parameters once per run and runs its stages on Python floats, and
 a bound check that takes each variable's column in one pass and counts a
 non-finite value as a violation.
 """
@@ -138,46 +139,50 @@ def ode_rhs(x: StateVec, u: InputVec, rho: float, p: ProcessParams) -> StateVec:
             raise ValueError(f"ode_rhs: non-finite input {name}={val!r}")
     if x.T1 <= 0:
         raise ValueError("ode_rhs: T1 must be positive")
-    return StateVec(*_rhs(xs, us, rho, p))
+    return StateVec(*_rhs(xs, us, rho, _rhs_constants(p)))
 
 
-def reaction_rates(cA1, cB1, T1, p: ProcessParams):
-    """Rates (r1, r2) of A -> B and B -> C; broadcasts over arrays.
-
-    A scalar T1 takes math.exp, about six times faster than np.exp on one
-    value; the two may differ in the last bit."""
-    e1, e2 = -p.E1 / (p.R * T1), -p.E2 / (p.R * T1)
-    exp = math.exp if isinstance(e1, float) else np.exp
-    return p.k1 * cA1 * exp(e1), p.k2 * cB1 * exp(e2)
+def _rhs_constants(p: ProcessParams) -> tuple:
+    """The ProcessParams terms that _rhs reads, read once: every field it
+    uses, and the quotients and products that it forms from fields alone."""
+    return (p.V1, p.V2, p.cA0, p.cB0, p.k1, p.k2, p.E1, p.E2, p.R, p.T0,
+            p.dH1 / p.Cp, p.dH2 / p.Cp, p.rhoF * p.Cp * p.V1, p.rhoF * p.Cp * p.V2,
+            p.dHV, p.alphaA, p.alphaB, p.alphaC)
 
 
-def _rhs(x, u, rho, p: ProcessParams) -> tuple:
-    """The six right-hand sides as a tuple.  x and u unpack into 6 and 4
-    values: Python floats (the simulator's stages), or arrays that broadcast
-    with rho."""
+def _rhs(x, u, rho, c: tuple) -> tuple:
+    """The six right-hand sides as a tuple, on the _rhs_constants c.  x and u
+    unpack into 6 and 4 values: Python floats (the simulator's stages), or
+    arrays that broadcast with rho.  The reaction rates
+    r1 = k1*cA1*exp(-E1/(R*T1)), r2 likewise, take math.exp on a scalar T1
+    (about six times faster than np.exp on one value; the two may differ
+    in the last bit), and the vapor fractions are those of vapor_fractions."""
     cA1, cB1, T1, cA2, cB2, T2 = x
     FB, Fp, Q1, Q2 = u
-    r1, r2 = reaction_rates(cA1, cB1, T1, p)
-    cAv, cBv = vapor_fractions(cA2, cB2, p)
-    f_in = (rho + Fp) / p.V1
-    f_rec = (FB - Fp) / p.V1
-    f_fl = (rho + FB) / p.V2
+    V1, V2, cA0, cB0, k1, k2, E1, E2, R, T0, h1, h2, cV1, cV2, dHV, aA, aB, aC = c
+    RT = R * T1
+    exp = math.exp if isinstance(RT, float) else np.exp
+    r1, r2 = k1 * cA1 * exp(-E1 / RT), k2 * cB1 * exp(-E2 / RT)
+    vA, vB = aA * cA2, aB * cB2
+    den = vA + vB + aC * (1.0 - cA2 - cB2)
+    f_in = (rho + Fp) / V1
+    f_rec = (FB - Fp) / V1
+    f_fl = (rho + FB) / V2
+    f_v = rho / V2
     return (
-        f_in * (p.cA0 - cA1) + f_rec * (cA2 - cA1) - r1,
-        f_in * (p.cB0 - cB1) + f_rec * (cB2 - cB1) + r1 - r2,
-        f_in * (p.T0 - T1) + f_rec * (T2 - T1)
-        - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2 + Q1 / (p.rhoF * p.Cp * p.V1),
-        f_fl * (cA1 - cA2) - rho / p.V2 * (cAv - cA2),
-        f_fl * (cB1 - cB2) - rho / p.V2 * (cBv - cB2),
-        f_fl * (T1 - T2) - p.dHV * rho / (p.rhoF * p.Cp * p.V2)
-        + Q2 / (p.rhoF * p.Cp * p.V2),
+        f_in * (cA0 - cA1) + f_rec * (cA2 - cA1) - r1,
+        f_in * (cB0 - cB1) + f_rec * (cB2 - cB1) + r1 - r2,
+        f_in * (T0 - T1) + f_rec * (T2 - T1) - h1 * r1 - h2 * r2 + Q1 / cV1,
+        f_fl * (cA1 - cA2) - f_v * (vA / den - cA2),
+        f_fl * (cB1 - cB2) - f_v * (vB / den - cB2),
+        f_fl * (T1 - T2) - dHV * rho / cV2 + Q2 / cV2,
     )
 
 
 def _rhs_array(x: np.ndarray, u: np.ndarray, rho, p: ProcessParams) -> np.ndarray:
     """Right-hand sides as an array; x (6, ...) and u (4, ...) may carry
     trailing batch axes, which broadcast with rho."""
-    return np.array(_rhs(x, u, rho, p))
+    return np.array(_rhs(x, u, rho, _rhs_constants(p)))
 
 
 class SimulationDiverged(RuntimeError):
@@ -229,9 +234,10 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
 
     Controls are interpolated piecewise-linearly between their samples, once
     per simulation: at the grid times t and at every step's stage times
-    t + h/2 and t + h.  The stages run on Python floats through `_rhs`, the
-    one right-hand-side formula, in the operation order of the array form,
-    so the states are bitwise those of RK4 on numpy arrays.  Raises
+    t + h/2 and t + h.  The parameter terms of `_rhs_constants` are read
+    once per run.  The stages run on Python floats through `_rhs`, the one
+    right-hand-side formula, in the operation order of the array form, so
+    the states are bitwise those of RK4 on numpy arrays.  Raises
     ValueError when the run would read controls outside their samples (the
     schedule starts after 0 or ends more than SAMPLE_TOL_H before the last
     step), and SimulationDiverged when a state is non-finite or its
@@ -252,24 +258,25 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
     um, rm = (a.tolist() for a in controls.at(times[:-1] + h / 2))
     ue, re = (a.tolist() for a in controls.at(times[:-1] + h))
     half, sixth = h / 2, h / 6
-    states = np.empty((n + 1, 6))
+    consts = _rhs_constants(p)
     x = x0.as_array().tolist()
+    states = []
     ts = times.tolist()
     for i, t in enumerate(ts):
         if not all(abs(v) <= 1e9 for v in x):
             raise SimulationDiverged(t)
-        states[i] = x
+        states.append(x)
         if i < n:
             try:
-                k1 = _rhs(x, u0[i], r0[i], p)
-                k2 = _rhs([a + half * k for a, k in zip(x, k1)], um[i], rm[i], p)
-                k3 = _rhs([a + half * k for a, k in zip(x, k2)], um[i], rm[i], p)
-                k4 = _rhs([a + h * k for a, k in zip(x, k3)], ue[i], re[i], p)
+                k1 = _rhs(x, u0[i], r0[i], consts)
+                k2 = _rhs([a + half * k for a, k in zip(x, k1)], um[i], rm[i], consts)
+                k3 = _rhs([a + half * k for a, k in zip(x, k2)], um[i], rm[i], consts)
+                k4 = _rhs([a + h * k for a, k in zip(x, k3)], ue[i], re[i], consts)
             except (OverflowError, ZeroDivisionError):  # math.exp, or T1 == 0 in a stage
                 raise SimulationDiverged(ts[i + 1]) from None
             x = [a + sixth * (b + 2 * c + 2 * d + e)
                  for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-    return Trajectory(times, states, inputs, rhos)
+    return Trajectory(times, np.array(states), inputs, rhos)
 
 
 @dataclass(frozen=True)

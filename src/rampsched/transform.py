@@ -33,19 +33,24 @@ invertible from (rho, rho_dot, nu), nu being the second rate derivative:
 
 _flat_rate and psi_Fp = (B0 - s*A0) / (s*A1 - B1) are both fixed linear
 combinations of the Fp-intercepts (A0, B0), so every T1 root in the package
-is one function, _flat_root, solving "combination = target" for the weights
-of either: _rate_weights for solve_T1 and the steady states, _purge_weights
-for the envelope's Fp-bound limits (psi_Fp rises in T1 on T1_BRACKET).
+solves "combination = target" for the weights of either: _rate_weights for
+solve_T1 and the steady states, _purge_weights for the envelope's Fp-bound
+limits (psi_Fp rises in T1 on T1_BRACKET).  T1 enters A0 and B0 only
+through the reaction rates, so _flat_step computes the strategy's flow
+terms once and returns the Newton step: one expression that gives the
+residual, its T1 partial and the rates on constants read once.
 
 Every function here broadcasts over numpy arrays, so a whole set-up grid
 (the strategy fit's cA1 scan, the envelope's rate-derivative band and nu
 surfaces, the demand grid) is one call.  Every T1 root is one safeguarded
-Newton/bisection on the exact T1 partial, stopped at 1e-10 K; an array steps
-all its points at once, a scalar point takes the same steps on Python
-floats, since a schedule replay backtransforms hundreds of single points.
-After the root, one evaluation of the reactor terms gives every state and
-input: a scalar backtransform costs tens of microseconds, a grid of
-thousands of points a few milliseconds.
+Newton/bisection on the exact T1 partial, stopped at 1e-10 K (_newton); an
+array steps all its points at once, a scalar point takes the same steps on
+Python floats, since a schedule replay backtransforms hundreds of single
+points.  A backtransform is one pass (_flat_point): the strategy constants
+and the flow terms once, the root, then one more step at it for every state,
+input and Q1 coefficient, in the operation order of the layered helpers it
+replaces, so the values are bitwise theirs.  A scalar point costs 10-20
+microseconds, a grid of thousands of points a few milliseconds.
 
 The strategy itself is fitted by steady-state optimization
 (fit_operating_strategy).  The heat demand Q1+Q2 rises with cA1, so its free
@@ -65,8 +70,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .flatness import OutputCandidate, SparsityModel
-from .process import (Bounds, InputVec, ProcessParams, StateVec, _rhs_array,
-                      reaction_rates, vapor_fractions)
+from .process import (Bounds, InputVec, ProcessParams, StateVec, _rhs, _rhs_array,
+                      _rhs_constants, vapor_fractions)
 
 
 class OutsideFlatRegionError(RuntimeError):
@@ -100,7 +105,10 @@ class RampingPoint:
 def _is_batch(*values) -> bool:
     """Whether any value has an axis: np.ndim > 0, without np.ndim's
     microseconds on a Python float."""
-    return any(getattr(v, "ndim", 0) for v in values)
+    for v in values:
+        if getattr(v, "ndim", 0):
+            return True
+    return False
 
 
 def _any(mask) -> bool:
@@ -144,32 +152,6 @@ def _constants(strat: OperatingStrategy,
     return cAv, s, A1, B1, den
 
 
-def _flows(rho: float, k: tuple, strat: OperatingStrategy,
-           p: ProcessParams) -> tuple[float, float, float]:
-    """(cA1, cB1, FB) along the strategy at rho, from the _constants k; cB1
-    is pinned by the steady flash B-balance."""
-    cA1 = strat.pi4(rho)
-    return (cA1, strat.xi2_nom + k[1] * (cA1 - strat.xi1_nom),
-            bottom_flow(rho, cA1, strat, p))
-
-
-def _reactor_terms(rho: float, T1: float, k: tuple, strat: OperatingStrategy,
-                   p: ProcessParams) -> tuple[float, float, float, float, float]:
-    """(cA1, cB1, FB, r1, r2) along the strategy at (rho, T1)."""
-    cA1, cB1, FB = _flows(rho, k, strat, p)
-    return cA1, cB1, FB, *reaction_rates(cA1, cB1, T1, p)
-
-
-def _fp_intercepts(rho: float, terms: tuple, strat: OperatingStrategy,
-                   p: ProcessParams) -> tuple[float, float]:
-    """Fp-intercepts A0, B0 of the reactor A and B balances, from the
-    _reactor_terms at (rho, T1)."""
-    cA1, cB1, FB, r1, r2 = terms
-    A0 = rho * (p.cA0 - cA1) / p.V1 + FB * (strat.xi1_nom - cA1) / p.V1 - r1
-    B0 = rho * (p.cB0 - cB1) / p.V1 + FB * (strat.xi2_nom - cB1) / p.V1 + r1 - r2
-    return A0, B0
-
-
 def _purge_weights(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
     """Weights (wA, wB, den) of psi_Fp = (wA*A0 + wB*B0)/den."""
     _, s, _, _, den = _constants(strat, p)
@@ -182,13 +164,53 @@ def _rate_weights(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, fl
     return -B1, A1, den
 
 
+def _flat_step(target, rho, weights: tuple, k: tuple, strat: OperatingStrategy,
+               p: ProcessParams):
+    """(rho, flows, step) of the T1 root of (wA*A0 + wB*B0)/den = target at
+    rho, for weights (wA, wB, den) and the _constants k.
+
+    rho comes back as a Python float for a scalar point, the fast type, or
+    as an array with NaN for a non-finite rho.  flows = (cA1, cB1, FB, A0f,
+    B0f) along the strategy at rho: cB1 pinned by the steady flash
+    B-balance, FB as in bottom_flow, and the parts of the Fp-intercepts of
+    the reactor A and B balances that do not depend on T1,
+    A0 = A0f - r1 and B0 = B0f + r1 - r2.  step(T1) gives (f, f_T1, r1, r2)
+    from one expression on constants read once: the residual
+    (wA*A0 + wB*B0)/den - target, its exact T1 partial (through the
+    Arrhenius factors only: dA0 = -dr1, dB0 = dr1 - dr2) and the reaction
+    rates r1 = k1*cA1*exp(-E1/(R*T1)), r2 likewise, with math.exp on a
+    scalar T1 (about six times faster than np.exp on one value; the two may
+    differ in the last bit), as process._rhs takes them.
+    """
+    if _is_batch(target, rho):       # NaN, unlike inf, passes the residual silently
+        rho = np.where(np.isfinite(rho), rho, np.nan)
+    else:                            # so does inf on Python floats, also the fast type
+        target, rho = float(target), float(rho)
+    x1, x2, V1 = strat.xi1_nom, strat.xi2_nom, p.V1
+    cA1 = strat.a0_xi4 + strat.a1_xi4 * rho                  # pi4
+    cB1 = x2 + k[1] * (cA1 - x1)
+    FB = rho * ((k[0] - x1) / (cA1 - x1) - 1.0)
+    A0f = rho * (p.cA0 - cA1) / V1 + FB * (x1 - cA1) / V1
+    B0f = rho * (p.cB0 - cB1) / V1 + FB * (x2 - cB1) / V1
+    wA, wB, den = weights
+    kA, kB, E1, E2, R = p.k1 * cA1, p.k2 * cB1, p.E1, p.E2, p.R
+    nE1, nE2 = -E1, -E2
+
+    def step(T1):
+        RT = R * T1
+        exp = math.exp if isinstance(RT, float) else np.exp
+        r1, r2 = kA * exp(nE1 / RT), kB * exp(nE2 / RT)
+        RTT = RT * T1
+        d1, d2 = r1 * E1 / RTT, r2 * E2 / RTT
+        return ((wB * (B0f + r1 - r2) + wA * (A0f - r1)) / den - target,
+                (wB * (d1 - d2) - wA * d1) / den, r1, r2)
+    return rho, (cA1, cB1, FB, A0f, B0f), step
+
+
 def _combination(rho: float, T1: float, weights: tuple, strat: OperatingStrategy,
                  p: ProcessParams) -> float:
     """(wA*A0 + wB*B0)/den at (rho, T1)."""
-    wA, wB, den = weights
-    terms = _reactor_terms(rho, T1, _constants(strat, p), strat, p)
-    A0, B0 = _fp_intercepts(rho, terms, strat, p)
-    return (wB * B0 + wA * A0) / den
+    return _flat_step(0.0, rho, weights, _constants(strat, p), strat, p)[2](T1)[0]
 
 
 def psi_Fp(rho: float, T1: float, strat: OperatingStrategy,
@@ -206,30 +228,6 @@ def _flat_rate(rho: float, T1: float, strat: OperatingStrategy,
     return _combination(rho, T1, _rate_weights(strat, p), strat, p)
 
 
-def _flat_eval(rho: float, T1: float, strat: OperatingStrategy, p: ProcessParams):
-    """(k, terms, Fp, drift, Q2) at (rho, T1) from one evaluation of the
-    _constants k, the _reactor_terms and the Fp-intercepts: the purge
-    Fp = psi_Fp, the dT1/dt of flows and reactions (everything except Q1)
-    and the flash duty Q2 of the steady flash energy balance."""
-    k = _constants(strat, p)
-    terms = _reactor_terms(rho, T1, k, strat, p)
-    _, _, FB, r1, r2 = terms
-    A0, B0 = _fp_intercepts(rho, terms, strat, p)
-    Fp = (B0 - k[1] * A0) / k[4]          # bitwise psi_Fp
-    drift = ((rho + Fp) / p.V1 * (p.T0 - T1) + (FB - Fp) / p.V1 * (strat.xi3_nom - T1)
-             - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
-    Q2 = -p.rhoF * p.Cp * (rho + FB) * (T1 - strat.xi3_nom) + p.dHV * rho
-    return k, terms, Fp, drift, Q2
-
-
-def _t1_partial(T1, r1, r2, weights: tuple, p: ProcessParams):
-    """T1 partial of (wA*A0 + wB*B0)/den, through the Arrhenius factors
-    only: dA0 = -dr1, dB0 = dr1 - dr2."""
-    wA, wB, den = weights
-    dr1_T, dr2_T = r1 * p.E1 / (p.R * T1 * T1), r2 * p.E2 / (p.R * T1 * T1)
-    return (wB * (dr1_T - dr2_T) - wA * dr1_T) / den
-
-
 def theta_T1(rho: float, T1: float, strat: OperatingStrategy,
              p: ProcessParams) -> float:
     """rho_dot at which the reactor A-balance holds for the given (rho, T1)."""
@@ -243,50 +241,31 @@ T1_XTOL = 1e-10                 # K, both root paths
 _NEWTON_MAX_ITER = 100          # bisection alone needs 42 halvings of 300 K
 
 
-def _flat_root(target, rho, weights: tuple, strat: OperatingStrategy,
-               p: ProcessParams):
-    """T1 in T1_BRACKET with (wA*A0 + wB*B0)/den = target at rho, for
-    weights (wA, wB, den) such as _rate_weights (_flat_rate) or
-    _purge_weights (psi_Fp); NaN where there is none, as at a non-finite rho.
+def _newton(step):
+    """T1 in T1_BRACKET with step(T1)[0] = 0 (see _flat_step), NaN where
+    there is none.
 
     A safeguarded Newton iteration on the exact T1 partial: each step keeps
     the bracket [T_neg, T_pos] on which the residual changes sign and falls
     back to its midpoint when the Newton step leaves it, until a step moves
-    T1 by at most T1_XTOL.  Arrays broadcast (with any array fields of
-    strat) and step every point at once; a scalar point takes the same steps
-    on Python floats, over ten times faster than a size-1 array.
+    T1 by at most T1_XTOL.  An array residual steps every point at once; a
+    scalar one takes the same steps on Python floats, over ten times faster
+    than a size-1 array.
     """
     lo, hi = T1_BRACKET
-    wA, wB, den = weights
-    batch = _is_batch(target, rho)
-    if batch:                        # NaN, unlike inf, passes the residual silently
-        rho = np.where(np.isfinite(rho), rho, np.nan)
-    else:                            # so does inf on Python floats, also the fast type
-        target, rho = float(target), float(rho)
-    # T1 enters A0 and B0 only through r1 and r2 (A0 - r1, B0 + r1 - r2), so
-    # the flow terms are evaluated once, the rates at every iterate; the
-    # residual is bitwise _combination - target
-    cA1, cB1, FB = _flows(rho, _constants(strat, p), strat, p)
-    A0f, B0f = _fp_intercepts(rho, (cA1, cB1, FB, 0.0, 0.0), strat, p)
-
-    def residual(T1):
-        r1, r2 = reaction_rates(cA1, cB1, T1, p)
-        return (wB * (B0f + r1 - r2) + wA * (A0f - r1)) / den - target, r1, r2
-
-    f_lo, f_hi = residual(lo)[0], residual(hi)[0]
-    if not batch:
+    f_lo, f_hi = step(lo)[0], step(hi)[0]
+    if not isinstance(f_lo, np.ndarray):
         if not f_lo * f_hi <= 0:
-            return np.nan
+            return math.nan
         t_neg, t_pos = (lo, hi) if f_lo < f_hi else (hi, lo)
-        T1 = 0.5 * (lo + hi)
+        T1, xtol = 0.5 * (lo + hi), T1_XTOL
         for _ in range(_NEWTON_MAX_ITER):
-            f, r1, r2 = residual(T1)
+            f, d, _, _ = step(T1)
             t_neg, t_pos = T1 if f < 0 else t_neg, T1 if f > 0 else t_pos
-            d = _t1_partial(T1, r1, r2, weights, p)
             nxt = T1 - f / d if d else math.nan
             if not (t_neg <= nxt <= t_pos or t_pos <= nxt <= t_neg):
                 nxt = 0.5 * (t_neg + t_pos)
-            if abs(nxt - T1) <= T1_XTOL:
+            if abs(nxt - T1) <= xtol:
                 return nxt
             T1 = nxt
         raise RuntimeError(f"T1 Newton did not converge in {_NEWTON_MAX_ITER} steps")
@@ -295,10 +274,10 @@ def _flat_root(target, rho, weights: tuple, strat: OperatingStrategy,
     T1 = np.full(np.shape(ok), 0.5 * (lo + hi))
     active = ok.copy()
     for _ in range(_NEWTON_MAX_ITER):
-        f, r1, r2 = residual(T1)
+        f, d, _, _ = step(T1)
         t_neg, t_pos = np.where(f < 0, T1, t_neg), np.where(f > 0, T1, t_pos)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = T1 - f / _t1_partial(T1, r1, r2, weights, p)
+            nxt = T1 - f / d
         inside = (nxt >= np.minimum(t_neg, t_pos)) & (nxt <= np.maximum(t_neg, t_pos))
         nxt = np.where(inside, nxt, 0.5 * (t_neg + t_pos))
         converged = np.abs(nxt - T1) <= T1_XTOL
@@ -307,6 +286,24 @@ def _flat_root(target, rho, weights: tuple, strat: OperatingStrategy,
         if not active.any():
             return np.where(ok, T1, np.nan)
     raise RuntimeError(f"T1 Newton did not converge in {_NEWTON_MAX_ITER} steps")
+
+
+def _flat_root(target, rho, weights: tuple, strat: OperatingStrategy,
+               p: ProcessParams):
+    """T1 in T1_BRACKET with (wA*A0 + wB*B0)/den = target at rho, for
+    weights (wA, wB, den) such as _rate_weights (_flat_rate) or
+    _purge_weights (psi_Fp); NaN where there is none, as at a non-finite rho.
+    Arrays broadcast (with any array fields of strat)."""
+    return _newton(_flat_step(target, rho, weights, _constants(strat, p), strat, p)[2])
+
+
+def _found(T1, rho, rho_dot):
+    """T1, or OutsideFlatRegionError naming the first point without a root."""
+    miss = T1 != T1                  # NaN, without np.isnan's cost on a float
+    if _any(miss):
+        raise OutsideFlatRegionError(f"no reactor temperature in {list(T1_BRACKET)} K "
+                                     f"for {_where(miss, rho, rho_dot)}")
+    return T1
 
 
 def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
@@ -321,43 +318,59 @@ def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
     if strat.a1_xi4 == 0:
         raise SingularTransformError("solve_T1: strategy slope a1 is zero")
     T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, _rate_weights(strat, p), strat, p)
-    miss = np.isnan(T1)
-    if _any(miss):
-        raise OutsideFlatRegionError(f"no reactor temperature in {list(T1_BRACKET)} K "
-                                     f"for {_where(miss, rho, rho_dot)}")
-    return T1
+    return _found(T1, rho, rho_dot)
 
 
-def _psi_partials(rho: float, T1: float, ev: tuple, strat: OperatingStrategy,
-                  p: ProcessParams) -> tuple[float, float, float]:
-    """Closed-form partials of the residual _flat_rate(rho, T1) - a1*rho_dot
-    w.r.t. (rho, rho_dot, T1), from the _flat_eval ev at (rho, T1)."""
+def _flat_eval(rho, T1, k: tuple, flows: tuple, step, strat: OperatingStrategy,
+               p: ProcessParams):
+    """(f_T1, r1, r2, Fp, drift, Q2) at the root T1 of step, from one more
+    step: the residual's T1 partial, the rates, the purge Fp = psi_Fp, the
+    dT1/dt of flows and reactions (everything except Q1) and the flash duty
+    Q2 of the steady flash energy balance."""
+    _, f_T1, r1, r2 = step(T1)
+    _, _, FB, A0f, B0f = flows
+    V1, xi3 = p.V1, strat.xi3_nom
+    Fp = (B0f + r1 - r2 - k[1] * (A0f - r1)) / k[4]          # bitwise psi_Fp
+    drift = ((rho + Fp) / V1 * (p.T0 - T1) + (FB - Fp) / V1 * (xi3 - T1)
+             - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
+    Q2 = -p.rhoF * p.Cp * (rho + FB) * (T1 - xi3) + p.dHV * rho
+    return f_T1, r1, r2, Fp, drift, Q2
+
+
+def _flat_point(rho, rho_dot, strat: OperatingStrategy, p: ProcessParams):
+    """(T1, cA1, cB1, FB, Fp, Q2, c0, c1) at (rho, rho_dot), Q1 = c0 + c1*nu,
+    in one pass on Python floats for a scalar point or on arrays.
+
+    The _constants and the flows of _flat_step are computed once; the T1
+    root of solve_T1 and one more step at it share them.  Q1 follows from
+    the total time derivative of the strategy residual,
+    0 = Psi_rho*rho_dot + Psi_rhodot*nu + Psi_T1*dT1/dt, in which dT1/dt is
+    the reactor energy balance, affine in Q1.  Psi_rhodot = -a1, Psi_T1 is
+    the step's T1 partial, and Psi_rho is closed form (the residual is
+    affine in A0 and B0, which differentiate exactly).
+    """
     a1 = strat.a1_xi4
-    (cAv, s, A1, B1, den), (cA1, cB1, FB, r1, r2) = ev[:2]
-    wA, wB = -B1, A1                      # _rate_weights
-    P_T1 = _t1_partial(T1, r1, r2, (wA, wB, den), p)
+    if a1 == 0:
+        raise SingularTransformError("solve_T1: strategy slope a1 is zero")
+    k = cAv, s, A1, B1, den = _constants(strat, p)
+    r, flows, step = _flat_step(a1 * rho_dot, rho, (-B1, A1, den), k, strat, p)
+    T1 = _found(_newton(step), rho, rho_dot)
+    P_T1, r1, r2, Fp, drift, Q2 = _flat_eval(r, T1, k, flows, step, strat, p)
+    cA1, cB1, FB, _, _ = flows
+    x1 = strat.xi1_nom
     # d/drho through cA1 = a0 + a1*rho, cB1 = xi2 + s*(cA1 - xi1) and FB
-    dcA1, dcB1 = a1, s * a1
-    m = (cAv - strat.xi1_nom) / (cA1 - strat.xi1_nom)
-    dFB = m - 1.0 - rho * m * dcA1 / (cA1 - strat.xi1_nom)
-    dr1, dr2 = r1 / cA1 * dcA1, r2 / cB1 * dcB1
-    dA0 = ((p.cA0 - cA1) - rho * dcA1 + dFB * (strat.xi1_nom - cA1) - FB * dcA1) / p.V1 - dr1
-    dB0 = (((p.cB0 - cB1) - rho * dcB1 + dFB * (strat.xi2_nom - cB1) - FB * dcB1) / p.V1
+    dcB1 = s * a1
+    m = (cAv - x1) / (cA1 - x1)
+    dFB = m - 1.0 - r * m * a1 / (cA1 - x1)
+    dr1, dr2 = r1 / cA1 * a1, r2 / cB1 * dcB1
+    dA0 = ((p.cA0 - cA1) - r * a1 + dFB * (x1 - cA1) - FB * a1) / p.V1 - dr1
+    dB0 = (((p.cB0 - cB1) - r * dcB1 + dFB * (strat.xi2_nom - cB1) - FB * dcB1) / p.V1
            + dr1 - dr2)
-    P_rho = (wB * dB0 + wA * dA0) / den
-    return P_rho, -a1, P_T1
-
-
-def _inverse(rho: float, rho_dot: float, strat: OperatingStrategy, p: ProcessParams):
-    """(T1, ev, c0, c1) at (rho, rho_dot): the root T1, its _flat_eval ev and
-    the coefficients of Q1 = c0 + c1*nu (see q1_affine_in_nu)."""
-    T1 = solve_T1(rho, rho_dot, strat, p)
-    ev = _flat_eval(rho, T1, strat, p)
-    P_rho, P_rd, P_T1 = _psi_partials(rho, T1, ev, strat, p)
+    P_rho = (A1 * dB0 - B1 * dA0) / den
     psi_q1 = P_T1 / (p.rhoF * p.Cp * p.V1)
     if _any(abs(psi_q1) < 1e-12):
         raise SingularTransformError("q1_affine_in_nu: vanishing Q1 coefficient")
-    return T1, ev, -(P_rho * rho_dot + P_T1 * ev[3]) / psi_q1, -P_rd / psi_q1
+    return T1, cA1, cB1, FB, Fp, Q2, -(P_rho * rho_dot + P_T1 * drift) / psi_q1, a1 / psi_q1
 
 
 def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
@@ -368,7 +381,7 @@ def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
     0 = Psi_rho*rho_dot + Psi_rhodot*nu + Psi_T1*dT1/dt, where dT1/dt is the
     reactor energy balance and Q1 enters it linearly.
     """
-    T1, _, c0, c1 = _inverse(rho, rho_dot, strat, p)
+    T1, *_, c0, c1 = _flat_point(rho, rho_dot, strat, p)
     return c0, c1, T1
 
 
@@ -376,16 +389,17 @@ def backtransform(pt: RampingPoint, strat: OperatingStrategy,
                   p: ProcessParams) -> tuple[StateVec, InputVec]:
     """Map a ramping point (rho, rho_dot, nu) to full states and inputs.
 
-    With array fields in pt, every state and input field is an array of
-    their common shape; a scalar point runs on Python floats.  A non-finite
-    rho or rho_dot raises OutsideFlatRegionError, a non-finite nu
-    ValueError."""
+    One _flat_point pass: with array fields in pt, every state and input
+    field is an array of their common shape; a scalar point runs on Python
+    floats, with the strategy constants computed once and every Newton
+    step one expression.  A non-finite rho or rho_dot raises
+    OutsideFlatRegionError, a non-finite nu ValueError."""
     batch = _is_batch(pt.rho, pt.rho_dot, pt.nu)
     rho, rho_dot, nu = ((pt.rho, pt.rho_dot, pt.nu) if batch
                         else (float(pt.rho), float(pt.rho_dot), float(pt.nu)))
     if not (np.isfinite(nu).all() if batch else math.isfinite(nu)):
         raise ValueError("backtransform: nu must be finite")
-    T1, (_, (cA1, cB1, FB, _, _), Fp, _, Q2), c0, c1 = _inverse(rho, rho_dot, strat, p)
+    T1, cA1, cB1, FB, Fp, Q2, c0, c1 = _flat_point(rho, rho_dot, strat, p)
     x = (cA1, cB1, T1, strat.xi1_nom, strat.xi2_nom, strat.xi3_nom)
     u = (FB, Fp, c0 + c1 * nu, Q2)
     if batch:
@@ -411,36 +425,42 @@ class SteadyStateError(RuntimeError):
     pass
 
 
-def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
-                  b: Bounds) -> tuple[StateVec, InputVec, np.ndarray]:
-    """Steady states with nominal flash conditions at the given (rho, cA1)
-    pairs; broadcasts, and scalars give 0-d results.
+def _steady(rho, a0, strat: OperatingStrategy, p: ProcessParams) -> tuple:
+    """The ten state and input fields of the steady state with nominal
+    flash conditions at rho under the constant strategy cA1 = a0, on Python
+    floats for a scalar point or on arrays.
 
     FB and cB1 follow in closed form; T1 is the root of _flat_rate = 0 on
-    T1_BRACKET under the constant strategy cA1 (_flat_root: Python floats for
-    a scalar point, one Newton batch for arrays).  One _flat_eval at the root
-    then gives Fp, Q2 and, from the reactor energy balance, Q1.  Returns
-    (x, u, fail): fail is 0 where the point solved, else the first check it
-    failed: 1 rho outside its bounds, 2 cA1 outside the FB-feasible window,
-    3 no root in the bracket, 4 a scaled residual of the six balances above
-    1e-9.  The fields of a failed point are placeholders.
+    T1_BRACKET (_newton: NaN where there is none, and so are the fields that
+    depend on it).  One _flat_eval at the root gives Fp, Q2 and, from the
+    reactor energy balance, Q1."""
+    const = replace(strat, a0_xi4=a0, a1_xi4=0.0)
+    k = _constants(const, p)
+    r, flows, step = _flat_step(0.0, rho, (-k[3], k[2], k[4]), k, const, p)   # _rate_weights
+    T1 = _newton(step)
+    _, _, _, Fp, drift, Q2 = _flat_eval(r, T1, k, flows, step, const, p)
+    return (*flows[:2], T1, const.xi1_nom, const.xi2_nom, const.xi3_nom,
+            flows[2], Fp, -p.rhoF * p.Cp * p.V1 * drift, Q2)
+
+
+def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
+                  b: Bounds) -> tuple[StateVec, InputVec, np.ndarray]:
+    """Steady states (_steady) at the given arrays of (rho, cA1) pairs,
+    which broadcast, in one Newton batch.
+
+    Returns (x, u, fail): fail is 0 where the point solved, else the first
+    check it failed: 1 rho outside its bounds, 2 cA1 outside the FB-feasible
+    window, 3 no root in the bracket, 4 a scaled residual of the six
+    balances above 1e-9.  The fields of a failed point are placeholders.
     """
     lo, hi = b.rho
-    rho_ok = np.asarray((lo <= rho) & (rho <= hi))
+    rho_ok = (lo <= rho) & (rho <= hi)
     cAv, _ = nominal_vapor(strat, p)
-    win_ok = np.asarray((strat.xi1_nom < cA1) & (cA1 <= cAv))
-    a0 = np.where(win_ok, cA1, cAv)
-    # a scalar point stays on Python floats, on which the root runs fastest
-    const = replace(strat, a0_xi4=a0 if a0.ndim else float(a0), a1_xi4=0.0)
-    T1 = _flat_root(0.0, rho, _rate_weights(const, p), const, p)
-    root_ok = ~np.isnan(T1)
-    T1 = np.nan_to_num(T1, nan=T1_BRACKET[0])
-    _, (cA1, cB1, FB, _, _), Fp, drift, Q2 = _flat_eval(rho, T1, const, p)
-    fields = np.broadcast_arrays(cA1, cB1, T1, const.xi1_nom, const.xi2_nom, const.xi3_nom,
-                                 FB, Fp, -p.rhoF * p.Cp * p.V1 * drift, Q2)
+    win_ok = (strat.xi1_nom < cA1) & (cA1 <= cAv)
+    fields = np.broadcast_arrays(*_steady(rho, np.where(win_ok, cA1, cAv), strat, p))
     x, u = StateVec(*fields[:6]), InputVec(*fields[6:])
-    fail = np.select([~rho_ok, ~win_ok, ~root_ok, ~(scaled_residual(x, u, rho, p) <= 1e-9)],
-                     [1, 2, 3, 4], 0)
+    fail = np.select([~rho_ok, ~win_ok, np.isnan(x.T1),
+                      ~(scaled_residual(x, u, rho, p) <= 1e-9)], [1, 2, 3, 4], 0)
     return x, u, fail
 
 
@@ -449,22 +469,24 @@ def steady_state_point(rho: float, cA1: float, strat: OperatingStrategy | None =
                        bounds: Bounds | None = None) -> tuple[StateVec, InputVec]:
     """Steady state with nominal flash conditions and the given reactor cA1.
 
-    The scalar case of _steady_batch, so T1 is one Newton root on Python
-    floats (a lone point would pay the array Newton's per-call overhead for
-    nothing); raises SteadyStateError naming the first check the point
-    failed."""
+    The checks of _steady_batch in the same order, each raising
+    SteadyStateError as soon as it fails, on one _steady point on Python
+    floats: T1 is one Newton root, and the residual check evaluates the six
+    balances once."""
     p = p or ProcessParams()
     b = bounds or Bounds()
-    x, u, fail = _steady_batch(rho, cA1, strat or OperatingStrategy(0.0, 0.0), p, b)
-    if fail == 1:
+    strat = strat or OperatingStrategy(0.0, 0.0)
+    if not b.rho[0] <= rho <= b.rho[1]:
         raise SteadyStateError(f"rho={rho} outside [{b.rho[0]}, {b.rho[1]}]")
-    if fail == 2:
+    if not strat.xi1_nom < cA1 <= nominal_vapor(strat, p)[0]:
         raise SteadyStateError(f"cA1={cA1} outside the FB-feasible window")
-    if fail == 3:
+    fields = _steady(float(rho), float(cA1), strat, p)
+    if math.isnan(fields[2]):
         raise SteadyStateError(
             f"no reactor temperature in {list(T1_BRACKET)} K at rho={rho}, cA1={cA1}")
-    x, u = StateVec.from_array(x.as_array()), InputVec.from_array(u.as_array())
-    if fail == 4:
+    x, u = StateVec(*fields[:6]), InputVec(*fields[6:])
+    rhs = _rhs(fields[:6], fields[6:], float(rho), _rhs_constants(p))
+    if not all(abs(v) / s <= 1e-9 for v, s in zip(rhs, _RES_SCALE.tolist())):
         resid = scaled_residual(x, u, rho, p)
         raise SteadyStateError(f"steady residual {resid:.2e} exceeds 1e-9")
     return x, u

@@ -1,9 +1,11 @@
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from rampsched import envelope as envelope_module
 from rampsched.envelope import (N_LOWER, N_UPPER, EnvelopeFitError, Planes,
@@ -334,6 +336,26 @@ def test_true_nu_limits_concave_on_band(strategy, params, bounds, envelope):
 def test_envelope_coverage_pinned(envelope):
     assert envelope.coverage.mean == pytest.approx(0.918312050, abs=1e-8)
     assert envelope.coverage.min == pytest.approx(0.845949204, abs=1e-8)
+
+
+def test_plane_fits_without_presolve_equal_presolved(strategy, params, bounds, envelope,
+                                                    monkeypatch):
+    """_fit_planes runs HiGHS without presolve; every LP of the default
+    envelope gives bitwise the coefficients of a linprog that presolves."""
+    calls = []
+
+    def presolving(*args, options, **kwargs):
+        assert options == {"presolve": False}
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(envelope_module, "linprog", presolving)
+    env = envelope_module.derive_envelope(strategy, params, bounds)
+    assert len(calls) == 10
+    for planes in ("rd", "nu_pwa.lower", "nu_pwa.upper"):
+        got, ref = (operator.attrgetter(planes + ".coef")(e) for e in (env, envelope))
+        assert np.array_equal(got, ref), planes
+    assert env.fingerprint == envelope.fingerprint
 
 
 def test_pwa_steady_point_admits_both_signs(envelope):

@@ -179,6 +179,23 @@ def test_check_solution_flags_nan():
                    "cap: nan > 2.0"]
 
 
+def test_check_after_a_row_is_added_sees_that_row():
+    """The rows' CSR arrays are built once per set of rows: a solve and the
+    checks after it share them, and a check made after add_constraint, or
+    after a row appended to mip.rows directly, sees the new row."""
+    mip = small_lp([-1.0, -1.0], [[1.0, 1.0]], [4.0], [10.0, 10.0])
+    sol = simplex_solve(mip)
+    arrays = milp_module._rows_csr(mip)
+    assert milp_module._rows_csr(mip) is arrays
+    assert check_solution(mip, sol.x) == []
+    mip.add_constraint({0: 1.0}, "<=", 1.0, name="cut")
+    assert milp_module._rows_csr(mip) is not arrays
+    assert check_solution(mip, np.array([4.0, 0.0])) == ["cut: 4.0 > 1.0"]
+    mip.rows.append(milp_module.Row("late", [(1, 1.0)], "<=", 1.0))
+    assert check_solution(mip, np.array([1.0, 3.0])) == ["late: 3.0 > 1.0"]
+    assert simplex_solve(mip).objective == pytest.approx(-2.0, abs=1e-9)
+
+
 # --- simplex ------------------------------------------------------------------
 
 def test_single_bound_lp():

@@ -1,15 +1,17 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rampsched import transform
-from rampsched.process import ControlSchedule, reaction_rates, simulate
-from rampsched.transform import (T1_XTOL, OperatingStrategy, OutsideFlatRegionError,
-                                 RampingPoint, SteadyStateError, _flat_eval, _flat_rate,
-                                 _flat_root, _psi_partials, _purge_weights, _rate_weights,
+from rampsched.process import ControlSchedule, simulate
+from rampsched.transform import (T1_BRACKET, T1_XTOL, OperatingStrategy,
+                                 OutsideFlatRegionError, RampingPoint,
+                                 SingularTransformError, SteadyStateError, _constants,
+                                 _flat_rate, _flat_root, _purge_weights, _rate_weights,
                                  _steady_batch, _steady_feasible,
-                                 _window, backtransform, fit_operating_strategy,
+                                 _window, backtransform, bottom_flow, fit_operating_strategy,
                                  nominal_vapor, psi_Fp, q1_affine_in_nu,
                                  scaled_residual, solve_T1, steady_state_point,
                                  strategy_outputs)
@@ -219,24 +221,194 @@ def _band_grid(bounds, envelope):
     return np.repeat(rhos, 7), rd
 
 
+# --- the layered scalar chain, kept as the bitwise reference -----------------
+#
+# A point through _inverse -> solve_T1 -> _flat_eval -> _psi_partials, each
+# layer recomputing the strategy constants and the flow terms, and every
+# Newton step calling the rate and partial helpers.  The one-pass
+# _flat_point keeps these operations and their order, so its states and
+# inputs are bitwise these.
+
+def reference_rates(cA1, cB1, T1, p):
+    """(r1, r2) of A -> B and B -> C, with math.exp on a scalar T1."""
+    e1, e2 = -p.E1 / (p.R * T1), -p.E2 / (p.R * T1)
+    exp = math.exp if isinstance(e1, float) else np.exp
+    return p.k1 * cA1 * exp(e1), p.k2 * cB1 * exp(e2)
+
+
+def reference_terms(rho, T1, strat, p):
+    """(cA1, cB1, FB, r1, r2) and the Fp-intercepts (A0, B0) at (rho, T1)."""
+    k = _constants(strat, p)
+    cA1 = strat.pi4(rho)
+    cB1 = strat.xi2_nom + k[1] * (cA1 - strat.xi1_nom)
+    FB = bottom_flow(rho, cA1, strat, p)
+    r1, r2 = reference_rates(cA1, cB1, T1, p)
+    A0 = rho * (p.cA0 - cA1) / p.V1 + FB * (strat.xi1_nom - cA1) / p.V1 - r1
+    B0 = rho * (p.cB0 - cB1) / p.V1 + FB * (strat.xi2_nom - cB1) / p.V1 + r1 - r2
+    return (cA1, cB1, FB, r1, r2), A0, B0
+
+
+def reference_t1_partial(T1, r1, r2, weights, p):
+    """T1 partial of (wA*A0 + wB*B0)/den through the Arrhenius factors."""
+    wA, wB, den = weights
+    dr1_T, dr2_T = r1 * p.E1 / (p.R * T1 * T1), r2 * p.E2 / (p.R * T1 * T1)
+    return (wB * (dr1_T - dr2_T) - wA * dr1_T) / den
+
+
+def reference_solve_T1(rho, rho_dot, strat, p):
+    """Safeguarded Newton from the bracket's midpoint on the rate residual,
+    each step calling the rate and partial helpers."""
+    weights = _rate_weights(strat, p)
+    wA, wB, den = weights
+    target = strat.a1_xi4 * rho_dot
+
+    def residual(T1):
+        (_, _, _, r1, r2), A0, B0 = reference_terms(rho, T1, strat, p)
+        return (wB * B0 + wA * A0) / den - target, r1, r2
+
+    lo, hi = T1_BRACKET
+    f_lo, f_hi = residual(lo)[0], residual(hi)[0]
+    assert f_lo * f_hi <= 0
+    t_neg, t_pos = (lo, hi) if f_lo < f_hi else (hi, lo)
+    T1 = 0.5 * (lo + hi)
+    while True:
+        f, r1, r2 = residual(T1)
+        t_neg, t_pos = T1 if f < 0 else t_neg, T1 if f > 0 else t_pos
+        d = reference_t1_partial(T1, r1, r2, weights, p)
+        nxt = T1 - f / d if d else math.nan
+        if not (t_neg <= nxt <= t_pos or t_pos <= nxt <= t_neg):
+            nxt = 0.5 * (t_neg + t_pos)
+        if abs(nxt - T1) <= T1_XTOL:
+            return nxt
+        T1 = nxt
+
+
+def reference_flat_eval(rho, T1, strat, p):
+    """(terms, Fp, drift, Q2) at (rho, T1)."""
+    k = _constants(strat, p)
+    terms, A0, B0 = reference_terms(rho, T1, strat, p)
+    _, _, FB, r1, r2 = terms
+    Fp = (B0 - k[1] * A0) / k[4]
+    drift = ((rho + Fp) / p.V1 * (p.T0 - T1) + (FB - Fp) / p.V1 * (strat.xi3_nom - T1)
+             - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
+    Q2 = -p.rhoF * p.Cp * (rho + FB) * (T1 - strat.xi3_nom) + p.dHV * rho
+    return terms, Fp, drift, Q2
+
+
+def reference_psi_partials(rho, T1, ev, strat, p):
+    """Closed-form partials of _flat_rate(rho, T1) - a1*rho_dot w.r.t.
+    (rho, rho_dot, T1), from the reference_flat_eval ev at (rho, T1)."""
+    a1 = strat.a1_xi4
+    cAv, s, A1, B1, den = _constants(strat, p)
+    cA1, cB1, FB, r1, r2 = ev[0]
+    wA, wB = -B1, A1
+    P_T1 = reference_t1_partial(T1, r1, r2, (wA, wB, den), p)
+    dcA1, dcB1 = a1, s * a1
+    m = (cAv - strat.xi1_nom) / (cA1 - strat.xi1_nom)
+    dFB = m - 1.0 - rho * m * dcA1 / (cA1 - strat.xi1_nom)
+    dr1, dr2 = r1 / cA1 * dcA1, r2 / cB1 * dcB1
+    dA0 = ((p.cA0 - cA1) - rho * dcA1 + dFB * (strat.xi1_nom - cA1) - FB * dcA1) / p.V1 - dr1
+    dB0 = (((p.cB0 - cB1) - rho * dcB1 + dFB * (strat.xi2_nom - cB1) - FB * dcB1) / p.V1
+           + dr1 - dr2)
+    return (wB * dB0 + wA * dA0) / den, -a1, P_T1
+
+
+def reference_backtransform(rho, rho_dot, nu, strat, p):
+    """States and inputs of a scalar point as arrays, layer by layer."""
+    T1 = reference_solve_T1(rho, rho_dot, strat, p)
+    ev = reference_flat_eval(rho, T1, strat, p)
+    P_rho, P_rd, P_T1 = reference_psi_partials(rho, T1, ev, strat, p)
+    psi_q1 = P_T1 / (p.rhoF * p.Cp * p.V1)
+    c0, c1 = -(P_rho * rho_dot + P_T1 * ev[2]) / psi_q1, -P_rd / psi_q1
+    (cA1, cB1, FB, _, _), Fp, _, Q2 = ev
+    return (np.array([cA1, cB1, T1, strat.xi1_nom, strat.xi2_nom, strat.xi3_nom]),
+            np.array([FB, Fp, c0 + c1 * nu, Q2]))
+
+
+def _replay_grid(res):
+    """A result's (rho, rho_dot, nu), interpolated linearly on the 0.01 h grid
+    of a plant replay."""
+    n = int(round(res.times[-1] / 0.01))
+    t = np.linspace(0.0, n * 0.01, n + 1)
+    return [np.interp(t, res.times, a) for a in (res.rho, res.rho_dot, res.nu)]
+
+
+def test_scalar_backtransform_equals_layered_reference(strategy, params, bounds, envelope,
+                                                       up_ramp, down_ramp):
+    """A scalar backtransform gives bitwise the states and inputs of the
+    layered reference chain, on the 7 x 7 band grid at 5 nu and on the
+    replay grids of the default up and down ramps."""
+    rho, rd = _band_grid(bounds, envelope)
+    points = [(r, d, nu) for nu in np.linspace(-3.0, 3.0, 5) for r, d in zip(rho, rd)]
+    for res in (up_ramp, down_ramp):
+        points += list(zip(*_replay_grid(res)))
+    assert len(points) == 245 + 251 + 401
+    for r, d, nu in (tuple(map(float, pt)) for pt in points):
+        x, u = backtransform(RampingPoint(r, d, nu), strategy, params)
+        x_ref, u_ref = reference_backtransform(r, d, nu, strategy, params)
+        assert np.array_equal(x.as_array(), x_ref), (r, d, nu)
+        assert np.array_equal(u.as_array(), u_ref), (r, d, nu)
+
+
+@pytest.mark.parametrize("case", ["a1 zero", "s*A1 - B1 zero", "no root", "rho nan", "rho_dot inf",
+                                  "nu nan", "newton", "Q1 coefficient zero"])
+def test_scalar_backtransform_raises(strategy, params, case, monkeypatch):
+    """Every check of a scalar backtransform raises with its message: a zero
+    strategy slope, a vanishing purge denominator, a point with no T1 in the
+    bracket (named), a non-finite rho, rho_dot or nu, a Newton iteration
+    that does not converge and a vanishing Q1 coefficient."""
+    pt, strat, p = RampingPoint(RHO_NOM, 0.1, 0.5), strategy, params
+    error, message = {
+        "a1 zero": (SingularTransformError, "solve_T1: strategy slope a1 is zero"),
+        "s*A1 - B1 zero": (SingularTransformError, "vanishing structural coefficient"),
+        "no root": (OutsideFlatRegionError,
+                    r"no reactor temperature in \[300.0, 600.0\] K for rho=5.25, rho_dot=1e\+04$"),
+        "rho nan": (OutsideFlatRegionError, "for rho=nan, rho_dot=0.1$"),
+        "rho_dot inf": (OutsideFlatRegionError, "for rho=5.25, rho_dot=inf$"),
+        "nu nan": (ValueError, "backtransform: nu must be finite"),
+        "newton": (RuntimeError, "T1 Newton did not converge in 2 steps"),
+        "Q1 coefficient zero": (SingularTransformError,
+                                "q1_affine_in_nu: vanishing Q1 coefficient"),
+    }[case]
+    if case == "a1 zero":
+        strat = replace(strategy, a1_xi4=0.0)
+    elif case == "s*A1 - B1 zero":     # cB0 that cancels the purge denominator
+        _, s, _, _, _ = _constants(strategy, params)
+        p = replace(params, cB0=strategy.xi2_nom + s * (params.cA0 - strategy.xi1_nom))
+    elif case == "no root":
+        pt = replace(pt, rho_dot=1e4)
+    elif case in ("rho nan", "rho_dot inf", "nu nan"):
+        field, value = case.split()
+        pt = replace(pt, **{field: float(value)})
+    elif case == "newton":
+        monkeypatch.setattr(transform, "_NEWTON_MAX_ITER", 2)
+    else:                               # the Q1 coefficient scales as 1/rhoF
+        p = replace(params, rhoF=1e30)
+    with pytest.raises(error, match=message):
+        backtransform(pt, strat, p)
+
+
 def test_scalar_backtransform_evaluates_rates_at_most_11_times(strategy, params, bounds,
                                                                envelope, monkeypatch):
     """A scalar backtransform evaluates the reaction rates twice for the T1
     bracket, once per Newton step and once after the root: at most 11 times
-    per point on the 7 x 7 band grid."""
+    per point on the 7 x 7 band grid.  Each evaluation of the rates takes
+    two math.exp calls, one per Arrhenius factor, which are counted."""
     calls = []
+    exp = math.exp
 
-    def counted(*args):
-        calls.append(args)
-        return reaction_rates(*args)
+    def counted(x):
+        calls.append(x)
+        return exp(x)
 
-    monkeypatch.setattr(transform, "reaction_rates", counted)
+    monkeypatch.setattr(math, "exp", counted)
     counts = []
     for r, rd in zip(*_band_grid(bounds, envelope)):
         calls.clear()
         backtransform(RampingPoint(float(r), float(rd), 0.5), strategy, params)
-        counts.append(len(calls))
-    assert max(counts) <= 11
+        assert len(calls) % 2 == 0
+        counts.append(len(calls) // 2)
+    assert 1 <= min(counts) and max(counts) <= 11
 
 
 def test_scalar_point_with_float64_fields_equals_float_fields(strategy, params, bounds,
@@ -299,20 +471,27 @@ def test_batch_with_one_point_outside_region_raises(strategy, params):
 
 
 def test_rho_dot_partial_is_exact(strategy, params):
+    """The residual's rho_dot partial is -a1 exactly, and q1_affine_in_nu's
+    nu coefficient is bitwise the reference's -Psi_rhodot / Psi_Q1."""
     T1 = solve_T1(RHO_NOM, 0.3, strategy, params)
-    assert _psi_partials(RHO_NOM, T1, _flat_eval(RHO_NOM, T1, strategy, params),
-                         strategy, params)[1] == -strategy.a1_xi4
+    ev = reference_flat_eval(RHO_NOM, T1, strategy, params)
+    _, P_rd, P_T1 = reference_psi_partials(RHO_NOM, T1, ev, strategy, params)
+    assert P_rd == -strategy.a1_xi4
+    c1 = q1_affine_in_nu(RHO_NOM, 0.3, strategy, params)[1]
+    assert c1 == -P_rd / (P_T1 / (params.rhoF * params.Cp * params.V1))
 
 
 def test_partials_match_central_differences(strategy, params, bounds, envelope):
     """Closed-form rho and T1 partials of the flat residual against central
-    differences of _flat_rate on a 5x5 grid of the fitted rho_dot band."""
+    differences of _flat_rate on a 5x5 grid of the fitted rho_dot band; the
+    partials are the reference's, which backtransform reproduces bitwise
+    (test_scalar_backtransform_equals_layered_reference)."""
     h_rho, h_T1 = 1e-5, 1e-3
     for rho in np.linspace(*bounds.rho, 5):
         for rd in np.linspace(*envelope.rho_dot_range(rho), 5):
             T1 = solve_T1(rho, rd, strategy, params)
-            P_rho, _, P_T1 = _psi_partials(rho, T1, _flat_eval(rho, T1, strategy, params),
-                                           strategy, params)
+            P_rho, _, P_T1 = reference_psi_partials(
+                rho, T1, reference_flat_eval(rho, T1, strategy, params), strategy, params)
             fd_rho = (_flat_rate(rho + h_rho, T1, strategy, params)
                       - _flat_rate(rho - h_rho, T1, strategy, params)) / (2 * h_rho)
             fd_T1 = (_flat_rate(rho, T1 + h_T1, strategy, params)
