@@ -70,8 +70,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .flatness import OutputCandidate, SparsityModel
-from .process import (Bounds, InputVec, ProcessParams, StateVec, _rhs, _rhs_array,
-                      _rhs_constants, vapor_fractions)
+from .process import (Bounds, InputVec, ProcessParams, StateVec, _rhs_array,
+                      vapor_fractions)
 
 
 class OutsideFlatRegionError(RuntimeError):
@@ -445,8 +445,9 @@ def _steady(rho, a0, strat: OperatingStrategy, p: ProcessParams) -> tuple:
 
 def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
                   b: Bounds) -> tuple[StateVec, InputVec, np.ndarray]:
-    """Steady states (_steady) at the given arrays of (rho, cA1) pairs,
-    which broadcast, in one Newton batch.
+    """Steady states (_steady) at the given (rho, cA1) pairs; broadcasts.
+    A scalar pair stays on Python floats: its fields are floats, its fail
+    code a 0-d array.
 
     Returns (x, u, fail): fail is 0 where the point solved, else the first
     check it failed: 1 rho outside its bounds, 2 cA1 outside the FB-feasible
@@ -454,13 +455,18 @@ def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
     balances above 1e-9.  The fields of a failed point are placeholders.
     """
     lo, hi = b.rho
-    rho_ok = (lo <= rho) & (rho <= hi)
+    rho_ok = np.asarray((lo <= rho) & (rho <= hi))
     cAv, _ = nominal_vapor(strat, p)
-    win_ok = (strat.xi1_nom < cA1) & (cA1 <= cAv)
-    fields = np.broadcast_arrays(*_steady(rho, np.where(win_ok, cA1, cAv), strat, p))
+    win_ok = np.asarray((strat.xi1_nom < cA1) & (cA1 <= cAv))
+    a0 = np.where(win_ok, cA1, cAv)
+    fields = _steady(rho, a0 if a0.ndim else float(a0), strat, p)
+    if _is_batch(rho, cA1):
+        fields = np.broadcast_arrays(*fields)
     x, u = StateVec(*fields[:6]), InputVec(*fields[6:])
-    fail = np.select([~rho_ok, ~win_ok, np.isnan(x.T1),
-                      ~(scaled_residual(x, u, rho, p) <= 1e-9)], [1, 2, 3, 4], 0)
+    res_ok = scaled_residual(x, u, rho, p) <= 1e-9
+    # the first failed check, as np.select gives it, at a quarter of its cost on one point
+    fail = np.where(~rho_ok, 1, np.where(~win_ok, 2, np.where(np.isnan(x.T1), 3,
+                                                              np.where(res_ok, 0, 4))))
     return x, u, fail
 
 
@@ -469,24 +475,20 @@ def steady_state_point(rho: float, cA1: float, strat: OperatingStrategy | None =
                        bounds: Bounds | None = None) -> tuple[StateVec, InputVec]:
     """Steady state with nominal flash conditions and the given reactor cA1.
 
-    The checks of _steady_batch in the same order, each raising
-    SteadyStateError as soon as it fails, on one _steady point on Python
-    floats: T1 is one Newton root, and the residual check evaluates the six
-    balances once."""
+    The scalar case of _steady_batch, so T1 is one Newton root on Python
+    floats; raises SteadyStateError naming the first check the point
+    failed."""
     p = p or ProcessParams()
     b = bounds or Bounds()
-    strat = strat or OperatingStrategy(0.0, 0.0)
-    if not b.rho[0] <= rho <= b.rho[1]:
+    x, u, fail = _steady_batch(rho, cA1, strat or OperatingStrategy(0.0, 0.0), p, b)
+    if fail == 1:
         raise SteadyStateError(f"rho={rho} outside [{b.rho[0]}, {b.rho[1]}]")
-    if not strat.xi1_nom < cA1 <= nominal_vapor(strat, p)[0]:
+    if fail == 2:
         raise SteadyStateError(f"cA1={cA1} outside the FB-feasible window")
-    fields = _steady(float(rho), float(cA1), strat, p)
-    if math.isnan(fields[2]):
+    if fail == 3:
         raise SteadyStateError(
             f"no reactor temperature in {list(T1_BRACKET)} K at rho={rho}, cA1={cA1}")
-    x, u = StateVec(*fields[:6]), InputVec(*fields[6:])
-    rhs = _rhs(fields[:6], fields[6:], float(rho), _rhs_constants(p))
-    if not all(abs(v) / s <= 1e-9 for v, s in zip(rhs, _RES_SCALE.tolist())):
+    if fail == 4:
         resid = scaled_residual(x, u, rho, p)
         raise SteadyStateError(f"steady residual {resid:.2e} exceeds 1e-9")
     return x, u

@@ -46,6 +46,29 @@ def test_steady_point_outside_window_rejected(params, bounds):
         steady_state_point(RHO_NOM, 0.60, None, params, bounds)
 
 
+@pytest.mark.parametrize("fail, rho, ca1, message", [
+    (1, 7.0, 0.60, r"rho=7.0 outside \[4.2, 6.3\]"),
+    (2, RHO_NOM, 0.60, "cA1=0.6 outside the FB-feasible window"),
+    (3, RHO_NOM, 0.49, r"no reactor temperature in \[300.0, 301.0\] K at rho=5.25, cA1=0.49"),
+    (4, RHO_NOM, 0.49, "steady residual .* exceeds 1e-9"),
+])
+def test_steady_point_raises_first_failed_check(params, bounds, monkeypatch,
+                                                fail, rho, ca1, message):
+    """steady_state_point raises the message of the first check that
+    _steady_batch fails, which gives a scalar pair the fail code of the same
+    pair as an array.  A 1 K bracket holds no root, and residual scales of
+    1e-30 fail any steady state."""
+    if fail == 3:
+        monkeypatch.setattr(transform, "T1_BRACKET", (300.0, 301.0))
+    elif fail == 4:
+        monkeypatch.setattr(transform, "_RES_SCALE", np.full(6, 1e-30))
+    base = OperatingStrategy(0.0, 0.0)
+    assert _steady_batch(rho, ca1, base, params, bounds)[2] == fail
+    assert _steady_batch(np.array([rho]), np.array([ca1]), base, params, bounds)[2] == [fail]
+    with pytest.raises(SteadyStateError, match=message):
+        steady_state_point(rho, ca1, base, params, bounds)
+
+
 # --- operating strategy fit --------------------------------------------------
 
 def test_constant_strategy_degradation(strategy_fit):
@@ -313,13 +336,19 @@ def reference_psi_partials(rho, T1, ev, strat, p):
     return (wB * dB0 + wA * dA0) / den, -a1, P_T1
 
 
+def reference_q1_affine(rho, rho_dot, T1, ev, strat, p):
+    """(c0, c1) with Q1 = c0 + c1*nu, from the reference partials at the
+    root T1 and its reference_flat_eval ev."""
+    P_rho, P_rd, P_T1 = reference_psi_partials(rho, T1, ev, strat, p)
+    psi_q1 = P_T1 / (p.rhoF * p.Cp * p.V1)
+    return -(P_rho * rho_dot + P_T1 * ev[2]) / psi_q1, -P_rd / psi_q1
+
+
 def reference_backtransform(rho, rho_dot, nu, strat, p):
     """States and inputs of a scalar point as arrays, layer by layer."""
     T1 = reference_solve_T1(rho, rho_dot, strat, p)
     ev = reference_flat_eval(rho, T1, strat, p)
-    P_rho, P_rd, P_T1 = reference_psi_partials(rho, T1, ev, strat, p)
-    psi_q1 = P_T1 / (p.rhoF * p.Cp * p.V1)
-    c0, c1 = -(P_rho * rho_dot + P_T1 * ev[2]) / psi_q1, -P_rd / psi_q1
+    c0, c1 = reference_q1_affine(rho, rho_dot, T1, ev, strat, p)
     (cA1, cB1, FB, _, _), Fp, _, Q2 = ev
     return (np.array([cA1, cB1, T1, strat.xi1_nom, strat.xi2_nom, strat.xi3_nom]),
             np.array([FB, Fp, c0 + c1 * nu, Q2]))
@@ -483,15 +512,17 @@ def test_rho_dot_partial_is_exact(strategy, params):
 
 def test_partials_match_central_differences(strategy, params, bounds, envelope):
     """Closed-form rho and T1 partials of the flat residual against central
-    differences of _flat_rate on a 5x5 grid of the fitted rho_dot band; the
-    partials are the reference's, which backtransform reproduces bitwise
-    (test_scalar_backtransform_equals_layered_reference)."""
+    differences of _flat_rate on a 5x5 grid of the fitted rho_dot band.  The
+    partials are the reference's; at each point, q1_affine_in_nu gives
+    bitwise the Q1 coefficients that follow from them."""
     h_rho, h_T1 = 1e-5, 1e-3
     for rho in np.linspace(*bounds.rho, 5):
         for rd in np.linspace(*envelope.rho_dot_range(rho), 5):
             T1 = solve_T1(rho, rd, strategy, params)
-            P_rho, _, P_T1 = reference_psi_partials(
-                rho, T1, reference_flat_eval(rho, T1, strategy, params), strategy, params)
+            ev = reference_flat_eval(rho, T1, strategy, params)
+            P_rho, _, P_T1 = reference_psi_partials(rho, T1, ev, strategy, params)
+            c0, c1 = reference_q1_affine(rho, rd, T1, ev, strategy, params)
+            assert q1_affine_in_nu(rho, rd, strategy, params) == (c0, c1, T1)
             fd_rho = (_flat_rate(rho + h_rho, T1, strategy, params)
                       - _flat_rate(rho - h_rho, T1, strategy, params)) / (2 * h_rho)
             fd_T1 = (_flat_rate(rho, T1 + h_T1, strategy, params)
