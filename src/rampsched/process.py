@@ -7,7 +7,8 @@ as scheduling degree of freedom.  Provides the ODE right-hand side as one
 formula (`_rhs`, on floats or broadcasting arrays, over the parameter terms
 of `_rhs_constants`), a fixed-step RK4 simulator that interpolates its
 piecewise-linear controls at every stage time in three array calls per run,
-reads the parameters once per run and runs its stages on Python floats, and
+reads the parameters once per run and runs each step on six float locals
+(stages, RK4 combination and divergence check written out per state), and
 a bound check that takes each variable's column in one pass and counts a
 non-finite value as a violation.
 """
@@ -235,9 +236,11 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
     Controls are interpolated piecewise-linearly between their samples, once
     per simulation: at the grid times t and at every step's stage times
     t + h/2 and t + h.  The parameter terms of `_rhs_constants` are read
-    once per run.  The stages run on Python floats through `_rhs`, the one
-    right-hand-side formula, in the operation order of the array form, so
-    the states are bitwise those of RK4 on numpy arrays.  Raises
+    once per run.  Each step runs on the six states as float locals: the
+    four stages are explicit tuples through `_rhs`, the one right-hand-side
+    formula, and the RK4 combination and the divergence check are written
+    out per state, in the operation order of the array form, so the states
+    are bitwise those of RK4 on numpy arrays.  Raises
     ValueError when the run would read controls outside their samples (the
     schedule starts after 0 or ends more than SAMPLE_TOL_H before the last
     step), and SimulationDiverged when a state is non-finite or its
@@ -259,23 +262,34 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
     ue, re = (a.tolist() for a in controls.at(times[:-1] + h))
     half, sixth = h / 2, h / 6
     consts = _rhs_constants(p)
-    x = x0.as_array().tolist()
+    x1, x2, x3, x4, x5, x6 = x0.as_array().tolist()
     states = []
     ts = times.tolist()
     for i, t in enumerate(ts):
-        if not all(abs(v) <= 1e9 for v in x):
+        if not (abs(x1) <= 1e9 and abs(x2) <= 1e9 and abs(x3) <= 1e9
+                and abs(x4) <= 1e9 and abs(x5) <= 1e9 and abs(x6) <= 1e9):
             raise SimulationDiverged(t)
-        states.append(x)
+        states.append((x1, x2, x3, x4, x5, x6))
         if i < n:
             try:
-                k1 = _rhs(x, u0[i], r0[i], consts)
-                k2 = _rhs([a + half * k for a, k in zip(x, k1)], um[i], rm[i], consts)
-                k3 = _rhs([a + half * k for a, k in zip(x, k2)], um[i], rm[i], consts)
-                k4 = _rhs([a + h * k for a, k in zip(x, k3)], ue[i], re[i], consts)
+                a1, a2, a3, a4, a5, a6 = _rhs((x1, x2, x3, x4, x5, x6), u0[i], r0[i], consts)
+                b1, b2, b3, b4, b5, b6 = _rhs(
+                    (x1 + half * a1, x2 + half * a2, x3 + half * a3,
+                     x4 + half * a4, x5 + half * a5, x6 + half * a6), um[i], rm[i], consts)
+                c1, c2, c3, c4, c5, c6 = _rhs(
+                    (x1 + half * b1, x2 + half * b2, x3 + half * b3,
+                     x4 + half * b4, x5 + half * b5, x6 + half * b6), um[i], rm[i], consts)
+                d1, d2, d3, d4, d5, d6 = _rhs(
+                    (x1 + h * c1, x2 + h * c2, x3 + h * c3,
+                     x4 + h * c4, x5 + h * c5, x6 + h * c6), ue[i], re[i], consts)
             except (OverflowError, ZeroDivisionError):  # math.exp, or T1 == 0 in a stage
                 raise SimulationDiverged(ts[i + 1]) from None
-            x = [a + sixth * (b + 2 * c + 2 * d + e)
-                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+            x1 = x1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1)
+            x2 = x2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2)
+            x3 = x3 + sixth * (a3 + 2 * b3 + 2 * c3 + d3)
+            x4 = x4 + sixth * (a4 + 2 * b4 + 2 * c4 + d4)
+            x5 = x5 + sixth * (a5 + 2 * b5 + 2 * c5 + d5)
+            x6 = x6 + sixth * (a6 + 2 * b6 + 2 * c6 + d6)
     return Trajectory(times, np.array(states), inputs, rhos)
 
 

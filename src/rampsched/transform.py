@@ -49,8 +49,9 @@ Python floats, since a schedule replay backtransforms hundreds of single
 points.  A backtransform is one pass (_flat_point): the strategy constants
 and the flow terms once, the root, then one more step at it for every state,
 input and Q1 coefficient, in the operation order of the layered helpers it
-replaces, so the values are bitwise theirs.  A scalar point costs 10-20
-microseconds, a grid of thousands of points a few milliseconds.
+replaces, so the values are bitwise theirs.  The scalar path keeps the last
+point it solved: a replay that holds one point (a steady schedule
+backtransforms (rho_nom, 0, 0) at every grid time) solves it once.
 
 The strategy itself is fitted by steady-state optimization
 (fit_operating_strategy).  The heat demand Q1+Q2 rises with cA1, so its free
@@ -64,6 +65,7 @@ the line's other bounds; the fit raises SteadyStateError where either fails.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -385,6 +387,13 @@ def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
     return c0, c1, T1
 
 
+_point_bits = struct.Struct("3d").pack
+_NO_POINT = ((b"", None, None), None)
+# ((bits, strat, p), (StateVec, InputVec)), replaced in one assignment and
+# read once per call, so a caller in another thread sees a whole entry
+_last_point = _NO_POINT
+
+
 def backtransform(pt: RampingPoint, strat: OperatingStrategy,
                   p: ProcessParams) -> tuple[StateVec, InputVec]:
     """Map a ramping point (rho, rho_dot, nu) to full states and inputs.
@@ -393,10 +402,21 @@ def backtransform(pt: RampingPoint, strat: OperatingStrategy,
     field is an array of their common shape; a scalar point runs on Python
     floats, with the strategy constants computed once and every Newton
     step one expression.  A non-finite rho or rho_dot raises
-    OutsideFlatRegionError, a non-finite nu ValueError."""
+    OutsideFlatRegionError, a non-finite nu ValueError.
+
+    The scalar path keeps the last point that solved.  A call with the same
+    (rho, rho_dot, nu) bits and the same strat and p objects (by identity)
+    returns the same two frozen objects.  A zero's sign counts, and a point
+    that fails, a NaN among them, is never kept."""
+    global _last_point
     batch = _is_batch(pt.rho, pt.rho_dot, pt.nu)
     rho, rho_dot, nu = ((pt.rho, pt.rho_dot, pt.nu) if batch
                         else (float(pt.rho), float(pt.rho_dot), float(pt.nu)))
+    if not batch:
+        bits = _point_bits(rho, rho_dot, nu)
+        (last_bits, last_strat, last_p), pair = _last_point
+        if last_bits == bits and last_strat is strat and last_p is p:
+            return pair
     if not (np.isfinite(nu).all() if batch else math.isfinite(nu)):
         raise ValueError("backtransform: nu must be finite")
     T1, cA1, cB1, FB, Fp, Q2, c0, c1 = _flat_point(rho, rho_dot, strat, p)
@@ -404,8 +424,10 @@ def backtransform(pt: RampingPoint, strat: OperatingStrategy,
     u = (FB, Fp, c0 + c1 * nu, Q2)
     if batch:
         fields = np.broadcast_arrays(*x, *u)
-        x, u = fields[:6], fields[6:]
-    return StateVec(*x), InputVec(*u)
+        return StateVec(*fields[:6]), InputVec(*fields[6:])
+    pair = StateVec(*x), InputVec(*u)
+    _last_point = (bits, strat, p), pair
+    return pair
 
 
 def strategy_outputs(rho: float, rho_dot: float, nu: float,

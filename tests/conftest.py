@@ -1,9 +1,17 @@
 import pytest
 
+from rampsched import transform
 from rampsched.envelope import derive_envelope, fit_demand_pwa
 from rampsched.process import Bounds, ProcessParams
 from rampsched.scheduler import solve_ramp
 from rampsched.transform import fit_operating_strategy
+
+
+@pytest.fixture(autouse=True)
+def no_kept_point():
+    """Every test starts with no point kept by the scalar backtransform, so
+    that no test reads a point that another test solved."""
+    transform._last_point = transform._NO_POINT
 
 
 @pytest.fixture(scope="session")

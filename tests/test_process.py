@@ -201,7 +201,12 @@ def test_simulate_raises_at_the_first_non_finite_state(params, bounds):
 
 
 @pytest.mark.parametrize("field, value, t", [
-    ("T2", 2e9, 0.0),       # past 1e9 at the start
+    ("cA1", 2e9, 0.0),      # past 1e9 at the start, each state on its own
+    ("cB1", -2e9, 0.0),
+    ("T1", 2e9, 0.0),
+    ("cA2", -2e9, 0.0),
+    ("cB2", 2e9, 0.0),
+    ("T2", 2e9, 0.0),
     ("T1", -1.0, 0.01),     # exp(-E1 / (R T1)) overflows in the first stage
 ])
 def test_simulate_raises_on_a_diverging_start_state(field, value, t, params, bounds):

@@ -443,14 +443,110 @@ def test_scalar_backtransform_evaluates_rates_at_most_11_times(strategy, params,
 def test_scalar_point_with_float64_fields_equals_float_fields(strategy, params, bounds,
                                                               envelope):
     """A scalar point runs on Python floats whatever the type of its fields:
-    np.float64 fields give bitwise the states and inputs of float fields."""
+    np.float64 fields give bitwise the states and inputs of float fields.
+    The kept point is dropped between the two calls, so both are solved."""
     rho, rd = _band_grid(bounds, envelope)
     for r, d, n in zip(rho, rd, np.linspace(-2.0, 2.0, rho.size)):
         x64, u64 = backtransform(RampingPoint(r, d, n), strategy, params)
+        transform._last_point = transform._NO_POINT
         xf, uf = backtransform(RampingPoint(float(r), float(d), float(n)), strategy, params)
         assert type(r) is np.float64
         assert np.array_equal(x64.as_array(), xf.as_array())
         assert np.array_equal(u64.as_array(), uf.as_array())
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The points (rho, rho_dot) that reach _flat_point, in order."""
+    calls, flat_point = [], transform._flat_point
+
+    def counted(rho, rho_dot, strat, p):
+        calls.append((rho, rho_dot))
+        return flat_point(rho, rho_dot, strat, p)
+
+    monkeypatch.setattr(transform, "_flat_point", counted)
+    return calls
+
+
+def _solved(pt, strat, p):
+    """The states and inputs of pt as arrays, solved with no kept point."""
+    transform._last_point = transform._NO_POINT
+    x, u = backtransform(pt, strat, p)
+    return x.as_array(), u.as_array()
+
+
+@pytest.mark.parametrize("pt", [RampingPoint(RHO_NOM, 0.0, 0.0), RampingPoint(4.8, 0.3, -1.5)],
+                         ids=["steady", "ramp"])
+def test_repeated_point_returns_the_solved_pair(strategy, params, pt, solves):
+    """A repeated point is solved once and returns the same two objects,
+    bitwise the pair of a call with no kept point."""
+    first = backtransform(pt, strategy, params)
+    again = backtransform(RampingPoint(*(np.float64(v) for v in (pt.rho, pt.rho_dot, pt.nu))),
+                          strategy, params)
+    assert len(solves) == 1
+    assert again[0] is first[0] and again[1] is first[1]
+    x_ref, u_ref = _solved(pt, strategy, params)
+    assert np.array_equal(again[0].as_array(), x_ref)
+    assert np.array_equal(again[1].as_array(), u_ref)
+
+
+@pytest.mark.parametrize("other", [RampingPoint(RHO_NOM, 0.0, 1e-12),
+                                   RampingPoint(RHO_NOM, -0.0, 0.0)],
+                         ids=["nu", "signed-zero-rho_dot"])
+def test_point_with_other_bits_is_solved_again(strategy, params, other, solves):
+    """A point that differs from the kept one only in nu, or only in the
+    sign of a zero rho_dot, is solved again, to its own values."""
+    kept = backtransform(RampingPoint(RHO_NOM, 0.0, 0.0), strategy, params)
+    x, u = backtransform(other, strategy, params)
+    assert len(solves) == 2 and x is not kept[0] and u is not kept[1]
+    x_ref, u_ref = _solved(other, strategy, params)
+    assert np.array_equal(x.as_array(), x_ref) and np.array_equal(u.as_array(), u_ref)
+
+
+@pytest.mark.parametrize("which", ["strategy", "params"])
+def test_equal_but_other_strategy_or_params_is_solved_again(strategy, params, which, solves):
+    """strat and p are matched by identity: an equal-valued copy of either
+    is solved again, to the same values."""
+    pt = RampingPoint(RHO_NOM, 0.2, 0.5)
+    strat, p = (replace(strategy), params) if which == "strategy" else (strategy, replace(params))
+    assert (strat, p) == (strategy, params) and (strat is not strategy or p is not params)
+    kept = backtransform(pt, strategy, params)
+    x, u = backtransform(pt, strat, p)
+    assert len(solves) == 2 and x is not kept[0]
+    assert np.array_equal(x.as_array(), kept[0].as_array())
+    assert np.array_equal(u.as_array(), kept[1].as_array())
+
+
+def test_alternating_strategies_at_one_point_keep_their_own_values(strategy, params, solves):
+    """Two strategies called in turn at one point each get their own
+    states and inputs; every call solves, since only one point is kept."""
+    pt = RampingPoint(RHO_NOM, 0.2, 0.5)
+    other = replace(strategy, a0_xi4=strategy.a0_xi4 + 1e-3)
+    refs = [(s, *_solved(pt, s, params)) for s in (strategy, other)]
+    assert not np.array_equal(refs[0][1], refs[1][1])
+    transform._last_point = transform._NO_POINT
+    solves.clear()
+    for s, x_ref, u_ref in refs * 2:
+        x, u = backtransform(pt, s, params)
+        assert np.array_equal(x.as_array(), x_ref) and np.array_equal(u.as_array(), u_ref)
+    assert len(solves) == 4
+
+
+@pytest.mark.parametrize("bad, error", [
+    (RampingPoint(RHO_NOM, 1e4, 0.5), OutsideFlatRegionError),
+    (RampingPoint(RHO_NOM, 0.2, math.nan), ValueError),
+    (RampingPoint(math.nan, 0.2, 0.5), OutsideFlatRegionError),
+], ids=["no-root", "nu-nan", "rho-nan"])
+def test_failing_point_raises_every_time_and_is_never_kept(strategy, params, bad, error):
+    """A point that fails raises on every call, and the point kept before
+    it stays kept."""
+    good = RampingPoint(RHO_NOM, 0.2, 0.5)
+    kept = backtransform(good, strategy, params)
+    for _ in range(3):
+        with pytest.raises(error):
+            backtransform(bad, strategy, params)
+    assert transform._last_point[1] is kept
+    assert backtransform(good, strategy, params) is kept
 
 
 @pytest.mark.parametrize("weights", [_rate_weights, _purge_weights])
