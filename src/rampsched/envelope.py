@@ -36,6 +36,9 @@ from .transform import (T1_BRACKET, OperatingStrategy, RampingPoint, _flat_root,
                         q1_affine_in_nu, theta_T1)
 
 INF = float("inf")
+# points per axis of the envelope's grids; odd, so that the nu planes'
+# every-other-node fitting grid keeps both band edges
+ENVELOPE_GRID = 51
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +176,18 @@ class EnvelopeFitError(RuntimeError):
     pass
 
 
-def fit_rho_dot_limits(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-                       n_grid: int = 51) -> Planes:
+def fit_rho_dot_limits(strat: OperatingStrategy, p: ProcessParams, b: Bounds) -> Planes:
     """Conservative linear limits on the rate derivative: lines in rho, the
     lower one in row 0 and the upper one in row 1.
 
-    Per side, one line fitted by _fit_planes on the n_grid x 1 rho grid: as
-    close to the true limit in total as conservativeness (with curvature
-    margin) at every grid point allows.
+    Per side, one line fitted by _fit_planes on the n x 1 rho grid,
+    n = ENVELOPE_GRID: as close to the true limit in total as
+    conservativeness (with curvature margin) at every grid point allows.
     """
-    rho = np.linspace(*b.rho, n_grid)
+    rho = np.linspace(*b.rho, ENVELOPE_GRID)
     los, his, *_ = true_rho_dot_limits(rho, strat, p, b)
     Z = np.column_stack([np.ones_like(rho), rho])[:, None]
-    labels = np.zeros((n_grid, 1), dtype=int)
+    labels = np.zeros((rho.size, 1), dtype=int)
     return Planes(np.vstack([_fit_planes(Z, vals[:, None], side, labels, safety=1.5)
                              for vals, side in ((los, "lower"), (his, "upper"))]))
 
@@ -321,22 +323,22 @@ def _fit_planes(Z: np.ndarray, limit: np.ndarray, side: str, labels: np.ndarray,
 
 
 def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-               rd: Planes, n_grid: int = 51) -> tuple[PwaEnvelope, CoverageReport]:
+               rd: Planes) -> tuple[PwaEnvelope, CoverageReport]:
     """Fit conservative piecewise-affine limits for the second rate
     derivative over the fitted rate-derivative band `rd`: N_LOWER lower and
     N_UPPER upper planes, each valid on the whole band.
 
-    The planes are fitted on the (n_grid // 2 + 1)^2 grid of the band, with
-    its curvature margin guarding points between grid nodes; coverage, the
-    fitted band width over the true one, is evaluated on the n_grid^2 grid."""
-    m = n_grid // 2 + 1
-    R, D = _nu_grid(b, rd, m)
+    The true limits are evaluated once, on the n^2 grid of the band,
+    n = ENVELOPE_GRID.  The planes are fitted on every other node of it,
+    with the curvature margin guarding points between those nodes; coverage,
+    the fitted band width over the true one, is evaluated on the whole grid."""
+    R, D = _nu_grid(b, rd, ENVELOPE_GRID)
     NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
-    Z = np.stack([np.ones_like(R), R, D], axis=-1)
-    env = PwaEnvelope(Planes(_fit_planes(Z, NLO, "lower", _blocks(m, N_LOWER), safety=2.0)),
-                      Planes(_fit_planes(Z, NHI, "upper", _blocks(m, N_UPPER), safety=2.0)))
-    R, D = _nu_grid(b, rd, n_grid)
-    NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
+    fit = np.s_[::2, ::2]
+    Z = np.stack([np.ones_like(R), R, D], axis=-1)[fit]
+    m = len(Z)
+    env = PwaEnvelope(Planes(_fit_planes(Z, NLO[fit], "lower", _blocks(m, N_LOWER), safety=2.0)),
+                      Planes(_fit_planes(Z, NHI[fit], "upper", _blocks(m, N_UPPER), safety=2.0)))
     lo, hi = env.nu_range(R, D)
     cov = (hi - lo) / (NHI - NLO)
     return env, CoverageReport(cov, float(cov.mean()), float(cov.min()))
@@ -393,12 +395,13 @@ def _fingerprint(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     return h.hexdigest()[:16]
 
 
-def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-                    n_grid: int = 51) -> RampingEnvelope:
+def derive_envelope(strat: OperatingStrategy, p: ProcessParams, b: Bounds) -> RampingEnvelope:
     """Envelope fingerprinted by the strategy, plant and bounds it is fitted
-    from together with its own fitted limits and planes."""
-    rd = fit_rho_dot_limits(strat, p, b, n_grid)
-    pwa, cov = fit_nu_pwa(strat, p, b, rd, n_grid)
+    from together with its own fitted limits and planes.  Both fits run on
+    ENVELOPE_GRID points per axis; the nu limits are evaluated once, and
+    their planes fitted on every other node of that grid."""
+    rd = fit_rho_dot_limits(strat, p, b)
+    pwa, cov = fit_nu_pwa(strat, p, b, rd)
     return RampingEnvelope(b.rho, b.rho_nom, rd, pwa, cov,
                            _fingerprint(strat, p, b, rd, pwa.lower, pwa.upper))
 
@@ -486,15 +489,14 @@ def sbm_limits(rho: float, tau: float, rho_sp_min: float,
     return (rho_sp_min - rho) / tau, (rho_sp_max - rho) / tau
 
 
-def max_tau(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
-            n_grid: int = 51) -> float:
+def max_tau(strat: OperatingStrategy, p: ProcessParams, b: Bounds) -> float:
     """Smallest time constant whose surrogate band stays inside the true
-    rate-derivative limits at every grid point.
+    rate-derivative limits at every point of the ENVELOPE_GRID rho grid.
 
     The band (rho_min - rho)/tau .. (rho_max - rho)/tau lies inside
     lower(rho) < 0 < upper(rho) exactly when tau is at least
     (rho_min - rho)/lower(rho) and (rho_max - rho)/upper(rho), so tau is the
     largest of those ratios over the grid."""
-    rho = np.linspace(*b.rho, n_grid)
+    rho = np.linspace(*b.rho, ENVELOPE_GRID)
     lower, upper, *_ = true_rho_dot_limits(rho, strat, p, b)
     return float(max(np.max((b.rho[0] - rho) / lower), np.max((b.rho[1] - rho) / upper)))

@@ -243,46 +243,53 @@ class SolvabilityResult:
         return self.matching is not None
 
 
-def check_structural_solvability(M: OccurrenceMatrix) -> SolvabilityResult:
-    """Perfect matching of equations to unknowns through marked entries.
-
-    Augmenting-path bipartite matching, lowest column index first so the
-    result is deterministic.  On failure, returns the Hall-violating row set
-    of maximum deficiency (rows reachable from an unmatched row by
-    alternating paths).
-    """
-    if not M.square:
-        raise ValueError(f"occurrence matrix is {len(M.row_labels)}x"
-                         f"{len(M.col_labels)}, expected square")
-    n = len(M.row_labels)
-    match_col = [-1] * n       # column -> row
+def _matching(adj: list[list[int]], n_cols: int) -> list[int]:
+    """Maximum bipartite matching by augmenting paths (Kuhn): adj[i] lists
+    the columns row i may take, in the order they are tried (lowest index
+    first gives a deterministic result).  Returns the row matched to each
+    column, -1 where none is; a row left unmatched when its turn comes stays
+    unmatched."""
+    match_col = [-1] * n_cols
 
     def try_row(i: int, seen: list[bool]) -> bool:
-        for j in range(n):
-            if M.marks[i, j] and not seen[j]:
+        for j in adj[i]:
+            if not seen[j]:
                 seen[j] = True
                 if match_col[j] < 0 or try_row(match_col[j], seen):
                     match_col[j] = i
                     return True
         return False
 
-    matched = 0
-    unmatched_rows = []
-    for i in range(n):
-        if try_row(i, [False] * n):
-            matched += 1
-        else:
-            unmatched_rows.append(i)
-    if matched == n:
-        return SolvabilityResult({match_col[j]: j for j in range(n) if match_col[j] >= 0})
+    for i in range(len(adj)):
+        try_row(i, [False] * n_cols)
+    return match_col
+
+
+def check_structural_solvability(M: OccurrenceMatrix) -> SolvabilityResult:
+    """Perfect matching of equations to unknowns through marked entries.
+
+    Augmenting-path bipartite matching (_matching), lowest column index
+    first so the result is deterministic.  On failure, returns the
+    Hall-violating row set of maximum deficiency (rows reachable from an
+    unmatched row by alternating paths).
+    """
+    if not M.square:
+        raise ValueError(f"occurrence matrix is {len(M.row_labels)}x"
+                         f"{len(M.col_labels)}, expected square")
+    n = len(M.row_labels)
+    adj = [np.flatnonzero(row).tolist() for row in M.marks]
+    match_col = _matching(adj, n)
+    unmatched_rows = sorted(set(range(n)) - set(match_col))
+    if not unmatched_rows:
+        return SolvabilityResult({match_col[j]: j for j in range(n)})
     # alternating reachability from the unmatched rows gives the Hall violator
     reach_rows = set(unmatched_rows)
     frontier = list(unmatched_rows)
     reach_cols: set[int] = set()
     while frontier:
         i = frontier.pop()
-        for j in range(n):
-            if M.marks[i, j] and j not in reach_cols:
+        for j in adj[i]:
+            if j not in reach_cols:
                 reach_cols.add(j)
                 i2 = match_col[j]
                 if i2 >= 0 and i2 not in reach_rows:
@@ -293,22 +300,11 @@ def check_structural_solvability(M: OccurrenceMatrix) -> SolvabilityResult:
 
 def input_rank_condition(g: SparsityModel) -> bool:
     """Structural analogue of rank(df/du) = m: the input-to-equation
-    incidence admits a matching saturating every input."""
-    rows = list(g.inputs)
-    cols = list(g.states)
-    match: dict[str, str] = {}
-
-    def try_in(u: str, seen: set[str]) -> bool:
-        for x in g.successors(u):
-            if x in cols and x not in seen:
-                seen.add(x)
-                owner = match.get(x)
-                if owner is None or try_in(owner, seen):
-                    match[x] = u
-                    return True
-        return False
-
-    return all(try_in(u, set()) for u in rows)
+    incidence admits a matching saturating every input (_matching, lowest
+    state index first)."""
+    col = {x: j for j, x in enumerate(g.states)}
+    adj = [sorted(col[x] for x in g.successors(u) if x in col) for u in g.inputs]
+    return set(range(g.m)) <= set(_matching(adj, g.n))
 
 
 def search_orders(g: SparsityModel, components: tuple[tuple[str, ...], ...],
@@ -370,3 +366,35 @@ def illustrative_model() -> tuple[SparsityModel, dict[str, tuple[OutputCandidate
                  [("u1", ("x1",)), ("u2", ("x3",))]),
     }
     return g, candidates
+
+
+def case_study_graph() -> tuple[SparsityModel, OutputCandidate,
+                                list[tuple[str, tuple[str, ...]]]]:
+    """Dependency graph of the reactor-separator model with the output
+    candidate (cA2, cB2, T2, cA1) and its input pairing."""
+    g = SparsityModel(
+        states=("cA1", "cB1", "T1", "cA2", "cB2", "T2"),
+        inputs=("FB", "Fp", "Q1", "Q2"),
+        edges=frozenset({
+            ("cA1", "cA1"), ("cA2", "cA1"), ("T1", "cA1"),
+            ("FB", "cA1"), ("Fp", "cA1"), ("rho", "cA1"),
+            ("cB1", "cB1"), ("cA1", "cB1"), ("cB2", "cB1"), ("T1", "cB1"),
+            ("FB", "cB1"), ("Fp", "cB1"), ("rho", "cB1"),
+            ("T1", "T1"), ("T2", "T1"), ("cA1", "T1"), ("cB1", "T1"),
+            ("FB", "T1"), ("Fp", "T1"), ("Q1", "T1"), ("rho", "T1"),
+            ("cA2", "cA2"), ("cA1", "cA2"), ("cB2", "cA2"),
+            ("FB", "cA2"), ("rho", "cA2"),
+            ("cB2", "cB2"), ("cB1", "cB2"), ("cA2", "cB2"),
+            ("FB", "cB2"), ("rho", "cB2"),
+            ("T2", "T2"), ("T1", "T2"), ("FB", "T2"), ("Q2", "T2"),
+            ("rho", "T2"),
+        }),
+        rho="rho",
+    )
+    cand = OutputCandidate(
+        components=(("cA2",), ("cB2",), ("T2",), ("cA1",)),
+        orders=(3, 3, 1, 2),
+    )
+    pairing = [("FB", ("cA2",)), ("Fp", ("cB2",)),
+               ("Q2", ("T2",)), ("Q1", ("cA1",))]
+    return g, cand, pairing

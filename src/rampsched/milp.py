@@ -87,7 +87,6 @@ class MixedIntegerProgram:
             if not 0 <= j < len(self.variables):
                 raise ValueError(f"row {row.name}: unknown variable index {j}")
         self.rows.append(row)
-        self._csr = None
         return len(self.rows) - 1
 
     def set_objective(self, coeffs) -> None:
@@ -111,8 +110,9 @@ def _rows_csr(mip: MixedIntegerProgram):
     and upper bounds of their activities (-inf / inf on the open side).
 
     Built once per set of rows: the result is kept on `mip` (a solve and the
-    checks after it read the same arrays) and rebuilt after `add_constraint`
-    or when the row count has changed."""
+    checks after it read the same arrays) and rebuilt whenever the row count
+    has changed, whether the row came from `add_constraint` or was appended
+    to `mip.rows` directly."""
     rows = mip.rows
     if mip._csr is None or mip._csr[0] != len(rows):
         indptr = np.cumsum([0] + [len(r.coeffs) for r in rows])

@@ -46,11 +46,15 @@ surfaces, the demand grid) is one call.  Every T1 root is one safeguarded
 Newton/bisection on the exact T1 partial, stopped at 1e-10 K (_newton); an
 array steps all its points at once, a scalar point takes the same steps on
 Python floats, since a schedule replay backtransforms hundreds of single
-points.  A backtransform is one pass (_flat_point): the strategy constants
+points.  Every point is one pass (_flat_point): the strategy constants
 and the flow terms once, the root, then one more step at it for every state,
 input and Q1 coefficient, in the operation order of the layered helpers it
-replaces, so the values are bitwise theirs.  The scalar path keeps the last
-point it solved: a replay that holds one point (a steady schedule
+replaces, so the values are bitwise theirs.  The pass gives NaN where a
+point has no root; backtransform and q1_affine_in_nu raise there and on a
+zero slope a1.  A steady state is the flat point of a constant strategy
+(a1 = 0) at rest, with Q1 = c0, so it is bitwise the backtransform of
+(rho, 0, 0) on any strategy through it.  The scalar backtransform keeps the
+last point it solved: a replay that holds one point (a steady schedule
 backtransforms (rho_nom, 0, 0) at every grid time) solves it once.
 
 The strategy itself is fitted by steady-state optimization
@@ -71,7 +75,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .flatness import OutputCandidate, SparsityModel
 from .process import (Bounds, InputVec, ProcessParams, StateVec, _rhs_array,
                       vapor_fractions)
 
@@ -323,56 +326,61 @@ def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
     return _found(T1, rho, rho_dot)
 
 
-def _flat_eval(rho, T1, k: tuple, flows: tuple, step, strat: OperatingStrategy,
-               p: ProcessParams):
-    """(f_T1, r1, r2, Fp, drift, Q2) at the root T1 of step, from one more
-    step: the residual's T1 partial, the rates, the purge Fp = psi_Fp, the
-    dT1/dt of flows and reactions (everything except Q1) and the flash duty
-    Q2 of the steady flash energy balance."""
-    _, f_T1, r1, r2 = step(T1)
-    _, _, FB, A0f, B0f = flows
-    V1, xi3 = p.V1, strat.xi3_nom
-    Fp = (B0f + r1 - r2 - k[1] * (A0f - r1)) / k[4]          # bitwise psi_Fp
-    drift = ((rho + Fp) / V1 * (p.T0 - T1) + (FB - Fp) / V1 * (xi3 - T1)
-             - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
-    Q2 = -p.rhoF * p.Cp * (rho + FB) * (T1 - xi3) + p.dHV * rho
-    return f_T1, r1, r2, Fp, drift, Q2
-
-
 def _flat_point(rho, rho_dot, strat: OperatingStrategy, p: ProcessParams):
-    """(T1, cA1, cB1, FB, Fp, Q2, c0, c1) at (rho, rho_dot), Q1 = c0 + c1*nu,
-    in one pass on Python floats for a scalar point or on arrays.
+    """(T1, cA1, cB1, FB, Fp, Q2, c0, psi_q1) at (rho, rho_dot), Q1 = c0 +
+    a1/psi_q1*nu, in one pass on Python floats for a scalar point or on
+    arrays: NaN where T1_BRACKET holds no root, and any slope a1.
 
     The _constants and the flows of _flat_step are computed once; the T1
-    root of solve_T1 and one more step at it share them.  Q1 follows from
-    the total time derivative of the strategy residual,
+    root of solve_T1 and one more step at it share them.  That step gives
+    the T1 partial, the rates, the purge Fp = psi_Fp, the flash duty Q2 of
+    the steady flash energy balance and the drift: the dT1/dt of flows and
+    reactions, everything except Q1.  Q1 follows from the total time
+    derivative of the strategy residual,
     0 = Psi_rho*rho_dot + Psi_rhodot*nu + Psi_T1*dT1/dt, in which dT1/dt is
     the reactor energy balance, affine in Q1.  Psi_rhodot = -a1, Psi_T1 is
     the step's T1 partial, and Psi_rho is closed form (the residual is
-    affine in A0 and B0, which differentiate exactly).
+    affine in A0 and B0, which differentiate exactly).  A steady state is
+    the point of a constant strategy (a1 = 0) at rho_dot = 0, with Q1 = c0;
+    the ramping callers raise where a point has no root (_ramp_point).
     """
     a1 = strat.a1_xi4
-    if a1 == 0:
-        raise SingularTransformError("solve_T1: strategy slope a1 is zero")
     k = cAv, s, A1, B1, den = _constants(strat, p)
     r, flows, step = _flat_step(a1 * rho_dot, rho, (-B1, A1, den), k, strat, p)
-    T1 = _found(_newton(step), rho, rho_dot)
-    P_T1, r1, r2, Fp, drift, Q2 = _flat_eval(r, T1, k, flows, step, strat, p)
-    cA1, cB1, FB, _, _ = flows
-    x1 = strat.xi1_nom
+    T1 = _newton(step)
+    _, P_T1, r1, r2 = step(T1)
+    cA1, cB1, FB, A0f, B0f = flows
+    V1, x1, xi3 = p.V1, strat.xi1_nom, strat.xi3_nom
+    Fp = (B0f + r1 - r2 - s * (A0f - r1)) / den              # bitwise psi_Fp
+    drift = ((r + Fp) / V1 * (p.T0 - T1) + (FB - Fp) / V1 * (xi3 - T1)
+             - p.dH1 / p.Cp * r1 - p.dH2 / p.Cp * r2)
+    Q2 = -p.rhoF * p.Cp * (r + FB) * (T1 - xi3) + p.dHV * r
     # d/drho through cA1 = a0 + a1*rho, cB1 = xi2 + s*(cA1 - xi1) and FB
     dcB1 = s * a1
     m = (cAv - x1) / (cA1 - x1)
     dFB = m - 1.0 - r * m * a1 / (cA1 - x1)
     dr1, dr2 = r1 / cA1 * a1, r2 / cB1 * dcB1
-    dA0 = ((p.cA0 - cA1) - r * a1 + dFB * (x1 - cA1) - FB * a1) / p.V1 - dr1
-    dB0 = (((p.cB0 - cB1) - r * dcB1 + dFB * (strat.xi2_nom - cB1) - FB * dcB1) / p.V1
+    dA0 = ((p.cA0 - cA1) - r * a1 + dFB * (x1 - cA1) - FB * a1) / V1 - dr1
+    dB0 = (((p.cB0 - cB1) - r * dcB1 + dFB * (strat.xi2_nom - cB1) - FB * dcB1) / V1
            + dr1 - dr2)
     P_rho = (A1 * dB0 - B1 * dA0) / den
-    psi_q1 = P_T1 / (p.rhoF * p.Cp * p.V1)
+    psi_q1 = P_T1 / (p.rhoF * p.Cp * V1)
+    return T1, cA1, cB1, FB, Fp, Q2, -(P_rho * rho_dot + P_T1 * drift) / psi_q1, psi_q1
+
+
+def _ramp_point(rho, rho_dot, strat: OperatingStrategy, p: ProcessParams):
+    """(T1, cA1, cB1, FB, Fp, Q2, c0, c1) of _flat_point on a ramping
+    strategy, Q1 = c0 + c1*nu, for backtransform and q1_affine_in_nu.
+    Raises on a zero slope a1, then OutsideFlatRegionError naming the first
+    point without a root, then on a vanishing Q1 coefficient."""
+    a1 = strat.a1_xi4
+    if a1 == 0:
+        raise SingularTransformError("solve_T1: strategy slope a1 is zero")
+    T1, cA1, cB1, FB, Fp, Q2, c0, psi_q1 = _flat_point(rho, rho_dot, strat, p)
+    _found(T1, rho, rho_dot)
     if _any(abs(psi_q1) < 1e-12):
         raise SingularTransformError("q1_affine_in_nu: vanishing Q1 coefficient")
-    return T1, cA1, cB1, FB, Fp, Q2, -(P_rho * rho_dot + P_T1 * drift) / psi_q1, a1 / psi_q1
+    return T1, cA1, cB1, FB, Fp, Q2, c0, a1 / psi_q1
 
 
 def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
@@ -383,7 +391,7 @@ def q1_affine_in_nu(rho: float, rho_dot: float, strat: OperatingStrategy,
     0 = Psi_rho*rho_dot + Psi_rhodot*nu + Psi_T1*dT1/dt, where dT1/dt is the
     reactor energy balance and Q1 enters it linearly.
     """
-    T1, *_, c0, c1 = _flat_point(rho, rho_dot, strat, p)
+    T1, *_, c0, c1 = _ramp_point(rho, rho_dot, strat, p)
     return c0, c1, T1
 
 
@@ -419,7 +427,7 @@ def backtransform(pt: RampingPoint, strat: OperatingStrategy,
             return pair
     if not (np.isfinite(nu).all() if batch else math.isfinite(nu)):
         raise ValueError("backtransform: nu must be finite")
-    T1, cA1, cB1, FB, Fp, Q2, c0, c1 = _flat_point(rho, rho_dot, strat, p)
+    T1, cA1, cB1, FB, Fp, Q2, c0, c1 = _ramp_point(rho, rho_dot, strat, p)
     x = (cA1, cB1, T1, strat.xi1_nom, strat.xi2_nom, strat.xi3_nom)
     u = (FB, Fp, c0 + c1 * nu, Q2)
     if batch:
@@ -447,29 +455,12 @@ class SteadyStateError(RuntimeError):
     pass
 
 
-def _steady(rho, a0, strat: OperatingStrategy, p: ProcessParams) -> tuple:
-    """The ten state and input fields of the steady state with nominal
-    flash conditions at rho under the constant strategy cA1 = a0, on Python
-    floats for a scalar point or on arrays.
-
-    FB and cB1 follow in closed form; T1 is the root of _flat_rate = 0 on
-    T1_BRACKET (_newton: NaN where there is none, and so are the fields that
-    depend on it).  One _flat_eval at the root gives Fp, Q2 and, from the
-    reactor energy balance, Q1."""
-    const = replace(strat, a0_xi4=a0, a1_xi4=0.0)
-    k = _constants(const, p)
-    r, flows, step = _flat_step(0.0, rho, (-k[3], k[2], k[4]), k, const, p)   # _rate_weights
-    T1 = _newton(step)
-    _, _, _, Fp, drift, Q2 = _flat_eval(r, T1, k, flows, step, const, p)
-    return (*flows[:2], T1, const.xi1_nom, const.xi2_nom, const.xi3_nom,
-            flows[2], Fp, -p.rhoF * p.Cp * p.V1 * drift, Q2)
-
-
 def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
                   b: Bounds) -> tuple[StateVec, InputVec, np.ndarray]:
-    """Steady states (_steady) at the given (rho, cA1) pairs; broadcasts.
-    A scalar pair stays on Python floats: its fields are floats, its fail
-    code a 0-d array.
+    """Steady states with nominal flash conditions at the given (rho, cA1)
+    pairs; broadcasts.  Each is the _flat_point of the constant strategy
+    cA1 = a0 at rest (rho_dot = 0), with Q1 = c0.  A scalar pair stays on
+    Python floats: its fields are floats, its fail code a 0-d array.
 
     Returns (x, u, fail): fail is 0 where the point solved, else the first
     check it failed: 1 rho outside its bounds, 2 cA1 outside the FB-feasible
@@ -481,7 +472,9 @@ def _steady_batch(rho, cA1, strat: OperatingStrategy, p: ProcessParams,
     cAv, _ = nominal_vapor(strat, p)
     win_ok = np.asarray((strat.xi1_nom < cA1) & (cA1 <= cAv))
     a0 = np.where(win_ok, cA1, cAv)
-    fields = _steady(rho, a0 if a0.ndim else float(a0), strat, p)
+    const = replace(strat, a0_xi4=a0 if a0.ndim else float(a0), a1_xi4=0.0)
+    T1, cA1, cB1, FB, Fp, Q2, Q1, _ = _flat_point(rho, 0.0, const, p)
+    fields = (cA1, cB1, T1, const.xi1_nom, const.xi2_nom, const.xi3_nom, FB, Fp, Q1, Q2)
     if _is_batch(rho, cA1):
         fields = np.broadcast_arrays(*fields)
     x, u = StateVec(*fields[:6]), InputVec(*fields[6:])
@@ -527,6 +520,7 @@ def scaled_residual(x: StateVec, u: InputVec, rho: float, p: ProcessParams) -> f
 
 
 _CA1_SLACK = 1e-12               # lift of the fitted strategy off the FB edge
+STRATEGY_GRID = 21               # rho points of the strategy fit's objective
 
 
 def _window(rho: float, strat: OperatingStrategy, p: ProcessParams,
@@ -556,15 +550,15 @@ class StrategyFitReport:
     linear_degradation_pct: float
 
 
-def fit_operating_strategy(p: ProcessParams | None = None,
-                           bounds: Bounds | None = None,
-                           n_grid: int = 21) -> tuple[OperatingStrategy, StrategyFitReport]:
+def fit_operating_strategy(
+        p: ProcessParams | None = None,
+        bounds: Bounds | None = None) -> tuple[OperatingStrategy, StrategyFitReport]:
     """Fit the linear strategy cA1 = a0 + a1*rho by steady-state optimization.
 
-    The objective is Q1+Q2 summed over n_grid rho.  Its free optimum at each
-    rho is the FB edge of _window, lo(rho) = xi1 + rho*k/(FB_max + rho) with
-    k = cAv - xi1, because Q1+Q2 rises with cA1 across the feasible window.
-    lo is concave, so every line that holds FB <= FB_max on the whole band
+    The objective is Q1+Q2 summed over STRATEGY_GRID rho.  Its free optimum
+    at each rho is the FB edge of _window, lo(rho) = xi1 + rho*k/(FB_max +
+    rho) with k = cAv - xi1, because Q1+Q2 rises with cA1 across the
+    feasible window.  lo is concave, so every line that holds FB <= FB_max on the whole band
     lies on or above a tangent to lo at some t in the band, and that tangent
     costs no more.  The line is therefore the best tangent,
     a1 = k*FB_max/(FB_max + t)**2, a0 = lo(t) - t*a1, found by one bounded
@@ -584,7 +578,7 @@ def fit_operating_strategy(p: ProcessParams | None = None,
     p = p or ProcessParams()
     b = bounds or Bounds()
     base = OperatingStrategy(a0_xi4=0.0, a1_xi4=0.0)
-    rhos = np.linspace(*b.rho, n_grid)
+    rhos = np.linspace(*b.rho, STRATEGY_GRID)
     k, fb_max = nominal_vapor(base, p)[0] - base.xi1_nom, b.FB[1]
 
     def objective(rho: np.ndarray, cA1: np.ndarray) -> np.ndarray:
@@ -626,39 +620,3 @@ def fit_operating_strategy(p: ProcessParams | None = None,
         linear_degradation_pct=100.0 * (float(res.fun) - free_total) / free_total,
     )
     return OperatingStrategy(a0_xi4=a0, a1_xi4=a1), report
-
-
-# ---------------------------------------------------------------------------
-# Case-study sparsity graph
-# ---------------------------------------------------------------------------
-
-def case_study_graph() -> tuple[SparsityModel, OutputCandidate,
-                                list[tuple[str, tuple[str, ...]]]]:
-    """Dependency graph of the reactor-separator model with the output
-    candidate (cA2, cB2, T2, cA1) and its input pairing."""
-    g = SparsityModel(
-        states=("cA1", "cB1", "T1", "cA2", "cB2", "T2"),
-        inputs=("FB", "Fp", "Q1", "Q2"),
-        edges=frozenset({
-            ("cA1", "cA1"), ("cA2", "cA1"), ("T1", "cA1"),
-            ("FB", "cA1"), ("Fp", "cA1"), ("rho", "cA1"),
-            ("cB1", "cB1"), ("cA1", "cB1"), ("cB2", "cB1"), ("T1", "cB1"),
-            ("FB", "cB1"), ("Fp", "cB1"), ("rho", "cB1"),
-            ("T1", "T1"), ("T2", "T1"), ("cA1", "T1"), ("cB1", "T1"),
-            ("FB", "T1"), ("Fp", "T1"), ("Q1", "T1"), ("rho", "T1"),
-            ("cA2", "cA2"), ("cA1", "cA2"), ("cB2", "cA2"),
-            ("FB", "cA2"), ("rho", "cA2"),
-            ("cB2", "cB2"), ("cB1", "cB2"), ("cA2", "cB2"),
-            ("FB", "cB2"), ("rho", "cB2"),
-            ("T2", "T2"), ("T1", "T2"), ("FB", "T2"), ("Q2", "T2"),
-            ("rho", "T2"),
-        }),
-        rho="rho",
-    )
-    cand = OutputCandidate(
-        components=(("cA2",), ("cB2",), ("T2",), ("cA1",)),
-        orders=(3, 3, 1, 2),
-    )
-    pairing = [("FB", ("cA2",)), ("Fp", ("cB2",)),
-               ("Q2", ("T2",)), ("Q1", ("cA1",))]
-    return g, cand, pairing

@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampsched.flatness import (OccurrenceMatrix, OutputCandidate,
+from rampsched.flatness import (OccurrenceMatrix, OutputCandidate, case_study_graph,
                                 check_disjoint_cover, check_structural_solvability,
                                 example_e, illustrative_model, input_rank_condition,
                                 propagate_occurrence, search_orders)
-from rampsched.transform import case_study_graph
 
 
 # --- graph covering ---------------------------------------------------------
@@ -56,6 +57,17 @@ def test_input_rank_condition():
     assert input_rank_condition(g)
     gc, _, _ = case_study_graph()
     assert input_rank_condition(gc)
+
+
+@pytest.mark.parametrize("edges", [set(), {("u3", "x1")}],
+                         ids=["no successor", "successor of u1 only"])
+def test_input_rank_condition_fails_without_a_state_per_input(edges):
+    """A third input of example E that reaches no state, or only the one
+    state u1 alone reaches, leaves the inputs without a saturating
+    matching."""
+    g, _ = example_e()
+    g3 = replace(g, inputs=g.inputs + ("u3",), edges=g.edges | edges)
+    assert not input_rank_condition(g3)
 
 
 # --- occurrence propagation: frozen cross patterns --------------------------

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rampsched import envelope as envelope_module
 from rampsched.envelope import N_LOWER, Planes, derive_envelope, fit_demand_pwa
 from rampsched.milp import (INF, MixedIntegerProgram, branch_and_bound, check_solution,
                             simplex_solve)
@@ -188,10 +189,13 @@ def test_demand_model_of_another_envelope_raises(strategy, params, bounds, envel
         problem(envelope, fit_demand_pwa(strategy, params, bounds, other), False)
 
 
-def test_demand_model_of_a_coarser_envelope_raises(strategy, params, bounds, envelope):
-    """Envelopes fitted at n_grid 51 and 31 from the same strategy, plant
-    and bounds differ in their planes, so they differ in fingerprint too."""
-    coarse = derive_envelope(strategy, params, bounds, n_grid=31)
+def test_demand_model_of_a_coarser_envelope_raises(strategy, params, bounds, envelope,
+                                                   monkeypatch):
+    """Envelopes fitted on grids of 51 and 31 points per axis from the same
+    strategy, plant and bounds differ in their planes, so they differ in
+    fingerprint too."""
+    monkeypatch.setattr(envelope_module, "ENVELOPE_GRID", 31)
+    coarse = derive_envelope(strategy, params, bounds)
     assert coarse.fingerprint != envelope.fingerprint
     with pytest.raises(ValueError, match="different envelope"):
         problem(envelope, fit_demand_pwa(strategy, params, bounds, coarse), False)

@@ -127,8 +127,9 @@ def test_steady_batch_mask_matches_scalar(params, bounds):
     assert 0 < batch.sum() < batch.size
 
 
-def test_single_point_grid_degenerates_to_constant(params, bounds):
-    strat, report = fit_operating_strategy(params, bounds, n_grid=1)
+def test_single_point_grid_degenerates_to_constant(params, bounds, monkeypatch):
+    monkeypatch.setattr(transform, "STRATEGY_GRID", 1)
+    strat, report = fit_operating_strategy(params, bounds)
     # with one grid point the linear fit can do no better than the free optimum
     assert report.linear_degradation_pct == pytest.approx(0.0, abs=1e-6)
     assert strat.pi4(report.rho_grid[0]) == pytest.approx(report.free_ca1[0], abs=2e-4)
@@ -210,11 +211,20 @@ def test_flat_root_on_purge_weights_solves_psi_fp(strategy, params, bounds, fp):
 
 
 def test_backtransform_steady_equals_steady_point(strategy, params, bounds):
-    for rho in (4.3, 5.25, 6.2):
+    """A steady state is the flat point of a constant strategy at rest, so
+    at 41 rho across the band it is bitwise the backtransform of
+    (rho, 0, 0): point by point on Python floats and as one array."""
+    rhos = np.linspace(*bounds.rho, 41)
+    for rho in rhos.tolist():
         x, u = steady_state_point(rho, strategy.pi4(rho), strategy, params, bounds)
         xb, ub = backtransform(RampingPoint(rho, 0.0, 0.0), strategy, params)
-        assert np.allclose(xb.as_array(), x.as_array(), rtol=1e-12, atol=1e-9)
-        assert np.allclose(ub.as_array(), u.as_array(), rtol=1e-12, atol=1e-9)
+        assert np.array_equal(xb.as_array(), x.as_array()), rho
+        assert np.array_equal(ub.as_array(), u.as_array()), rho
+    x, u, fail = _steady_batch(rhos, strategy.pi4(rhos), strategy, params, bounds)
+    xb, ub = backtransform(RampingPoint(rhos, 0.0, 0.0), strategy, params)
+    assert not fail.any()
+    assert np.array_equal(xb.as_array(), x.as_array())
+    assert np.array_equal(ub.as_array(), u.as_array())
 
 
 def test_batch_equals_scalar_loop(strategy, params, bounds, envelope):
