@@ -5,14 +5,13 @@ The first rate derivative is limited by the bounds of the variables that
 respond to it (T1, Fp, Q2); the second derivative nu is limited by the
 reactor duty bounds through the affine relation Q1(nu).  True limits are
 evaluated by inverting the backtransformation over whole grids at once: the
-rate-derivative band in closed form for T1 and Q2 and by the one T1 root of
-transform._flat_root for Fp, the nu band by one q1_affine_in_nu call.  One
-conservative plane fitter, _fit_planes, fits both: a linear program per
-Magnani-Boyd round (Optim. Eng. 10, 2009) with per-point conservativeness
-constraints plus a curvature margin so that the guarantee survives grid
-refinement, on the design matrix [1, rho] of an n x 1 grid for the two
-rate-derivative lines and [1, rho, rho_dot] of the band grid for the nu
-planes.  Both true nu limits are concave on the rate-derivative band, so
+rate-derivative band by transform.rho_dot_limit_from_bound at each bound,
+the nu band by one q1_affine_in_nu call.  One conservative plane fitter,
+_fit_planes, fits both: a linear program per Magnani-Boyd round (Optim.
+Eng. 10, 2009) with per-point conservativeness constraints plus a curvature
+margin so that the guarantee survives grid refinement, on the design matrix
+[1, rho] of an n x 1 grid for the two rate-derivative lines and
+[1, rho, rho_dot] of the band grid for the nu planes.  Both true nu limits are concave on the rate-derivative band, so
 every nu plane holds on the whole band: the upper limit is the minimum of
 N_UPPER planes, and the lower limit is any one of N_LOWER planes, each above
 the true lower limit everywhere.  The heat-demand model shares the
@@ -31,9 +30,8 @@ from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .process import Bounds, ProcessParams
-from .transform import (T1_BRACKET, OperatingStrategy, RampingPoint, _flat_root,
-                        _purge_weights, _where, backtransform, bottom_flow, psi_Fp,
-                        q1_affine_in_nu, theta_T1)
+from .transform import (OperatingStrategy, RampingPoint, _where, backtransform,
+                        q1_affine_in_nu, rho_dot_limit_from_bound)
 
 INF = float("inf")
 # points per axis of the envelope's grids; odd, so that the nu planes'
@@ -44,32 +42,6 @@ ENVELOPE_GRID = 51
 # ---------------------------------------------------------------------------
 # True limits on the first rate derivative
 # ---------------------------------------------------------------------------
-
-def rho_dot_limit_from_bound(rho: float, variable: str, bound_value: float,
-                             strat: OperatingStrategy, p: ProcessParams) -> float:
-    """Rate derivative at which `variable` sits exactly on `bound_value`;
-    broadcasts over an array rho.
-
-    T1 bounds evaluate the strategy's rate equation directly; Q2 bounds are
-    inverted for T1 (linear); Fp bounds are one T1 root of psi_Fp.  Returns
-    +/-inf where the bound cannot be attained at rho (it does not constrain
-    there).
-    """
-    if variable == "T1":
-        return theta_T1(rho, bound_value, strat, p)
-    if variable == "Q2":
-        FB = bottom_flow(rho, strat.pi4(rho), strat, p)
-        T1 = strat.xi3_nom + (p.dHV * rho - bound_value) / (p.rhoF * p.Cp * (rho + FB))
-        return theta_T1(rho, T1, strat, p)
-    if variable == "Fp":
-        T1 = _flat_root(bound_value, rho, _purge_weights(strat, p), strat, p)
-        miss, lo = np.isnan(T1), T1_BRACKET[0]
-        # out of reach: +inf where psi_Fp stays below the bound, -inf where
-        # above; neither constrains
-        unreached = np.where(psi_Fp(rho, lo, strat, p) < bound_value, INF, -INF)
-        return np.where(miss, unreached, theta_T1(rho, np.where(miss, lo, T1), strat, p))[()]
-    raise ValueError(f"unsupported variable {variable!r}")
-
 
 _RD_SOURCES = (("T1", 0), ("T1", 1), ("Fp", 0), ("Fp", 1), ("Q2", 0), ("Q2", 1))
 
@@ -100,7 +72,8 @@ def nu_limits_true(rho: float, rho_dot: float, strat: OperatingStrategy,
                    p: ProcessParams, b: Bounds) -> tuple[float, float]:
     """True limits on the second rate derivative from the reactor duty
     bounds, via the affine relation Q1 = c0 + c1*nu; the orientation follows
-    the sign of c1 rather than being assumed.  Broadcasts over arrays."""
+    the sign of c1 rather than being assumed.  Broadcasts over arrays;
+    raises EnvelopeFitError where the two limits meet or cross."""
     c0, c1, _ = q1_affine_in_nu(rho, rho_dot, strat, p)
     q_lo, q_hi = b.Q1
     vanishing = np.abs(c1) < 1e-12
@@ -108,7 +81,12 @@ def nu_limits_true(rho: float, rho_dot: float, strat: OperatingStrategy,
         raise RuntimeError(f"vanishing nu coefficient at {_where(vanishing, rho, rho_dot)}")
     nu_a = (q_lo - c0) / c1
     nu_b = (q_hi - c0) / c1
-    return np.minimum(nu_a, nu_b), np.maximum(nu_a, nu_b)
+    lo, hi = np.minimum(nu_a, nu_b), np.maximum(nu_a, nu_b)
+    cross = lo >= hi
+    if np.any(cross):
+        raise EnvelopeFitError(f"true nu limits cross inside the band at "
+                               f"{_where(cross, rho, rho_dot)}")
+    return lo, hi
 
 
 def detect_regions(xs: np.ndarray, feasible: np.ndarray) -> list[tuple[float, float]]:
@@ -236,15 +214,6 @@ def _nu_grid(b: Bounds, rd: Planes, n: int):
     return np.broadcast_to(rho, (n, n)), lo + frac * (hi - lo)
 
 
-def _true_nu_surfaces(R, D, strat, p, b):
-    NLO, NHI = nu_limits_true(R, D, strat, p, b)
-    cross = NLO >= NHI
-    if np.any(cross):
-        raise EnvelopeFitError(f"true nu limits cross inside the band at "
-                               f"{_where(cross, R, D)}")
-    return NLO, NHI
-
-
 def _magnani_boyd(fit, score, labels: np.ndarray) -> np.ndarray:
     """Magnani-Boyd alternation (Optim. Eng. 10, 2009) for a max- or
     min-affine fit: `fit(labels)` returns one plane per label in use, then
@@ -333,7 +302,7 @@ def fit_nu_pwa(strat: OperatingStrategy, p: ProcessParams, b: Bounds,
     with the curvature margin guarding points between those nodes; coverage,
     the fitted band width over the true one, is evaluated on the whole grid."""
     R, D = _nu_grid(b, rd, ENVELOPE_GRID)
-    NLO, NHI = _true_nu_surfaces(R, D, strat, p, b)
+    NLO, NHI = nu_limits_true(R, D, strat, p, b)
     fit = np.s_[::2, ::2]
     Z = np.stack([np.ones_like(R), R, D], axis=-1)[fit]
     m = len(Z)

@@ -16,7 +16,7 @@ non-finite value as a violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +53,9 @@ class ProcessParams:
     dHV: float = 7.2e4        # vaporization enthalpy, numerical value used literally
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"ProcessParams.{f.name} must be finite")
         for name in ("V1", "V2", "cA0", "k1", "k2", "E1", "E2", "R", "T0",
                      "Cp", "rhoF", "alphaA", "alphaB", "alphaC", "dHV"):
             if getattr(self, name) <= 0:
@@ -207,6 +210,8 @@ class ControlSchedule:
                              f"not {np.shape(self.inputs)}")
         if np.shape(self.rho) != (n,):
             raise ValueError(f"ControlSchedule: rho must be ({n},), not {np.shape(self.rho)}")
+        if not np.isfinite(self.times).all():
+            raise ValueError("ControlSchedule: times must be finite")
         if np.any(np.diff(self.times) < 0):
             raise ValueError("ControlSchedule: times must not decrease")
 

@@ -20,6 +20,7 @@ from the process model's kJ/h, prices in currency/kWh, time in hours.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,9 @@ class MarketSeries:
         n = len(self.el_price)
         if len(self.heat_demand_kw) != n or len(self.el_demand_kw) != n:
             raise ValueError("market series lengths differ")
+        if not all(map(math.isfinite, (*self.el_price, self.gas_price, *self.heat_demand_kw,
+                                       *self.el_demand_kw))):
+            raise ValueError("market prices and demands must be finite")
         if any(d < 0 for d in self.heat_demand_kw + self.el_demand_kw):
             raise ValueError("demands must be non-negative")
 

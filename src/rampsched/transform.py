@@ -19,9 +19,9 @@ invertible from (rho, rho_dot, nu), nu being the second rate derivative:
   where A0/A1 (B0/B1) are the Fp-intercept and Fp-slope of the reactor A
   (B) balance right-hand side.  The derivation is locked by a closed-loop
   simulation test that holds cB2 at its nominal value to 1e-4 over hours.
-* with the purge eliminated, the reactor A-balance is one scalar residual
+* with the purge eliminated, the reactor A-balance is the rate residual
 
-      _flat_rate(rho, T1) = A0 + A1*psi_Fp = (A1*B0 - B1*A0) / (s*A1 - B1),
+      A0 + A1*psi_Fp = (A1*B0 - B1*A0) / (s*A1 - B1),
 
   equal to a1*rho_dot on the flat trajectory and to 0 at a steady state.
   It is strictly monotone in T1 through the two Arrhenius terms, so both
@@ -31,12 +31,14 @@ invertible from (rho, rho_dot, nu), nu being the second rate derivative:
   residual, in which both nu and Q1 enter affinely; its partials are closed
   form (the residual is affine in A0 and B0, which differentiate exactly).
 
-_flat_rate and psi_Fp = (B0 - s*A0) / (s*A1 - B1) are both fixed linear
-combinations of the Fp-intercepts (A0, B0), so every T1 root in the package
-solves "combination = target" for the weights of either: _rate_weights for
-solve_T1 and the steady states, _purge_weights for the envelope's Fp-bound
-limits (psi_Fp rises in T1 on T1_BRACKET).  T1 enters A0 and B0 only
-through the reaction rates, so _flat_step computes the strategy's flow
+The rate residual and psi_Fp = (B0 - s*A0) / (s*A1 - B1) are both linear
+combinations (wA*A0 + wB*B0)/den of the Fp-intercepts, with (wA, wB) =
+(-B1, A1) and (-s, 1), so every T1 root in the package solves "combination
+= target" for one of them: the rate weights for the flat points, the purge
+weights for the Fp bounds of rho_dot_limit_from_bound (psi_Fp rises in T1 on
+T1_BRACKET), which gives the true rate-derivative limit of a T1, Fp or Q2
+bound as the rate residual over a1 at the bound's T1.  T1 enters A0 and B0
+only through the reaction rates, so _flat_step computes the strategy's flow
 terms once and returns the Newton step: one expression that gives the
 residual, its T1 partial and the rates on constants read once.
 
@@ -48,8 +50,8 @@ array steps all its points at once, a scalar point takes the same steps on
 Python floats, since a schedule replay backtransforms hundreds of single
 points.  Every point is one pass (_flat_point): the strategy constants
 and the flow terms once, the root, then one more step at it for every state,
-input and Q1 coefficient, in the operation order of the layered helpers it
-replaces, so the values are bitwise theirs.  The pass gives NaN where a
+input and Q1 coefficient, in the operation order of the layered reference
+chain that the tests hold it to bitwise.  The pass gives NaN where a
 point has no root; backtransform and q1_affine_in_nu raise there and on a
 zero slope a1.  A steady state is the flat point of a constant strategy
 (a1 = 0) at rest, with Q1 = c0, so it is bitwise the backtransform of
@@ -157,18 +159,6 @@ def _constants(strat: OperatingStrategy,
     return cAv, s, A1, B1, den
 
 
-def _purge_weights(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
-    """Weights (wA, wB, den) of psi_Fp = (wA*A0 + wB*B0)/den."""
-    _, s, _, _, den = _constants(strat, p)
-    return -s, 1.0, den
-
-
-def _rate_weights(strat: OperatingStrategy, p: ProcessParams) -> tuple[float, float, float]:
-    """Weights (wA, wB, den) of _flat_rate = (wA*A0 + wB*B0)/den."""
-    _, _, A1, B1, den = _constants(strat, p)
-    return -B1, A1, den
-
-
 def _flat_step(target, rho, weights: tuple, k: tuple, strat: OperatingStrategy,
                p: ProcessParams):
     """(rho, flows, step) of the T1 root of (wA*A0 + wB*B0)/den = target at
@@ -212,33 +202,13 @@ def _flat_step(target, rho, weights: tuple, k: tuple, strat: OperatingStrategy,
     return rho, (cA1, cB1, FB, A0f, B0f), step
 
 
-def _combination(rho: float, T1: float, weights: tuple, strat: OperatingStrategy,
-                 p: ProcessParams) -> float:
-    """(wA*A0 + wB*B0)/den at (rho, T1)."""
-    return _flat_step(0.0, rho, weights, _constants(strat, p), strat, p)[2](T1)[0]
-
-
 def psi_Fp(rho: float, T1: float, strat: OperatingStrategy,
            p: ProcessParams) -> float:
     """Purge stream enforcing d2cB2/dt2 = 0, as a function of (rho, T1)."""
     if _any(T1 <= 0):
         raise ValueError("psi_Fp: T1 must be positive")
-    return _combination(rho, T1, _purge_weights(strat, p), strat, p)
-
-
-def _flat_rate(rho: float, T1: float, strat: OperatingStrategy,
-               p: ProcessParams) -> float:
-    """dcA1/dt with the purge at psi_Fp: a1*rho_dot on the flat trajectory,
-    0 at a steady state."""
-    return _combination(rho, T1, _rate_weights(strat, p), strat, p)
-
-
-def theta_T1(rho: float, T1: float, strat: OperatingStrategy,
-             p: ProcessParams) -> float:
-    """rho_dot at which the reactor A-balance holds for the given (rho, T1)."""
-    if strat.a1_xi4 == 0:
-        raise SingularTransformError("theta_T1: strategy slope a1 is zero")
-    return _flat_rate(rho, T1, strat, p) / strat.a1_xi4
+    k = _constants(strat, p)
+    return _flat_step(0.0, rho, (-k[1], 1.0, k[4]), k, strat, p)[2](T1)[0]
 
 
 T1_BRACKET = (300.0, 600.0)
@@ -293,15 +263,6 @@ def _newton(step):
     raise RuntimeError(f"T1 Newton did not converge in {_NEWTON_MAX_ITER} steps")
 
 
-def _flat_root(target, rho, weights: tuple, strat: OperatingStrategy,
-               p: ProcessParams):
-    """T1 in T1_BRACKET with (wA*A0 + wB*B0)/den = target at rho, for
-    weights (wA, wB, den) such as _rate_weights (_flat_rate) or
-    _purge_weights (psi_Fp); NaN where there is none, as at a non-finite rho.
-    Arrays broadcast (with any array fields of strat)."""
-    return _newton(_flat_step(target, rho, weights, _constants(strat, p), strat, p)[2])
-
-
 def _found(T1, rho, rho_dot):
     """T1, or OutsideFlatRegionError naming the first point without a root."""
     miss = T1 != T1                  # NaN, without np.isnan's cost on a float
@@ -315,15 +276,46 @@ def solve_T1(rho: float, rho_dot: float, strat: OperatingStrategy,
              p: ProcessParams) -> float:
     """Reactor temperature along the strategy at (rho, rho_dot).
 
-    Root of _flat_rate(rho, .) = a1*rho_dot on T1_BRACKET, which is wider
-    than the temperature operating bounds so that bound-violating points are
-    detected by value rather than by solver failure.  Broadcasts over
-    arrays; one point outside the flat region fails the whole call.
+    The T1 of _flat_point: the root of the rate residual = a1*rho_dot on
+    T1_BRACKET, which is wider than the temperature operating bounds so
+    that bound-violating points are detected by value rather than by solver
+    failure.  Broadcasts over arrays; one point outside the flat region
+    fails the whole call.
     """
     if strat.a1_xi4 == 0:
         raise SingularTransformError("solve_T1: strategy slope a1 is zero")
-    T1 = _flat_root(strat.a1_xi4 * rho_dot, rho, _rate_weights(strat, p), strat, p)
-    return _found(T1, rho, rho_dot)
+    return _found(_flat_point(rho, rho_dot, strat, p)[0], rho, rho_dot)
+
+
+def rho_dot_limit_from_bound(rho: float, variable: str, bound_value: float,
+                             strat: OperatingStrategy, p: ProcessParams) -> float:
+    """Rate derivative at which `variable` (T1, Fp or Q2) sits exactly on
+    `bound_value`; broadcasts over an array rho.
+
+    The rate residual divided by a1, evaluated at T1 = bound for T1, at the
+    T1 where the steady flash energy balance puts Q2 on its bound for Q2,
+    and at the T1 root of psi_Fp = bound for Fp.  Returns +/-inf where an
+    Fp bound cannot be attained at rho (it does not constrain there).
+    """
+    if variable not in ("T1", "Fp", "Q2"):
+        raise ValueError(f"unsupported variable {variable!r}")
+    a1 = strat.a1_xi4
+    if a1 == 0:
+        raise SingularTransformError("rho_dot_limit_from_bound: strategy slope a1 is zero")
+    k = _, s, A1, B1, den = _constants(strat, p)
+    r, flows, rate = _flat_step(0.0, rho, (-B1, A1, den), k, strat, p)
+    if variable == "T1":
+        return rate(bound_value)[0] / a1
+    if variable == "Q2":
+        T1 = strat.xi3_nom + (p.dHV * r - bound_value) / (p.rhoF * p.Cp * (r + flows[2]))
+        return rate(T1)[0] / a1
+    purge = _flat_step(bound_value, rho, (-s, 1.0, den), k, strat, p)[2]
+    T1 = _newton(purge)
+    miss, lo = np.isnan(T1), T1_BRACKET[0]
+    # out of reach: +inf where psi_Fp stays below the bound, -inf where
+    # above; neither constrains
+    unreached = np.where(purge(lo)[0] < 0, math.inf, -math.inf)
+    return np.where(miss, unreached, rate(np.where(miss, lo, T1))[0] / a1)[()]
 
 
 def _flat_point(rho, rho_dot, strat: OperatingStrategy, p: ProcessParams):

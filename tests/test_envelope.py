@@ -10,13 +10,13 @@ from scipy.optimize import linprog
 from rampsched import envelope as envelope_module
 from rampsched.envelope import (N_LOWER, N_UPPER, EnvelopeFitError, Planes,
                                 _curvature_margin, _magnani_boyd, _nu_grid,
-                                _true_nu_surfaces, detect_regions, fit_demand_pwa,
-                                fit_rho_dot_limits, im_input_u2,
-                                max_tau, nu_limits_true, rho_dot_limit_from_bound,
-                                sbm_limits, true_rho_dot_limits)
+                                detect_regions, fit_demand_pwa, fit_rho_dot_limits,
+                                im_input_u2, max_tau, nu_limits_true, sbm_limits,
+                                true_rho_dot_limits)
 from rampsched.process import Trajectory, check_bounds
 from rampsched.transform import (OutsideFlatRegionError, RampingPoint,
-                                 backtransform, steady_state_point)
+                                 SingularTransformError, backtransform,
+                                 rho_dot_limit_from_bound, steady_state_point)
 
 
 @pytest.fixture(scope="session")
@@ -87,6 +87,19 @@ def test_rate_limit_from_bound_broadcasts(strategy, params, bounds, var, bound, 
     np.testing.assert_allclose(batch.ravel(), scalar, rtol=1e-9, atol=0)
     if unreached is not None:
         assert np.all(batch == unreached)
+
+
+@pytest.mark.parametrize("var", ["T1", "Fp", "Q2"])
+def test_rate_limit_from_bound_raises_on_a_zero_slope(strategy, params, var):
+    """A constant strategy has no rate derivative to limit."""
+    const = dataclasses.replace(strategy, a1_xi4=0.0)
+    with pytest.raises(SingularTransformError, match="strategy slope a1 is zero"):
+        rho_dot_limit_from_bound(5.25, var, 440.0, const, params)
+
+
+def test_rate_limit_from_bound_raises_on_an_unknown_variable(strategy, params):
+    with pytest.raises(ValueError, match="unsupported variable 'Q1'"):
+        rho_dot_limit_from_bound(5.25, "Q1", 1e6, strategy, params)
 
 
 # --- the plane type --------------------------------------------------------------
@@ -191,16 +204,21 @@ def test_vanishing_nu_coefficient_names_first_point(strategy, params, bounds, en
 
 def test_crossing_nu_limits_name_first_point(strategy, params, bounds, envelope,
                                              monkeypatch):
+    """Two infinite Q1 coefficients on the 26 x 26 fit grid put both nu
+    limits at zero there; the first of the points where they meet is named
+    and the points counted."""
     R, D = _nu_grid(bounds, envelope.rd, 26)
+    q1_affine_in_nu = envelope_module.q1_affine_in_nu
 
-    def crossing(rho, rho_dot, strat, p, b):
-        lo, hi = np.zeros_like(rho), np.ones_like(rho)
-        hi[3:5, 2] = -1.0
-        return lo, hi
+    def two_infinite(rho, rho_dot, strat, p):
+        c0, c1, c2 = q1_affine_in_nu(rho, rho_dot, strat, p)
+        c1 = np.array(c1)
+        c1[3:5, 2] = np.inf
+        return c0, c1, c2
 
-    monkeypatch.setattr(envelope_module, "nu_limits_true", crossing)
+    monkeypatch.setattr(envelope_module, "q1_affine_in_nu", two_infinite)
     with pytest.raises(EnvelopeFitError) as exc:
-        _true_nu_surfaces(R, D, strategy, params, bounds)
+        nu_limits_true(R, D, strategy, params, bounds)
     assert str(exc.value) == (f"true nu limits cross inside the band at rho={R[3, 2]:.4g}, "
                               f"rho_dot={D[3, 2]:.4g} (2 of 676 points)")
 
@@ -361,6 +379,39 @@ def test_plane_fits_without_presolve_equal_presolved(strategy, params, bounds, e
 def test_pwa_steady_point_admits_both_signs(envelope):
     nl, nh = envelope.nu_range(5.25, 0.0)
     assert nl < 0.0 < nh
+
+
+def _past_limit(env, coord, side, past):
+    """A point `past` beyond the lower (side 0) or upper (side 1) limit of
+    `coord`; the other coordinates at the nominal rho or the middle of their
+    range there, taken in the order rho, rho_dot, nu."""
+    sign = 1.0 if side else -1.0
+    rho = env.rho_bounds[side] + sign * past if coord == "rho" else env.rho_nom
+    rd = env.rho_dot_range(rho)
+    rho_dot = rd[side] + sign * past if coord == "rho_dot" else (rd[0] + rd[1]) / 2
+    nr = env.nu_range(rho, rho_dot)
+    nu = nr[side] + sign * past if coord == "nu" else (nr[0] + nr[1]) / 2
+    return rho, rho_dot, nu
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["lower", "upper"])
+@pytest.mark.parametrize("coord", ["rho", "rho_dot", "nu"])
+def test_contains_admits_tol_past_each_limit(envelope, coord, side):
+    """A point past a limit of rho, rho_dot or nu by 2 x tol is not
+    contained, and one past it by tol / 2 is."""
+    tol = 1e-9
+    assert not envelope.contains(*_past_limit(envelope, coord, side, 2 * tol), tol=tol)
+    assert envelope.contains(*_past_limit(envelope, coord, side, tol / 2), tol=tol)
+
+
+@pytest.mark.parametrize("coord", [0, 1, 2], ids=["rho", "rho_dot", "nu"])
+def test_contains_rejects_nan(envelope, coord):
+    """The steady nominal point is contained, and with a NaN coordinate it
+    is not."""
+    point = [envelope.rho_nom, 0.0, 0.0]
+    assert envelope.contains(*point)
+    point[coord] = np.nan
+    assert not envelope.contains(*point)
 
 
 # --- Magnani-Boyd alternation ----------------------------------------------------

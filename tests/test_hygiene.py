@@ -3,8 +3,9 @@ it, every private module-level function or constant of the package is read
 somewhere in the package or its tests, every method and property of a
 package class is read somewhere in the package, its tests or the benchmark
 (not counting a benchmark read of a name a benchmark class defines itself),
-every package name the benchmark reads exists, and the package neither
-prints nor warns."""
+every package name the benchmark reads exists, the private names one
+package module imports from another are the pinned few, and the package
+neither prints nor warns."""
 
 import ast
 from pathlib import Path
@@ -155,6 +156,20 @@ def missing_package_names(spaces: dict[str, set[str]],
     return sorted(missing)
 
 
+def private_imports(modules: dict[str, ast.Module], pkg: str) -> dict[str, list[str]]:
+    """Module -> the private names it imports from another module of the
+    package `pkg` (relative imports or absolute ones from `pkg`), sorted;
+    modules that import none are left out."""
+    found = {}
+    for mod, tree in modules.items():
+        names = sorted(a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                       and (node.level > 0 or (node.module or "").split(".")[0] == pkg)
+                       for a in node.names if a.name.startswith("_"))
+        if names:
+            found[mod] = names
+    return found
+
+
 def chatter_calls(tree: ast.Module) -> list[str]:
     """`print(...)` and `warnings.warn(...)` calls, which write to stdout or
     stderr instead of going through `logging`."""
@@ -236,6 +251,22 @@ def test_missing_package_name_detected():
     assert missing_package_names(spaces, {"user.py": user}) == [
         "user.py line 1: pkg.gone", "user.py line 2: pkg.a.dropped",
         "user.py line 3: pkg.a.vanished", "user.py line 5: pkg.a.removed"]
+
+
+def test_private_imports_between_package_modules_pinned():
+    """A private name crosses modules only where it is shared on purpose:
+    the envelope names its failing points with transform's _where, and the
+    steady residual reads process's array right-hand side."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert private_imports(modules, SRC.name) == {"envelope": ["_where"],
+                                                  "transform": ["_rhs_array"]}
+
+
+def test_private_import_detected():
+    mod = ast.parse("from .a import _x, y\nfrom os import _exit\nfrom pkg.b import _z\n"
+                    "from . import _c\nfrom other import _w\nimport _thread\n")
+    plain = ast.parse("from .a import y\nfrom os import _exit\n")
+    assert private_imports({"m": mod, "n": plain}, "pkg") == {"m": ["_c", "_x", "_z"]}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

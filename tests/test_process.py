@@ -221,7 +221,9 @@ def test_simulate_raises_on_a_diverging_start_state(field, value, t, params, bou
     ([0.0, 1.0], np.ones((2, 3)), [5.25, 6.0], r"inputs must be \(2, 4\)"),
     ([0.0, 1.0], np.ones((2, 4)), [[5.25, 6.0]], r"rho must be \(2,\)"),
     ([1.0, 0.0], np.ones((2, 4)), [5.25, 6.0], "times must not decrease"),
-], ids=["inputs-shape", "rho-shape", "decreasing-times"])
+    ([0.0, np.nan, 1.0], np.ones((3, 4)), [5.25, 5.5, 6.0], "times must be finite"),
+    ([0.0, np.inf], np.ones((2, 4)), [5.25, 6.0], "times must be finite"),
+], ids=["inputs-shape", "rho-shape", "decreasing-times", "nan-time", "inf-time"])
 def test_control_schedule_rejects_what_interp_misreads(times, inputs, rho, match):
     with pytest.raises(ValueError, match=match):
         ControlSchedule(np.array(times), inputs, np.array(rho))
@@ -231,6 +233,15 @@ def test_control_schedule_accepts_equal_times(params, bounds):
     _, u = steady(params, bounds)
     u_at, rho_at = ControlSchedule.constant(u, 5.25, 0.0).at(np.array([0.0]))
     assert np.array_equal(u_at[0], u.as_array()) and rho_at[0] == 5.25
+
+
+@pytest.mark.parametrize("field, value", [
+    ("V1", np.nan), ("dH1", np.nan), ("cB0", np.nan), ("cB0", np.inf), ("T0", np.inf)])
+def test_process_params_reject_non_finite_values(field, value):
+    """A NaN passes every sign check and an inf the positive ones, so each
+    is rejected by name; cB0 has no other check."""
+    with pytest.raises(ValueError, match=f"ProcessParams.{field} must be finite"):
+        ProcessParams(**{field: value})
 
 
 def test_check_bounds_reports_non_finite_values(bounds):

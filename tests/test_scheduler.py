@@ -131,6 +131,18 @@ def test_surplus_heat_raises(envelope, demand_model):
         solve_schedule(sp)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("el_price", (0.06, math.nan)), ("gas_price", math.nan), ("gas_price", math.inf),
+    ("heat_demand_kw", (math.nan, 100.0)), ("el_demand_kw", (100.0, math.nan)),
+    ("heat_demand_kw", (100.0, math.inf))], ids=["el_price-nan", "gas_price-nan", "gas_price-inf",
+                                               "heat_demand-nan", "el_demand-nan", "heat_demand-inf"])
+def test_market_series_rejects_non_finite_values(field, value):
+    """NaN passes the non-negative check, so a NaN price or demand is
+    rejected, as an infinite one is."""
+    with pytest.raises(ValueError, match="market prices and demands must be finite"):
+        dataclasses.replace(two_level_market(2), **{field: value})
+
+
 def test_schedule_time_out_without_incumbent_raises(envelope, demand_model):
     sp = problem(envelope, demand_model, False, time_limit_s=0.0)
     with pytest.raises(RuntimeError, match="no incumbent"):

@@ -9,8 +9,7 @@ from rampsched.process import ControlSchedule, simulate
 from rampsched.transform import (T1_BRACKET, T1_XTOL, OperatingStrategy,
                                  OutsideFlatRegionError, RampingPoint,
                                  SingularTransformError, SteadyStateError, _constants,
-                                 _flat_rate, _flat_root, _purge_weights, _rate_weights,
-                                 _steady_batch, _steady_feasible,
+                                 _flat_step, _newton, _steady_batch, _steady_feasible,
                                  _window, backtransform, bottom_flow, fit_operating_strategy,
                                  nominal_vapor, psi_Fp, q1_affine_in_nu,
                                  scaled_residual, solve_T1, steady_state_point,
@@ -196,18 +195,37 @@ def test_psi_fp_steady_consistency(strategy, params, bounds):
         assert psi_Fp(rho, x.T1, strategy, params) == pytest.approx(u.Fp, abs=1e-8)
 
 
+def _rate_weights(k):
+    """(wA, wB, den) of the rate residual (A1*B0 - B1*A0)/den, for the
+    _constants k."""
+    _, _, A1, B1, den = k
+    return -B1, A1, den
+
+
+def _purge_weights(k):
+    """(wA, wB, den) of psi_Fp = (B0 - s*A0)/den, for the _constants k."""
+    _, s, _, _, den = k
+    return -s, 1.0, den
+
+
+def flat_root(target, rho, weights, strat, p):
+    """T1 in T1_BRACKET with (wA*A0 + wB*B0)/den = target at rho, for the
+    weights(k) of the _constants k: the Newton root of the _flat_step."""
+    k = _constants(strat, p)
+    return _newton(_flat_step(target, rho, weights(k), k, strat, p)[2])
+
+
 @pytest.mark.parametrize("fp", [0.0, 4.0, 8.0])
 def test_flat_root_on_purge_weights_solves_psi_fp(strategy, params, bounds, fp):
     """The T1 root on the purge weights puts psi_Fp on its target, on the
     scalar and the array path alike; NaN where the target is out of reach."""
     rho = np.linspace(*bounds.rho, 5)
-    weights = _purge_weights(strategy, params)
-    T1 = _flat_root(fp, rho, weights, strategy, params)
+    T1 = flat_root(fp, rho, _purge_weights, strategy, params)
     assert psi_Fp(rho, T1, strategy, params) == pytest.approx(np.full(5, fp), abs=1e-8)
-    T1_mid = _flat_root(fp, float(rho[2]), weights, strategy, params)
+    T1_mid = flat_root(fp, float(rho[2]), _purge_weights, strategy, params)
     assert psi_Fp(rho[2], T1_mid, strategy, params) == pytest.approx(fp, abs=1e-8)
     assert T1_mid == pytest.approx(T1[2], abs=1e-9)
-    assert np.all(np.isnan(_flat_root(1e9, rho, weights, strategy, params)))
+    assert np.all(np.isnan(flat_root(1e9, rho, _purge_weights, strategy, params)))
 
 
 def test_backtransform_steady_equals_steady_point(strategy, params, bounds):
@@ -288,16 +306,23 @@ def reference_t1_partial(T1, r1, r2, weights, p):
     return (wB * (dr1_T - dr2_T) - wA * dr1_T) / den
 
 
+def reference_rate(rho, T1, strat, p):
+    """The rate residual (wB*B0 + wA*A0)/den on the rate weights at
+    (rho, T1), with the rates (r1, r2)."""
+    wA, wB, den = _rate_weights(_constants(strat, p))
+    (_, _, _, r1, r2), A0, B0 = reference_terms(rho, T1, strat, p)
+    return (wB * B0 + wA * A0) / den, r1, r2
+
+
 def reference_solve_T1(rho, rho_dot, strat, p):
     """Safeguarded Newton from the bracket's midpoint on the rate residual,
     each step calling the rate and partial helpers."""
-    weights = _rate_weights(strat, p)
-    wA, wB, den = weights
+    weights = _rate_weights(_constants(strat, p))
     target = strat.a1_xi4 * rho_dot
 
     def residual(T1):
-        (_, _, _, r1, r2), A0, B0 = reference_terms(rho, T1, strat, p)
-        return (wB * B0 + wA * A0) / den - target, r1, r2
+        f, r1, r2 = reference_rate(rho, T1, strat, p)
+        return f - target, r1, r2
 
     lo, hi = T1_BRACKET
     f_lo, f_hi = residual(lo)[0], residual(hi)[0]
@@ -329,7 +354,7 @@ def reference_flat_eval(rho, T1, strat, p):
 
 
 def reference_psi_partials(rho, T1, ev, strat, p):
-    """Closed-form partials of _flat_rate(rho, T1) - a1*rho_dot w.r.t.
+    """Closed-form partials of the rate residual - a1*rho_dot w.r.t.
     (rho, rho_dot, T1), from the reference_flat_eval ev at (rho, T1)."""
     a1 = strat.a1_xi4
     cAv, s, A1, B1, den = _constants(strat, p)
@@ -567,9 +592,9 @@ def test_flat_root_scalar_equals_array(strategy, params, bounds, envelope, weigh
     rho, rd = _band_grid(bounds, envelope)
     target = (strategy.a1_xi4 * rd if weights is _rate_weights
               else np.linspace(-1.0, 9.0, rho.size))
-    w = weights(strategy, params)
-    T1 = _flat_root(target, rho, w, strategy, params)
-    scalar = [_flat_root(float(t), float(r), w, strategy, params) for t, r in zip(target, rho)]
+    T1 = flat_root(target, rho, weights, strategy, params)
+    scalar = [flat_root(float(t), float(r), weights, strategy, params)
+              for t, r in zip(target, rho)]
     assert np.count_nonzero(np.isfinite(T1)) >= 0.8 * rho.size
     np.testing.assert_allclose(scalar, T1, rtol=0, atol=2 * T1_XTOL)
 
@@ -618,9 +643,10 @@ def test_rho_dot_partial_is_exact(strategy, params):
 
 def test_partials_match_central_differences(strategy, params, bounds, envelope):
     """Closed-form rho and T1 partials of the flat residual against central
-    differences of _flat_rate on a 5x5 grid of the fitted rho_dot band.  The
-    partials are the reference's; at each point, q1_affine_in_nu gives
-    bitwise the Q1 coefficients that follow from them."""
+    differences of the reference rate residual on a 5x5 grid of the fitted
+    rho_dot band.  The partials are the reference's; at each point,
+    q1_affine_in_nu gives bitwise the Q1 coefficients that follow from
+    them."""
     h_rho, h_T1 = 1e-5, 1e-3
     for rho in np.linspace(*bounds.rho, 5):
         for rd in np.linspace(*envelope.rho_dot_range(rho), 5):
@@ -629,10 +655,10 @@ def test_partials_match_central_differences(strategy, params, bounds, envelope):
             P_rho, _, P_T1 = reference_psi_partials(rho, T1, ev, strategy, params)
             c0, c1 = reference_q1_affine(rho, rd, T1, ev, strategy, params)
             assert q1_affine_in_nu(rho, rd, strategy, params) == (c0, c1, T1)
-            fd_rho = (_flat_rate(rho + h_rho, T1, strategy, params)
-                      - _flat_rate(rho - h_rho, T1, strategy, params)) / (2 * h_rho)
-            fd_T1 = (_flat_rate(rho, T1 + h_T1, strategy, params)
-                     - _flat_rate(rho, T1 - h_T1, strategy, params)) / (2 * h_T1)
+            fd_rho = (reference_rate(rho + h_rho, T1, strategy, params)[0]
+                      - reference_rate(rho - h_rho, T1, strategy, params)[0]) / (2 * h_rho)
+            fd_T1 = (reference_rate(rho, T1 + h_T1, strategy, params)[0]
+                     - reference_rate(rho, T1 - h_T1, strategy, params)[0]) / (2 * h_T1)
             assert P_rho == pytest.approx(fd_rho, rel=1e-6)
             assert P_T1 == pytest.approx(fd_T1, rel=1e-6)
 
