@@ -184,7 +184,8 @@ class PwaEnvelope:
     fit of the upper limit: nu lies below every upper plane.  Every `lower`
     plane lies above the true lower limit everywhere, so nu need only lie
     above one of them, chosen freely (in the scheduler by binary code,
-    Vielma, SIAM Rev. 57, 2015).  The admissible band is therefore
+    Vielma, SIAM Rev. 57, 2015, each plane not chosen relaxed by the most it
+    exceeds another plane on the band).  The admissible band is therefore
     [min over lower, min over upper]."""
 
     lower: Planes            # of (rho, rho_dot)

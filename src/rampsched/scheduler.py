@@ -6,20 +6,26 @@ nu = d2 rho / dt2, held inside the fitted ramping envelope at every
 collocation point (`_rate_model`).  Under the envelope, nu lies below every
 upper plane, with no binaries, and above one of the K lower planes; each nu
 interval selects that plane freely with ceil(log2 K) binaries, since every
-lower plane is conservative on the whole band.  The as-fast-as-possible
-ramp breaks nu at every element and adds only its objective.  The
-demand-response schedule breaks nu hourly and adds the convex heat demand,
-conversion units with minimum part load, storage, grid exchange and energy
-costs.  The heat demand is the epigraph of the convex max-affine demand
-model, one row per plane and no binaries; the epigraph equals the model
-only while surplus heat never pays, which `extract_result` checks on every
-solution.  The rows read each plane family's `envelope.Planes`
-coefficients once per problem.  Powers are in kW, heat demand converted
-from the process model's kJ/h, prices in currency/kWh, time in hours.
+lower plane is conservative on the whole band.  A lower plane that is not
+selected is relaxed by a big-M taken from the other planes, the most it
+exceeds any of them on the band (`_lower_big_m`), not from the variable
+box.  The as-fast-as-possible ramp breaks nu at every element and adds only
+its objective.  The demand-response schedule breaks nu hourly and adds the
+convex heat demand, conversion units with minimum part load, storage, grid
+exchange and energy costs.  Where one unit can take over another's heat at
+no higher cost at every hourly price, a row per hour keeps the cheaper unit
+on wherever the dearer one is (`_dominance_pairs`).  The heat demand is the
+epigraph of the convex max-affine demand model, one row per plane and no
+binaries; the epigraph equals the model only while surplus heat never pays,
+which `extract_result` checks on every solution.  The rows read each plane
+family's `envelope.Planes` coefficients once per problem.  Powers are in
+kW, heat demand converted from the process model's kJ/h, prices in
+currency/kWh, time in hours.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -207,11 +213,24 @@ def _collocation_row(mip: MixedIntegerProgram, grid: CollocationGrid, chain_row:
                        "=", grid.h * const, name=name)
 
 
-def _lower_big_m(env: RampingEnvelope, rho_box, rd_box, nu_box) -> list:
-    """Per lower nu plane, the big-M that relaxes plane - nu <= 0 over the
-    variable box."""
-    v = env.nu_pwa.lower(np.array(rho_box)[:, None], np.array(rd_box))
-    return (np.maximum(v.max(axis=(1, 2)) - nu_box[0], 0.0) + 1.0).tolist()
+def _lower_big_m(env: RampingEnvelope, rho_start: float) -> list:
+    """Per lower nu plane k, the big-M that relaxes plane_k - nu <= 0 while
+    the bits select another plane j: the largest plane_k - plane_j over every
+    j, at the four vertices of the rate-derivative band and at the start
+    point (rho_start, 0), clipped at 0.
+
+    M is taken from the other disjunct, not from a variable box
+    (Trespalacios & Grossmann, Comput. Chem. Eng. 76, 2015): a lower row
+    applies at the start or at a collocation point, which the band rows and
+    the rho bounds keep in the band, and there nu >= plane_j of the selected
+    plane.  plane_k - plane_j is affine, so on the band it is largest at a
+    vertex, and nu >= plane_k - M_k cuts off no point that satisfies the
+    selected plane."""
+    rho = np.array(env.rho_bounds)
+    rd_lo, rd_hi = env.rd(rho)
+    v = env.nu_pwa.lower(np.r_[rho, rho, rho_start], np.r_[rd_lo, rd_hi, 0.0])
+    # plane k - plane j at every point: 0 for j = k, which is the clip
+    return (v[:, None] - v[None]).max(axis=(1, 2)).tolist()
 
 
 def _pwa_nu_rows(mip: MixedIntegerProgram, upper: list, lower: list, nu_terms: list,
@@ -269,7 +288,7 @@ def _rate_model(mip: MixedIntegerProgram, env: RampingEnvelope, grid: Collocatio
 
     upper = env.nu_pwa.upper.coef.tolist()
     lower = [[*c, M] for c, M in zip(env.nu_pwa.lower.coef.tolist(),
-                                     _lower_big_m(env, rho_box, rd_box, nu_box))]
+                                     _lower_big_m(env, rho_start))]
     _pwa_nu_rows(mip, upper, lower, [(int(nu_nodes[0]), 1.0)], rho[0][0], rd[0][0],
                  bits[0], "inu")
     (l0, l1), (u0, u1) = env.rd.coef.tolist()
@@ -290,6 +309,38 @@ def _rate_profile(layout: RateLayout, x: np.ndarray) -> tuple:
     nu_nodes = x[layout.nu_nodes]
     nu = np.interp(times, np.arange(len(nu_nodes)) / layout.nu_per_hour, nu_nodes)
     return times, _chain_values(x, layout.rho), _chain_values(x, layout.rho_dot), nu
+
+
+def _dominance_pairs(units: list[EnergyComponent], market: MarketSeries) -> list:
+    """(u, v) unit index pairs where unit v can take over unit u's heat at no
+    higher cost in every hour of the market, so that z_on[u, h] <= z_on[v, h]
+    keeps an optimum.
+
+    v dominates u when both are the same kind (CHP or boiler) with the same
+    `q_nom_kw` and `min_load_frac`, so that v can run u's heat profile, and
+    v's cost per kWh of heat, (gas - el_price * el_eff) / th_eff, is no
+    higher at every hourly price; between units that dominate each other,
+    the higher index is taken as dominant, so the pairs form no cycle.  A
+    pair that follows through a third unit is left out.  Moving u's heat to
+    v changes the electricity the units produce, so the argument needs the
+    grid exchange to stay strictly inside its +-1e5 kW bounds."""
+    price = np.array(market.el_price)
+    cost = [(market.gas_price - price * (unit.el_eff or 0.0)) / unit.th_eff
+            for unit in units]
+    pairs = []
+    for u, v in itertools.combinations(range(len(units)), 2):
+        a, b = units[u], units[v]
+        if (a.q_nom_kw, a.min_load_frac, a.el_eff is None) != \
+                (b.q_nom_kw, b.min_load_frac, b.el_eff is None):
+            continue
+        if np.all(cost[v] <= cost[u]):
+            pairs.append((u, v))
+        elif np.all(cost[u] <= cost[v]):
+            pairs.append((v, u))
+    # z_on[u] <= z_on[w] <= z_on[v] already implies the pair (u, v)
+    implied = set(pairs)
+    return [(u, v) for u, v in pairs
+            if not any((u, w) in implied and (w, v) in implied for w in range(len(units)))]
 
 
 def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, ScheduleLayout]:
@@ -322,6 +373,10 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
         q_dem[e, j] = mip.add_variable(f"qd_{e}_{j + 1}", 0.0, float("inf"))
     z_on = np.array([[mip.add_variable(f"z_{unit.name}_{h}", 0, 1, integer=True)
                       for h in range(sp.horizon_h)] for unit in units])
+    for u, v in _dominance_pairs(units, market):
+        for h, (zu, zv) in enumerate(zip(z_on[u].tolist(), z_on[v].tolist())):
+            mip.add_constraint([(zu, 1.0), (zv, -1.0)], "<=", 0.0,
+                               name=f"dom_{units[u].name}_{units[v].name}_{h}")
 
     nu, demand = _nu_terms(rate), sp.demand.planes.coef.tolist()
     gas, th_eff = [market.gas_price] * len(units), [unit.th_eff for unit in units]
@@ -410,7 +465,9 @@ def extract_result(sp: ScheduleProblem, layout: ScheduleLayout,
         cost_gas=sp.market.gas_price * (wh @ q_in.sum(axis=0)),
         cost_el_buy=wh_price @ np.maximum(dp, 0.0),
         rev_el_sell=wh_price @ np.maximum(-dp, 0.0),
-        on_hours=dict(zip([u.name for u in sp.components], x[layout.z_on].tolist())))
+        # HiGHS returns binaries within its integrality tolerance of 0 or 1
+        on_hours=dict(zip([u.name for u in sp.components],
+                          np.rint(x[layout.z_on]).astype(int).tolist())))
 
 
 def solve_schedule(sp: ScheduleProblem) -> tuple[ScheduleResult, Solution]:

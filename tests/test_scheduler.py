@@ -1,13 +1,19 @@
 import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rampsched import envelope as envelope_module
+from rampsched import scheduler
 from rampsched.envelope import N_LOWER, Planes, derive_envelope, fit_demand_pwa
 from rampsched.milp import (INF, MixedIntegerProgram, branch_and_bound, check_solution,
                             simplex_solve)
-from rampsched.scheduler import (KJH_PER_KW, ScheduleProblem, _lower_big_m, assemble_problem,
+from rampsched.scheduler import (KJH_PER_KW, EnergyComponent, ScheduleProblem,
+                                 _dominance_pairs, _lower_big_m, assemble_problem,
                                  desk_components, extract_result, paper_components,
                                  ramp_problem, solve_ramp, solve_schedule,
                                  two_level_market)
@@ -78,7 +84,7 @@ def point_loop_result(sp, layout, x):
             cost_buy += wk * price * dp
         else:
             rev_sell += wk * price * (-dp)
-    on_hours = {u.name: [x[layout.z_on[k][h]] for h in range(sp.horizon_h)]
+    on_hours = {u.name: [round(float(x[layout.z_on[k][h]])) for h in range(sp.horizon_h)]
                 for k, u in enumerate(units)}
     return dict(storage=storage, q_dem_kw=q_dem, unit_heat_kw=unit_heat, cost_gas=cost_gas,
                 cost_el_buy=cost_buy, rev_el_sell=rev_sell, on_hours=on_hours)
@@ -176,9 +182,12 @@ def test_two_elements_per_hour_market(envelope, demand_model):
 @pytest.mark.parametrize("fix", [True, False], ids=["steady", "flexible"])
 def test_schedule_milp_size_pinned(envelope, demand_model, fix):
     """vars, binaries and rows of the 2 h desk market: the rate model the
-    schedule shares with the ramps adds and drops nothing."""
+    schedule shares with the ramps adds and drops nothing, and the dominance
+    order adds one row per hour, CHP2 on wherever CHP1 is."""
     mip, _ = assemble_problem(problem(envelope, demand_model, fix))
-    assert (mip.n_vars, mip.n_integer, len(mip.rows)) == (51, 8, 103)
+    assert (mip.n_vars, mip.n_integer, len(mip.rows)) == (51, 8, 105)
+    assert [r.name for r in mip.rows if r.name.startswith("dom_")] == \
+        ["dom_CHP1_CHP2_0", "dom_CHP1_CHP2_1"]
 
 
 @pytest.mark.parametrize("build", [
@@ -250,18 +259,90 @@ def test_ramp_problem_selects_lower_plane_by_code(envelope):
     assert not [r.name for r in mip.rows if r.name.startswith("lz")]
 
 
-@pytest.mark.parametrize("steady", [False, True], ids=["box", "steady"])
-def test_lower_big_m_matches_corner_loop(envelope, steady):
-    """The big-Ms of the lower nu planes, all planes at all box corners in
-    one call, equal a loop over the corners and the planes."""
-    if steady:
-        boxes = (envelope.rho_nom,) * 2, (0.0, 0.0), (0.0, 0.0)
-    else:
-        boxes = envelope.rho_bounds, envelope.rho_dot_box(), envelope.nu_box()
-    rho_box, rd_box, nu_box = boxes
-    loop = [max(max(c0 + cr * r + cd * d for r in rho_box for d in rd_box) - nu_box[0],
-                0.0) + 1.0 for c0, cr, cd in envelope.nu_pwa.lower.coef.tolist()]
-    assert _lower_big_m(envelope, *boxes) == loop
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_lower_big_m_covers_every_other_plane(envelope, rho_frac, band_frac, start_frac):
+    """At a point of the rate-derivative band and at the start point
+    (rho_start, 0), lower plane k exceeds every other lower plane j by at
+    most M_k, so a row relaxed by M_k holds wherever plane j does."""
+    lo, hi = envelope.rho_bounds
+    rho_start = lo + start_frac * (hi - lo)
+    M = _lower_big_m(envelope, rho_start)
+    rho = lo + rho_frac * (hi - lo)
+    rd_lo, rd_hi = envelope.rho_dot_range(rho)
+    for r, d in ((rho, rd_lo + band_frac * (rd_hi - rd_lo)), (rho_start, 0.0)):
+        v = envelope.nu_pwa.lower(r, d).tolist()
+        for k, j in itertools.permutations(range(len(v)), 2):
+            assert v[k] - v[j] <= M[k] + 1e-9, (k, j, r, d)
+
+
+def box_big_m(env, rho_start):
+    """The lower-plane big-M of the variable box: every lower plane at the
+    corners of the (rho, rho_dot) box, down to the floor of nu's box, plus 1."""
+    rho, rd = np.array(env.rho_bounds)[:, None], np.array(env.rho_dot_box())
+    return (np.maximum(env.nu_pwa.lower(rho, rd).max(axis=(1, 2)) - env.nu_box()[0], 0.0)
+            + 1.0).tolist()
+
+
+TIGHT_GAP = 1e-6
+
+
+@pytest.mark.parametrize("build", [
+    lambda env, dem: assemble_problem(problem(env, dem, False, horizon_h=2)),
+    lambda env, dem: assemble_problem(problem(env, dem, False, horizon_h=3)),
+    lambda env, dem: assemble_problem(problem(env, dem, False, horizon_h=6)),
+    lambda env, dem: assemble_problem(ScheduleProblem(env, dem, paper_components(),
+                                                      two_level_market(6), 6)),
+    lambda env, dem: ramp_problem("up", env, 2.5, elem_h=0.1),
+    lambda env, dem: ramp_problem("down", env, 4.0, elem_h=0.2),
+], ids=["desk-2h", "desk-3h", "desk-6h", "paper-6h", "up-ramp", "down-ramp"])
+def test_tight_formulation_keeps_the_optimum(envelope, demand_model, monkeypatch, build):
+    """At a tight gap, the MILP with the other-plane big-M and the dominance
+    rows reaches the objective of the box big-M build without those rows:
+    both are within TIGHT_GAP of one optimum."""
+    tight = branch_and_bound(build(envelope, demand_model)[0], TIGHT_GAP).objective
+    monkeypatch.setattr(scheduler, "_lower_big_m", box_big_m)
+    monkeypatch.setattr(scheduler, "_dominance_pairs", lambda units, market: [])
+    box = branch_and_bound(build(envelope, demand_model)[0], TIGHT_GAP).objective
+    assert tight == pytest.approx(box, rel=2 * TIGHT_GAP)
+
+
+def test_lp_relaxation_of_the_desk_market_is_tight(envelope, demand_model):
+    """The LP bound of the 2 h desk flexible MILP is at least 0.93 of its
+    optimum (0.947 with the other-plane big-M, 0.853 with the box one)."""
+    mip, _ = assemble_problem(problem(envelope, demand_model, False))
+    optimum = branch_and_bound(mip, TIGHT_GAP).objective
+    assert simplex_solve(mip).objective >= 0.93 * optimum
+
+
+def chp(name, th_eff, el_eff, q_nom_kw=650.0):
+    return EnergyComponent(name, q_nom_kw, th_eff, el_eff, 0.5)
+
+
+@pytest.mark.parametrize("units, market, pairs", [
+    # CHP2 is cheaper below an el price of 0.771, CHP1 above it
+    (desk_components(), two_level_market(2), [(0, 1)]),
+    (desk_components(), two_level_market(2, high=1.0, low=0.9), [(1, 0)]),
+    (desk_components(), two_level_market(2, high=1.0, low=0.01), []),
+    # CHP1 <= CHP3 follows from CHP1 <= CHP2 <= CHP3 and adds no row
+    (paper_components(), two_level_market(24), [(0, 1), (1, 2), (2, 3), (4, 5)]),
+    # the same unit twice: one row, not both, which would force them equal
+    ([chp("A", 0.5, 0.4), chp("B", 0.5, 0.4)], two_level_market(2), [(0, 1)]),
+    # a cheaper unit of another size or kind takes no part
+    ([chp("A", 0.4, 0.3), chp("B", 0.5, 0.4, q_nom_kw=600.0)], two_level_market(2), []),
+    ([chp("A", 0.4, 0.3), EnergyComponent("B", 650.0, 0.9, None, 0.5)],
+     two_level_market(2), []),
+], ids=["desk", "desk-high-prices", "desk-reversing", "paper", "equal-units",
+        "other-size", "other-kind"])
+def test_dominance_pairs(units, market, pairs):
+    assert _dominance_pairs(units, market) == pairs
+
+
+def test_market_reversing_the_cost_order_adds_no_row(envelope, demand_model):
+    mip, _ = assemble_problem(problem(envelope, demand_model, False,
+                                      market=two_level_market(2, high=1.0, low=0.01)))
+    assert (mip.n_vars, mip.n_integer, len(mip.rows)) == (51, 8, 103)
+    assert not [r.name for r in mip.rows if r.name.startswith("dom_")]
 
 
 def test_lower_plane_count_off_a_power_of_two_raises(envelope):
