@@ -259,6 +259,22 @@ def test_ramp_problem_selects_lower_plane_by_code(envelope):
     assert not [r.name for r in mip.rows if r.name.startswith("lz")]
 
 
+@pytest.mark.parametrize("steady", [False, True], ids=["box", "steady"])
+def test_lower_big_m_matches_corner_loop(envelope, steady):
+    """The big-Ms of the lower nu planes, every plane pair at the band's
+    corners and the start point in one call, equal a loop over the points
+    and the plane pairs; the start is a box corner or the steady point."""
+    rho_start = envelope.rho_nom if steady else envelope.rho_bounds[0]
+    (l0, l1), (u0, u1) = envelope.rd.coef.tolist()
+    points = [(r, c0 + c1 * r) for c0, c1 in ((l0, l1), (u0, u1))
+              for r in envelope.rho_bounds] + [(rho_start, 0.0)]
+    coef = envelope.nu_pwa.lower.coef.tolist()
+    loop = [max(max((ck0 + ckr * r + ckd * d) - (cj0 + cjr * r + cjd * d)
+                    for r, d in points for cj0, cjr, cjd in coef), 0.0)
+            for ck0, ckr, ckd in coef]
+    assert _lower_big_m(envelope, rho_start) == loop
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_lower_big_m_covers_every_other_plane(envelope, rho_frac, band_frac, start_frac):
