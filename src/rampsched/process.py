@@ -7,10 +7,15 @@ as scheduling degree of freedom.  Provides the ODE right-hand side as one
 formula (`_rhs`, on floats or broadcasting arrays, over the parameter terms
 of `_rhs_constants`), a fixed-step RK4 simulator that interpolates its
 piecewise-linear controls at every stage time in three array calls per run,
-reads the parameters once per run and runs each step on six float locals
-(stages, RK4 combination and divergence check written out per state), and
-a bound check that takes each variable's column in one pass and counts a
-non-finite value as a violation.
+reads the parameters once per run and holds controls and states as one
+float list per variable, and a bound check that takes each variable's
+column in one pass and counts a non-finite value as a violation.
+
+The simulator keeps no container per step alive: a list or tuple per
+sample or state would be thousands of objects tracked by the garbage
+collector per replay, which push its young generation past its threshold
+and, in a process that holds scipy's tens of thousands of objects, lead to
+full collections of 25-35 ms inside whatever runs next.
 """
 
 from __future__ import annotations
@@ -241,15 +246,20 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
     Controls are interpolated piecewise-linearly between their samples, once
     per simulation: at the grid times t and at every step's stage times
     t + h/2 and t + h.  The parameter terms of `_rhs_constants` are read
-    once per run.  Each step runs on the six states as float locals: the
-    four stages are explicit tuples through `_rhs`, the one right-hand-side
-    formula, and the RK4 combination and the divergence check are written
-    out per state, in the operation order of the array form, so the states
-    are bitwise those of RK4 on numpy arrays.  Raises
-    ValueError when the run would read controls outside their samples (the
-    schedule starts after 0 or ends more than SAMPLE_TOL_H before the last
-    step), and SimulationDiverged when a state is non-finite or its
-    magnitude exceeds 1e9, or when a stage overflows or divides by zero.
+    once per run.  Each input and rho is held as one float list per stage
+    time and each state as one float list, stacked into `states` at the
+    end, so the run leaves no per-step container for the garbage collector
+    to track (see the module docstring).  Each step runs on the six states
+    as float locals: the four stages are explicit tuples through `_rhs`,
+    the one right-hand-side formula, and the RK4 combination and the
+    divergence check are written out per state, in the operation order of
+    the array form, so the states are bitwise those of RK4 on numpy arrays.
+
+    Raises ValueError when the run would read controls outside their
+    samples (the schedule starts after 0 or ends more than SAMPLE_TOL_H
+    before the last step), and SimulationDiverged when a state is non-finite
+    or its magnitude exceeds 1e9, or when a stage overflows or divides by
+    zero.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -262,31 +272,41 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
                          f"do not cover [0, {n * h}] h")
     times = np.linspace(0.0, n * h, n + 1)
     inputs, rhos = controls.at(times)
-    u0, r0 = inputs.tolist(), rhos.tolist()
-    um, rm = (a.tolist() for a in controls.at(times[:-1] + h / 2))
-    ue, re = (a.tolist() for a in controls.at(times[:-1] + h))
+    u_mid, rho_mid = controls.at(times[:-1] + h / 2)
+    u_end, rho_end = controls.at(times[:-1] + h)
+    FB, Fp, Q1, Q2 = inputs.T.tolist()
+    FBm, Fpm, Q1m, Q2m = u_mid.T.tolist()
+    FBe, Fpe, Q1e, Q2e = u_end.T.tolist()
+    r0, rm, re = rhos.tolist(), rho_mid.tolist(), rho_end.tolist()
     half, sixth = h / 2, h / 6
     consts = _rhs_constants(p)
     x1, x2, x3, x4, x5, x6 = x0.as_array().tolist()
-    states = []
+    s1, s2, s3, s4, s5, s6 = [], [], [], [], [], []
     ts = times.tolist()
     for i, t in enumerate(ts):
         if not (abs(x1) <= 1e9 and abs(x2) <= 1e9 and abs(x3) <= 1e9
                 and abs(x4) <= 1e9 and abs(x5) <= 1e9 and abs(x6) <= 1e9):
             raise SimulationDiverged(t)
-        states.append((x1, x2, x3, x4, x5, x6))
+        s1.append(x1)
+        s2.append(x2)
+        s3.append(x3)
+        s4.append(x4)
+        s5.append(x5)
+        s6.append(x6)
         if i < n:
             try:
-                a1, a2, a3, a4, a5, a6 = _rhs((x1, x2, x3, x4, x5, x6), u0[i], r0[i], consts)
+                a1, a2, a3, a4, a5, a6 = _rhs((x1, x2, x3, x4, x5, x6),
+                                              (FB[i], Fp[i], Q1[i], Q2[i]), r0[i], consts)
+                um, ue = (FBm[i], Fpm[i], Q1m[i], Q2m[i]), (FBe[i], Fpe[i], Q1e[i], Q2e[i])
                 b1, b2, b3, b4, b5, b6 = _rhs(
                     (x1 + half * a1, x2 + half * a2, x3 + half * a3,
-                     x4 + half * a4, x5 + half * a5, x6 + half * a6), um[i], rm[i], consts)
+                     x4 + half * a4, x5 + half * a5, x6 + half * a6), um, rm[i], consts)
                 c1, c2, c3, c4, c5, c6 = _rhs(
                     (x1 + half * b1, x2 + half * b2, x3 + half * b3,
-                     x4 + half * b4, x5 + half * b5, x6 + half * b6), um[i], rm[i], consts)
+                     x4 + half * b4, x5 + half * b5, x6 + half * b6), um, rm[i], consts)
                 d1, d2, d3, d4, d5, d6 = _rhs(
                     (x1 + h * c1, x2 + h * c2, x3 + h * c3,
-                     x4 + h * c4, x5 + h * c5, x6 + h * c6), ue[i], re[i], consts)
+                     x4 + h * c4, x5 + h * c5, x6 + h * c6), ue, re[i], consts)
             except (OverflowError, ZeroDivisionError):  # math.exp, or T1 == 0 in a stage
                 raise SimulationDiverged(ts[i + 1]) from None
             x1 = x1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1)
@@ -295,7 +315,7 @@ def simulate(x0: StateVec, controls: ControlSchedule, horizon: float,
             x4 = x4 + sixth * (a4 + 2 * b4 + 2 * c4 + d4)
             x5 = x5 + sixth * (a5 + 2 * b5 + 2 * c5 + d5)
             x6 = x6 + sixth * (a6 + 2 * b6 + 2 * c6 + d6)
-    return Trajectory(times, np.array(states), inputs, rhos)
+    return Trajectory(times, np.column_stack([s1, s2, s3, s4, s5, s6]), inputs, rhos)
 
 
 @dataclass(frozen=True)

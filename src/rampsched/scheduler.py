@@ -12,7 +12,9 @@ exceeds any of them on the band (`_lower_big_m`), not from the variable
 box.  The as-fast-as-possible ramp breaks nu at every element and adds only
 its objective.  The demand-response schedule breaks nu hourly and adds the
 convex heat demand, conversion units with minimum part load, storage, grid
-exchange and energy costs.  Where one unit can take over another's heat at
+exchange and energy costs; its steady-production baseline fixes rho,
+rho_dot and nu by their bounds and builds no rate rows or bits
+(`_steady_rate`).  Where one unit can take over another's heat at
 no higher cost at every hourly price, a row per hour keeps the cheaper unit
 on wherever the dearer one is (`_dominance_pairs`).  The heat demand is the
 epigraph of the convex max-affine demand model, one row per plane and no
@@ -108,7 +110,7 @@ class MarketSeries:
         if not all(map(math.isfinite, (*self.el_price, self.gas_price, *self.heat_demand_kw,
                                        *self.el_demand_kw))):
             raise ValueError("market prices and demands must be finite")
-        if any(d < 0 for d in self.heat_demand_kw + self.el_demand_kw):
+        if any(d < 0 for d in (*self.heat_demand_kw, *self.el_demand_kw)):
             raise ValueError("demands must be non-negative")
 
     @property
@@ -257,18 +259,19 @@ def _pwa_nu_rows(mip: MixedIntegerProgram, upper: list, lower: list, nu_terms: l
 
 
 def _rate_model(mip: MixedIntegerProgram, env: RampingEnvelope, grid: CollocationGrid,
-                nu_per_hour: int, rho_box: tuple, rd_box: tuple, nu_box: tuple,
-                rho_start: float) -> RateLayout:
+                nu_per_hour: int, rho_start: float) -> RateLayout:
     """The collocated rate model under the ramping envelope.
 
-    rho and rho_dot chains starting at rho_start and 0, nu breakpoints
-    nu_per_hour per hour, ceil(log2 K) lower-plane bits per nu interval, the
-    rows rho' = rho_dot and rho_dot' = nu, the initial-nu rows, and the band
-    and plane rows at every point, whose bits are those of the nu interval
+    rho and rho_dot chains starting at rho_start and 0 inside the envelope's
+    rho bounds and rho_dot box, nu breakpoints nu_per_hour per hour inside
+    its nu box, ceil(log2 K) lower-plane bits per nu interval, the rows
+    rho' = rho_dot and rho_dot' = nu, the initial-nu rows, and the band and
+    plane rows at every point, whose bits are those of the nu interval
     holding its element."""
-    rho = _state_chain(mip, grid, "rho", *rho_box, rho_start)
-    rd = _state_chain(mip, grid, "rd", *rd_box, 0.0)
+    rho = _state_chain(mip, grid, "rho", *env.rho_bounds, rho_start)
+    rd = _state_chain(mip, grid, "rd", *env.rho_dot_box(), 0.0)
     n_nu = grid.n_elem * nu_per_hour // grid.elems_per_hour
+    nu_box = env.nu_box()
     nu_nodes = np.array([mip.add_variable(f"nu_{k}", *nu_box) for k in range(n_nu + 1)])
     k = len(env.nu_pwa.lower.coef)
     if k & (k - 1):
@@ -300,6 +303,26 @@ def _rate_model(mip: MixedIntegerProgram, env: RampingEnvelope, grid: Collocatio
             _pwa_nu_rows(mip, upper, lower, nu[e][j - 1], r, d,
                          bits[e * nu_per_hour // grid.elems_per_hour], "pwa", sfx)
     return layout
+
+
+def _steady_rate(mip: MixedIntegerProgram, env: RampingEnvelope,
+                 grid: CollocationGrid) -> RateLayout:
+    """The rate model of steady production: rho chained at the envelope's
+    rho_nom, rho_dot at 0 and hourly nu breakpoints at 0, each fixed by its
+    bounds.  Fixed variables leave the collocation, band and plane rows
+    nothing to constrain and the lower-plane bits nothing to select, so
+    none is built; raises ValueError when the envelope does not contain
+    (rho_nom, 0, 0), where those rows would have made the MILP
+    infeasible."""
+    rho_nom = env.rho_nom
+    if not env.contains(rho_nom, 0.0, 0.0):
+        raise ValueError(f"steady production at rho = {rho_nom:.6g} with rho_dot = nu = 0 "
+                         "lies outside the ramping envelope")
+    rho = _state_chain(mip, grid, "rho", rho_nom, rho_nom, rho_nom)
+    rd = _state_chain(mip, grid, "rd", 0.0, 0.0, 0.0)
+    n_nu = grid.n_elem // grid.elems_per_hour
+    nu_nodes = np.array([mip.add_variable(f"nu_{k}", 0.0, 0.0) for k in range(n_nu + 1)])
+    return RateLayout(grid, rho, rd, nu_nodes, 1, np.empty((n_nu, 0), dtype=int))
 
 
 def _rate_profile(layout: RateLayout, x: np.ndarray) -> tuple:
@@ -352,10 +375,9 @@ def assemble_problem(sp: ScheduleProblem) -> tuple[MixedIntegerProgram, Schedule
     mip = MixedIntegerProgram(f"DR{sp.horizon_h}H")
     rho_nom = env.rho_nom
     if sp.fix_steady:
-        boxes = (rho_nom, rho_nom), (0.0, 0.0), (0.0, 0.0)
+        rate = _steady_rate(mip, env, grid)
     else:
-        boxes = env.rho_bounds, env.rho_dot_box(), env.nu_box()
-    rate = _rate_model(mip, env, grid, 1, *boxes, rho_nom)
+        rate = _rate_model(mip, env, grid, 1, rho_nom)
 
     S = _state_chain(mip, grid, "S", *sp.storage, 0.0)
     # The cost integral as a collocated state rather than a quadrature sum in
@@ -513,8 +535,7 @@ def ramp_problem(direction: str, env: RampingEnvelope, horizon: float,
     grid = collocation_grid(horizon, elems_per_hour, pts)
     mip = MixedIntegerProgram(f"RAMP{direction.upper()}")
     rho_lo, rho_hi = env.rho_bounds
-    layout = _rate_model(mip, env, grid, elems_per_hour, env.rho_bounds,
-                         env.rho_dot_box(), env.nu_box(), rho_lo if up else rho_hi)
+    layout = _rate_model(mip, env, grid, elems_per_hour, rho_lo if up else rho_hi)
     # objective: maximize (up) / minimize (down) the integral of rho
     w = np.tile((-1.0 if up else 1.0) * grid.weights * grid.h, grid.n_elem)
     mip.set_objective(zip(layout.rho[:, 1:].ravel().tolist(), w.tolist()))

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -150,10 +151,34 @@ def test_simulate_equals_reference_rk4_bitwise(case, params, bounds, strategy, r
     horizon = float(controls.times[-1])
     traj = simulate(x0, controls, horizon, step=0.01, p=params)
     assert np.array_equal(traj.states, reference_rk4(x0, controls, horizon, 0.01, params))
+    assert traj.states.flags.c_contiguous
+    assert traj.states.shape == (round(horizon / 0.01) + 1, 6)
     for j in range(4):
         assert np.array_equal(traj.inputs[:, j],
                               np.interp(traj.times, controls.times, controls.inputs[:, j]))
     assert np.array_equal(traj.rho, np.interp(traj.times, controls.times, controls.rho))
+
+
+def test_simulate_starts_no_garbage_collection(params, bounds):
+    """A 20 h replay at 0.01 h (2 001 samples) keeps no container per step
+    alive, so it takes the collector's young generation past no threshold
+    and starts no collection inside the caller's work."""
+    x, u = steady(params, bounds)
+    controls = ControlSchedule.constant(u, 5.25, 20.0)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        traj = simulate(x, controls, 20.0, step=0.01, p=params)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(traj.times) == 2001
+    assert starts == []
 
 
 @pytest.mark.parametrize("times, horizon", [

@@ -149,6 +149,18 @@ def test_market_series_rejects_non_finite_values(field, value):
         dataclasses.replace(two_level_market(2), **{field: value})
 
 
+@pytest.mark.parametrize("heat, el", [
+    ((-50.0, 100.0), (100.0, 100.0)), ((100.0, 100.0), (100.0, -1.0)),
+    (np.array([-50.0, 100.0]), np.array([100.0, 100.0])),
+    (np.array([100.0, 100.0]), np.array([100.0, -1.0]))],
+    ids=["heat-tuple", "el-tuple", "heat-array", "el-array"])
+def test_market_series_rejects_negative_demands(heat, el):
+    """Each series is checked on its own: numpy arrays add elementwise, so
+    -50 kW of heat beside 100 kW of electricity must not pass as 50 kW."""
+    with pytest.raises(ValueError, match="demands must be non-negative"):
+        dataclasses.replace(two_level_market(2), heat_demand_kw=heat, el_demand_kw=el)
+
+
 def test_schedule_time_out_without_incumbent_raises(envelope, demand_model):
     sp = problem(envelope, demand_model, False, time_limit_s=0.0)
     with pytest.raises(RuntimeError, match="no incumbent"):
@@ -179,13 +191,16 @@ def test_two_elements_per_hour_market(envelope, demand_model):
     assert res.q_dem_kw == pytest.approx(model, rel=1e-6)
 
 
-@pytest.mark.parametrize("fix", [True, False], ids=["steady", "flexible"])
-def test_schedule_milp_size_pinned(envelope, demand_model, fix):
-    """vars, binaries and rows of the 2 h desk market: the rate model the
-    schedule shares with the ramps adds and drops nothing, and the dominance
-    order adds one row per hour, CHP2 on wherever CHP1 is."""
+@pytest.mark.parametrize("fix, size", [(True, (49, 6, 59)), (False, (51, 8, 105))],
+                         ids=["steady", "flexible"])
+def test_schedule_milp_size_pinned(envelope, demand_model, fix, size):
+    """vars, binaries and rows of the 2 h desk market: the flexible rate model
+    the schedule shares with the ramps adds and drops nothing, the steady one
+    fixes rho, rho_dot and nu by their bounds with no lower-plane bits and no
+    rate rows, and the dominance order adds one row per hour, CHP2 on
+    wherever CHP1 is."""
     mip, _ = assemble_problem(problem(envelope, demand_model, fix))
-    assert (mip.n_vars, mip.n_integer, len(mip.rows)) == (51, 8, 105)
+    assert (mip.n_vars, mip.n_integer, len(mip.rows)) == size
     assert [r.name for r in mip.rows if r.name.startswith("dom_")] == \
         ["dom_CHP1_CHP2_0", "dom_CHP1_CHP2_1"]
 
@@ -201,6 +216,27 @@ def test_no_vanishing_coefficients(envelope, demand_model, build):
     residue on the neighbouring breakpoint."""
     mip, _ = build(envelope, demand_model)
     assert [r.name for r in mip.rows if any(abs(c) < 1e-9 for _, c in r.coeffs)] == []
+
+
+def _raised_lower_nu(env):
+    """env with every lower nu plane raised 1 past nu = 0 at (rho_nom, 0)."""
+    lower = env.nu_pwa.lower.coef.copy()
+    lower[:, 0] += 1.0 - env.nu_range(env.rho_nom, 0.0)[0]
+    return dataclasses.replace(env, nu_pwa=dataclasses.replace(env.nu_pwa, lower=Planes(lower)))
+
+
+@pytest.mark.parametrize("outside", [
+    lambda env: dataclasses.replace(env, rho_nom=env.rho_bounds[1] + 0.1),
+    _raised_lower_nu,
+], ids=["rho_nom-above-bounds", "nu-below-lower-planes"])
+def test_steady_schedule_outside_the_envelope_raises(envelope, demand_model, outside):
+    """The steady baseline builds no rate rows, so it checks up front that
+    the envelope holds (rho_nom, 0, 0), which those rows would have
+    required."""
+    env = outside(envelope)
+    assert not env.contains(env.rho_nom, 0.0, 0.0)
+    with pytest.raises(ValueError, match="outside the ramping envelope"):
+        assemble_problem(problem(env, demand_model, True))
 
 
 def test_demand_model_of_another_envelope_raises(strategy, params, bounds, envelope):
